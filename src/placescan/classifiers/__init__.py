@@ -1,15 +1,23 @@
-"""Uniform train/predict contract over the six classifier variants."""
+"""Uniform train/predict contract over the six classifier variants.
+
+Every variant is one `_VARIANTS` row: a trainer and a payload class. The
+trainer is called as `fit(Xt, y, **params)` on Box-Cox standardised rows;
+its keyword-only arguments are the variant's hyperparameters and their
+defaults, plus `seed` if it draws random numbers. The payload it returns
+provides `predict_proba(Xt)`, `to_dict()` and the `from_dict(payload)`
+classmethod used by the model-file codec.
+"""
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from ..core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, Scan
+from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges
 from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_feature_transformer
@@ -17,20 +25,33 @@ from . import boosting, linear, nets, svm, trees
 
 MODEL_FORMAT_VERSION = 1
 
-VARIANTS = ("rf", "adaboost", "svm", "logreg", "mlp", "cnn")
-
-_DEFAULTS = {
-    "rf": {"trees": 100, "max_depth": 100, "features_per_split": 16, "bootstrap": True},
-    "adaboost": {"rounds": 200},
-    "svm": {"C": 1.0, "degree": 3, "coef0": 0.0, "gamma": None, "tol": 1e-3},
-    "logreg": {"l2": 1e-4, "max_iter": 2000, "grad_tol": 1e-6},
-    "mlp": {"epochs": 30, "batch_size": 32, "lr": 0.01, "dropout": 0.5},
-    "cnn": {"epochs": 30, "batch_size": 32, "lr": 0.01, "dropout": 0.25},
+# variant -> (trainer module, trainer name, payload class). The trainer is
+# looked up on its module at call time, so a wrapper installed on the module
+# attribute (a profiler or a test double) sees every call.
+_VARIANTS = {
+    "rf": (trees, "train_random_forest", trees.RandomForest),
+    "adaboost": (boosting, "train_adaboost", boosting.AdaBoostModel),
+    "svm": (svm, "train_svm", svm.SvmModel),
+    "logreg": (linear, "train_logreg", linear.LogRegModel),
+    "mlp": (nets, "train_mlp", nets.Network),
+    "cnn": (nets, "train_cnn", nets.Network),
 }
+
+VARIANTS = tuple(_VARIANTS)
+
+
+def _trainer(variant: str):
+    module, name, _ = _VARIANTS[variant]
+    return getattr(module, name)
 
 
 def default_params(variant: str) -> dict:
-    return dict(_DEFAULTS[variant])
+    """The trainer's keyword-only arguments other than `seed`, with defaults."""
+    return {
+        p.name: p.default
+        for p in inspect.signature(_trainer(variant)).parameters.values()
+        if p.kind is p.KEYWORD_ONLY and p.name != "seed"
+    }
 
 
 @dataclass(frozen=True)
@@ -46,7 +67,7 @@ class ModelSpec:
             raise ValueError(
                 f"unknown variant {self.variant!r}; choose one of {', '.join(VARIANTS)}"
             )
-        unknown = set(self.params) - set(_DEFAULTS[self.variant])
+        unknown = set(self.params) - set(default_params(self.variant))
         if unknown:
             raise ValueError(
                 f"unknown hyperparameters for {self.variant}: {sorted(unknown)}"
@@ -68,14 +89,14 @@ class TrainedModel:
     metadata: dict = field(default_factory=dict)
 
     def predict_proba_matrix(self, X_raw: np.ndarray) -> np.ndarray:
-        """Class probabilities for raw (untransformed) feature rows."""
+        """Class probabilities for raw (untransformed) feature rows.
+
+        Beams are imputed by the same rule as `validate_scan` first.
+        """
         X_raw = np.atleast_2d(np.asarray(X_raw, dtype=np.float64))
         if X_raw.shape[1] != NUM_BEAMS:
             raise DimensionError(f"expected {NUM_BEAMS} features, got {X_raw.shape[1]}")
-        Xt = self.transformer.transform_matrix(X_raw)
-        if self.spec.variant == "cnn":
-            Xt = Xt[:, None, :]
-            return self.payload.predict_proba(Xt)
+        Xt = self.transformer.transform_matrix(impute_ranges(X_raw))
         return self.payload.predict_proba(Xt)
 
 
@@ -94,79 +115,12 @@ def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
     transformer = fit_feature_transformer(X_raw)
     Xt = transformer.transform_matrix(X_raw)
     params = spec.resolved_params()
-
-    converged = True
-    if spec.variant == "rf":
-        payload = trees.train_random_forest(
-            Xt,
-            y,
-            n_trees=params["trees"],
-            max_depth=params["max_depth"],
-            features_per_split=params["features_per_split"],
-            bootstrap=params["bootstrap"],
-            seed=spec.seed,
-            num_classes=NUM_CLASSES,
-        )
-    elif spec.variant == "adaboost":
-        payload = boosting.train_adaboost(
-            Xt, y, rounds=params["rounds"], num_classes=NUM_CLASSES
-        )
-    elif spec.variant == "svm":
-        payload = svm.train_svm(
-            Xt,
-            y,
-            C=params["C"],
-            degree=params["degree"],
-            coef0=params["coef0"],
-            gamma=params["gamma"],
-            tol=params["tol"],
-            num_classes=NUM_CLASSES,
-        )
-        converged = all(payload.converged)
-    elif spec.variant == "logreg":
-        payload = linear.train_logreg(
-            Xt,
-            y,
-            l2=params["l2"],
-            max_iter=params["max_iter"],
-            grad_tol=params["grad_tol"],
-            num_classes=NUM_CLASSES,
-        )
-        converged = payload.converged
-    elif spec.variant == "mlp":
-        rng = np.random.default_rng([spec.seed, 11])
-        net = nets.build_mlp(rng, n_in=NUM_BEAMS, dropout_rate=params["dropout"])
-        nets.train_network(
-            net,
-            Xt,
-            y,
-            epochs=params["epochs"],
-            batch_size=params["batch_size"],
-            lr=params["lr"],
-            seed=spec.seed,
-            num_classes=NUM_CLASSES,
-        )
-        payload = net
-    elif spec.variant == "cnn":
-        rng = np.random.default_rng([spec.seed, 12])
-        net = nets.build_cnn(rng, length=NUM_BEAMS, dropout_rate=params["dropout"])
-        nets.train_network(
-            net,
-            Xt[:, None, :],
-            y,
-            epochs=params["epochs"],
-            batch_size=params["batch_size"],
-            lr=params["lr"],
-            seed=spec.seed,
-            num_classes=NUM_CLASSES,
-        )
-        payload = net
-    else:  # unreachable; ModelSpec validates the variant
-        raise ValueError(spec.variant)
-
+    fit = _trainer(spec.variant)
+    seeded = {"seed": spec.seed} if "seed" in inspect.signature(fit).parameters else {}
+    payload = fit(Xt, y, **params, **seeded)
     metadata = {
         "seed": spec.seed,
-        "converged": converged,
+        "converged": bool(np.all(getattr(payload, "converged", True))),
         "params": params,
         "train_fingerprint": dataset_fingerprint(data),
     }
@@ -193,18 +147,8 @@ def dataset_fingerprint(data: Dataset) -> str:
 
 # --- model files -------------------------------------------------------------
 
-_PAYLOAD_CODECS = {
-    "rf": (lambda p: p.to_dict(), trees.RandomForest.from_dict),
-    "adaboost": (lambda p: p.to_dict(), boosting.AdaBoostModel.from_dict),
-    "svm": (lambda p: p.to_dict(), svm.SvmModel.from_dict),
-    "logreg": (lambda p: p.to_dict(), linear.LogRegModel.from_dict),
-    "mlp": (nets.network_to_dict, nets.network_from_dict),
-    "cnn": (nets.network_to_dict, nets.network_from_dict),
-}
-
 
 def model_to_json(model: TrainedModel) -> str:
-    encode, _ = _PAYLOAD_CODECS[model.spec.variant]
     document = {
         "format_version": MODEL_FORMAT_VERSION,
         "spec": {
@@ -213,28 +157,49 @@ def model_to_json(model: TrainedModel) -> str:
             "params": model.spec.params,
         },
         "transformer": model.transformer.to_dict(),
-        "payload": encode(model.payload),
+        "payload": model.payload.to_dict(),
         "metadata": model.metadata,
     }
     return json.dumps(document)
 
 
+def _decode(document: dict, key: str, decode):
+    """decode(document[key]); a malformed section raises ValueError naming it."""
+    section = document.get(key)
+    if not isinstance(section, dict):
+        raise ValueError(f"model file field {key!r} is missing or not an object")
+    try:
+        return decode(section)
+    except KeyError as exc:
+        raise ValueError(f"model file field {key!r} lacks {exc.args[0]!r}") from exc
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"model file field {key!r} is malformed: {exc}") from exc
+
+
+def _spec_from_dict(section: dict) -> ModelSpec:
+    return ModelSpec(
+        variant=section["variant"],
+        seed=int(section["seed"]),
+        params=dict(section["params"]),
+    )
+
+
 def model_from_json(text: str) -> TrainedModel:
+    """Decode a model file; a missing or mistyped section or field raises
+    ValueError naming it."""
     document = json.loads(text)
+    if not isinstance(document, dict):
+        raise ValueError("a model file must hold a JSON object")
     version = document.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    spec = ModelSpec(
-        variant=document["spec"]["variant"],
-        seed=int(document["spec"]["seed"]),
-        params=dict(document["spec"]["params"]),
-    )
-    _, decode = _PAYLOAD_CODECS[spec.variant]
+    spec = _decode(document, "spec", _spec_from_dict)
+    _, _, payload_class = _VARIANTS[spec.variant]
     return TrainedModel(
         spec=spec,
-        transformer=FeatureTransformer.from_dict(document["transformer"]),
-        payload=decode(document["payload"]),
-        metadata=dict(document["metadata"]),
+        transformer=_decode(document, "transformer", FeatureTransformer.from_dict),
+        payload=_decode(document, "payload", payload_class.from_dict),
+        metadata=_decode(document, "metadata", dict),
     )
 
 

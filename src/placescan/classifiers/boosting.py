@@ -11,25 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import NUM_CLASSES
 from .trees import TreeNode, fit_tree, predict_tree_proba
 
 ALPHA_CAP = np.log(1e10)
 _ZERO_ERR = 1e-12
 
 
-def adaboost_round(
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    num_classes: int = 4,
-):
+def adaboost_round(X: np.ndarray, y: np.ndarray, weights: np.ndarray):
     """One boosting round: weighted stump, its weight, updated sample weights.
 
     Returns (stump, alpha, new_weights, status) with status one of
     'ok', 'perfect' (err = 0, keep stump, stop) or 'rejected' (err at or
     above chance, discard stump, stop).
     """
-    stump = fit_tree(X, y, sample_weight=weights, max_depth=1, num_classes=num_classes)
+    stump = fit_tree(X, y, sample_weight=weights, max_depth=1)
     pred = np.array(
         [int(np.argmax(predict_tree_proba(stump, x))) for x in X], dtype=np.int64
     )
@@ -37,9 +33,9 @@ def adaboost_round(
     err = float(weights[miss].sum())
     if err < _ZERO_ERR:
         return stump, float(ALPHA_CAP), weights, "perfect"
-    if err >= 1.0 - 1.0 / num_classes:
+    if err >= 1.0 - 1.0 / NUM_CLASSES:
         return stump, 0.0, weights, "rejected"
-    alpha = float(np.log((1.0 - err) / err) + np.log(num_classes - 1.0))
+    alpha = float(np.log((1.0 - err) / err) + np.log(NUM_CLASSES - 1.0))
     new_weights = weights * np.exp(alpha * miss)
     new_weights = new_weights / new_weights.sum()
     return stump, alpha, new_weights, "ok"
@@ -49,11 +45,10 @@ def adaboost_round(
 class AdaBoostModel:
     stumps: list[TreeNode]
     alphas: list[float]
-    num_classes: int = 4
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        s = np.zeros((X.shape[0], self.num_classes))
+        s = np.zeros((X.shape[0], NUM_CLASSES))
         for stump, alpha in zip(self.stumps, self.alphas):
             for i in range(X.shape[0]):
                 k = int(np.argmax(predict_tree_proba(stump, X[i])))
@@ -68,7 +63,6 @@ class AdaBoostModel:
 
     def to_dict(self) -> dict:
         return {
-            "num_classes": self.num_classes,
             "alphas": list(self.alphas),
             "stumps": [s.to_dict() for s in self.stumps],
         }
@@ -78,15 +72,14 @@ class AdaBoostModel:
         return cls(
             stumps=[TreeNode.from_dict(s) for s in payload["stumps"]],
             alphas=[float(a) for a in payload["alphas"]],
-            num_classes=int(payload["num_classes"]),
         )
 
 
 def train_adaboost(
     X: np.ndarray,
     y: np.ndarray,
+    *,
     rounds: int = 200,
-    num_classes: int = 4,
 ) -> AdaBoostModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -94,11 +87,11 @@ def train_adaboost(
     stumps: list[TreeNode] = []
     alphas: list[float] = []
     for _ in range(rounds):
-        stump, alpha, weights, status = adaboost_round(X, y, weights, num_classes)
+        stump, alpha, weights, status = adaboost_round(X, y, weights)
         if status == "rejected":
             break
         stumps.append(stump)
         alphas.append(alpha)
         if status == "perfect":
             break
-    return AdaBoostModel(stumps=stumps, alphas=alphas, num_classes=num_classes)
+    return AdaBoostModel(stumps=stumps, alphas=alphas)

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_L2 = 1e-4
-DEFAULT_MAX_ITER = 2000
-DEFAULT_GRAD_TOL = 1e-6
+from ..core import NUM_CLASSES
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -62,17 +60,17 @@ class LogRegModel:
 def train_logreg(
     X: np.ndarray,
     y: np.ndarray,
-    l2: float = DEFAULT_L2,
-    max_iter: int = DEFAULT_MAX_ITER,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-    num_classes: int = 4,
+    *,
+    l2: float = 1e-4,
+    max_iter: int = 2000,
+    grad_tol: float = 1e-6,
 ) -> LogRegModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
-    Y = np.eye(num_classes)[y]
-    W = np.zeros((d, num_classes))
-    b = np.zeros(num_classes)
+    Y = np.eye(NUM_CLASSES)[y]
+    W = np.zeros((d, NUM_CLASSES))
+    b = np.zeros(NUM_CLASSES)
 
     loss, gW, gb = logreg_loss_grad(W, b, X, Y, l2)
     converged = False

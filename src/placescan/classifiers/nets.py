@@ -8,11 +8,9 @@ forward call, so training is fully seeded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
+from ..core import NUM_CLASSES
 from ..errors import DimensionError
 
 
@@ -86,7 +84,11 @@ class Dropout:
 
 
 class Conv1D:
-    """Valid cross-correlation over (batch, channels, length) signals."""
+    """Valid cross-correlation over (batch, channels, length) signals.
+
+    A one-channel layer also takes (batch, length) signals and returns input
+    gradients in that same shape.
+    """
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
         self.W = he_uniform(rng, (c_out, c_in, kernel), c_in * kernel)
@@ -96,6 +98,9 @@ class Conv1D:
         self.kernel = kernel
 
     def forward(self, x, train, rng):
+        self._flat = x.ndim == 2 and self.W.shape[1] == 1
+        if self._flat:
+            x = x[:, None, :]
         if x.ndim != 3 or x.shape[1] != self.W.shape[1]:
             raise DimensionError(
                 f"conv layer expects (batch, {self.W.shape[1]}, length) input"
@@ -124,7 +129,8 @@ class Conv1D:
         dyw = np.lib.stride_tricks.sliding_window_view(dy_pad, k, axis=2)
         cols = dyw.transpose(0, 2, 1, 3).reshape(B * L, O * k)
         w_flip = self.W[:, :, ::-1].transpose(0, 2, 1).reshape(O * k, C)
-        return (cols @ w_flip).reshape(B, L, C).transpose(0, 2, 1)
+        dx = (cols @ w_flip).reshape(B, L, C).transpose(0, 2, 1)
+        return dx[:, 0, :] if self._flat else dx
 
     def params(self):
         return [self.W, self.b]
@@ -225,6 +231,13 @@ class Network:
         for p, v in zip(own, values):
             p[...] = np.asarray(v, dtype=np.float64).reshape(p.shape)
 
+    def to_dict(self) -> dict:
+        return {"layers": [_layer_to_dict(layer) for layer in self.layers]}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "Network":
+        return cls([_layer_from_dict(entry) for entry in payload["layers"]])
+
 
 def adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update; returns (param, m, v) as new arrays."""
@@ -306,13 +319,12 @@ def train_network(
     batch_size: int = 32,
     lr: float = 0.01,
     seed: int = 42,
-    num_classes: int = 4,
 ) -> list[float]:
     """Seeded mini-batch Adam training; returns per-epoch mean losses."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
-    Y = np.eye(num_classes)[y]
+    Y = np.eye(NUM_CLASSES)[y]
     rng = np.random.default_rng([seed, 910])
     optimizer = Adam(net.params(), lr=lr)
     history = []
@@ -328,6 +340,23 @@ def train_network(
     return history
 
 
+def train_mlp(X, y, *, epochs: int = 30, batch_size: int = 32, lr: float = 0.01,
+              dropout: float = 0.5, seed: int = 42) -> Network:
+    """The dense variant: build_mlp weights drawn from (seed, 11), then Adam."""
+    net = build_mlp(np.random.default_rng([seed, 11]), X.shape[1], dropout_rate=dropout)
+    train_network(net, X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
+    return net
+
+
+def train_cnn(X, y, *, epochs: int = 30, batch_size: int = 32, lr: float = 0.01,
+              dropout: float = 0.25, seed: int = 42) -> Network:
+    """The convolutional variant: build_cnn weights drawn from (seed, 12),
+    then Adam on the (batch, length) rows."""
+    net = build_cnn(np.random.default_rng([seed, 12]), X.shape[1], dropout_rate=dropout)
+    train_network(net, X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
+    return net
+
+
 # --- serialization -----------------------------------------------------------
 
 _LAYER_TAGS = {
@@ -340,50 +369,38 @@ _LAYER_TAGS = {
 }
 
 
-def network_to_dict(net: Network) -> dict:
-    layers = []
-    for layer in net.layers:
-        tag = _LAYER_TAGS[type(layer)]
-        entry: dict = {"type": tag}
-        if isinstance(layer, Dense):
-            entry["W"] = layer.W.tolist()
-            entry["b"] = layer.b.tolist()
-        elif isinstance(layer, Conv1D):
-            entry["W"] = layer.W.tolist()
-            entry["b"] = layer.b.tolist()
-            entry["kernel"] = layer.kernel
-        elif isinstance(layer, Dropout):
-            entry["rate"] = layer.rate
-        elif isinstance(layer, MaxPool1D):
-            entry["size"] = layer.size
-        layers.append(entry)
-    return {"layers": layers}
+def _layer_to_dict(layer) -> dict:
+    entry: dict = {"type": _LAYER_TAGS[type(layer)]}
+    if isinstance(layer, (Dense, Conv1D)):
+        entry["W"] = layer.W.tolist()
+        entry["b"] = layer.b.tolist()
+    if isinstance(layer, Conv1D):
+        entry["kernel"] = layer.kernel
+    elif isinstance(layer, Dropout):
+        entry["rate"] = layer.rate
+    elif isinstance(layer, MaxPool1D):
+        entry["size"] = layer.size
+    return entry
 
 
-def network_from_dict(payload: dict) -> Network:
-    rng = np.random.default_rng(0)  # weights are overwritten below
-    layers: list = []
-    for entry in payload["layers"]:
-        tag = entry["type"]
+def _layer_from_dict(entry: dict):
+    tag = entry["type"]
+    if tag in ("dense", "conv1d"):
+        W = np.asarray(entry["W"], dtype=np.float64)
+        rng = np.random.default_rng(0)  # weights are overwritten below
         if tag == "dense":
-            W = np.asarray(entry["W"], dtype=np.float64)
             layer = Dense(W.shape[0], W.shape[1], rng)
-            layer.W = W
-            layer.b = np.asarray(entry["b"], dtype=np.float64)
-        elif tag == "conv1d":
-            W = np.asarray(entry["W"], dtype=np.float64)
-            layer = Conv1D(W.shape[1], W.shape[0], int(entry["kernel"]), rng)
-            layer.W = W
-            layer.b = np.asarray(entry["b"], dtype=np.float64)
-        elif tag == "relu":
-            layer = ReLU()
-        elif tag == "dropout":
-            layer = Dropout(float(entry["rate"]))
-        elif tag == "maxpool1d":
-            layer = MaxPool1D(int(entry["size"]))
-        elif tag == "flatten":
-            layer = Flatten()
         else:
-            raise ValueError(f"unknown layer tag {tag!r}")
-        layers.append(layer)
-    return Network(layers)
+            layer = Conv1D(W.shape[1], W.shape[0], int(entry["kernel"]), rng)
+        layer.W = W
+        layer.b = np.asarray(entry["b"], dtype=np.float64)
+        return layer
+    if tag == "relu":
+        return ReLU()
+    if tag == "dropout":
+        return Dropout(float(entry["rate"]))
+    if tag == "maxpool1d":
+        return MaxPool1D(int(entry["size"]))
+    if tag == "flatten":
+        return Flatten()
+    raise ValueError(f"unknown layer tag {tag!r}")

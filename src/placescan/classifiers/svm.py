@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core import NUM_CLASSES
+
 DEFAULT_C = 1.0
 DEFAULT_DEGREE = 3
 DEFAULT_COEF0 = 0.0
@@ -151,12 +153,11 @@ class SvmModel:
     coef0: float = DEFAULT_COEF0
     degree: int = DEFAULT_DEGREE
     converged: list[bool] = field(default_factory=list)
-    num_classes: int = 4
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty((X.shape[0], self.num_classes))
-        for c in range(self.num_classes):
+        out = np.empty((X.shape[0], NUM_CLASSES))
+        for c in range(NUM_CLASSES):
             sv = self.support_vectors[c]
             if sv.shape[0] == 0:
                 out[:, c] = self.biases[c]
@@ -173,7 +174,6 @@ class SvmModel:
 
     def to_dict(self) -> dict:
         return {
-            "num_classes": self.num_classes,
             "gamma": self.gamma,
             "coef0": self.coef0,
             "degree": self.degree,
@@ -184,7 +184,7 @@ class SvmModel:
                     "coefficients": self.coefficients[c].tolist(),
                     "bias": self.biases[c],
                 }
-                for c in range(self.num_classes)
+                for c in range(NUM_CLASSES)
             ],
         }
 
@@ -206,19 +206,18 @@ class SvmModel:
             coef0=float(payload["coef0"]),
             degree=int(payload["degree"]),
             converged=[bool(v) for v in payload["converged"]],
-            num_classes=int(payload["num_classes"]),
         )
 
 
 def train_svm(
     X: np.ndarray,
     y: np.ndarray,
+    *,
     C: float = DEFAULT_C,
     degree: int = DEFAULT_DEGREE,
     coef0: float = DEFAULT_COEF0,
     gamma: float | None = None,
     tol: float = DEFAULT_TOL,
-    num_classes: int = 4,
 ) -> SvmModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -226,7 +225,7 @@ def train_svm(
         gamma = default_gamma(X)
     K = poly_kernel(X, X, gamma, coef0, degree)
     support_vectors, coefficients, biases, converged = [], [], [], []
-    for c in range(num_classes):
+    for c in range(NUM_CLASSES):
         yb = np.where(y == c, 1.0, -1.0)
         if np.all(yb == yb[0]):
             # class absent (or alone): constant decision at the shared sign
@@ -249,5 +248,4 @@ def train_svm(
         coef0=coef0,
         degree=degree,
         converged=converged,
-        num_classes=num_classes,
     )

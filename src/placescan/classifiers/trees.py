@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..core import NUM_CLASSES
+
 _GAIN_EPS = 1e-12
 
 
@@ -61,13 +63,13 @@ class TreeNode:
         return node
 
 
-def _class_weight_sums(y, w, num_classes):
-    sums = np.zeros(num_classes)
+def _class_weight_sums(y, w):
+    sums = np.zeros(NUM_CLASSES)
     np.add.at(sums, y, w)
     return sums
 
 
-def _best_split(X, y, w, feature_indices, num_classes):
+def _best_split(X, y, w, feature_indices):
     """Best (gain, feature, threshold) over the candidate features.
 
     Candidate thresholds are midpoints of consecutive distinct sorted
@@ -75,9 +77,9 @@ def _best_split(X, y, w, feature_indices, num_classes):
     strictly improves impurity.
     """
     total_w = w.sum()
-    parent_counts = _class_weight_sums(y, w, num_classes)
+    parent_counts = _class_weight_sums(y, w)
     parent_gini = gini_impurity(parent_counts)
-    onehot = np.eye(num_classes)[y]
+    onehot = np.eye(NUM_CLASSES)[y]
 
     best = None  # (gain, feature, threshold)
     for f in feature_indices:
@@ -111,7 +113,6 @@ def fit_tree(
     max_depth: Optional[int] = None,
     features_per_split: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    num_classes: int = 4,
 ) -> TreeNode:
     """Grow a CART tree; `features_per_split=None` evaluates all features.
 
@@ -133,9 +134,9 @@ def fit_tree(
     def build(idx: np.ndarray, depth: int) -> TreeNode:
         yi = y[idx]
         wi = sample_weight[idx]
-        counts = _class_weight_sums(yi, np.maximum(wi, 0.0), num_classes)
+        counts = _class_weight_sums(yi, np.maximum(wi, 0.0))
         if counts.sum() <= 0:
-            counts = np.bincount(yi, minlength=num_classes).astype(np.float64)
+            counts = np.bincount(yi, minlength=NUM_CLASSES).astype(np.float64)
         dist = counts / counts.sum()
         node = TreeNode(distribution=dist)
         if (
@@ -148,7 +149,7 @@ def fit_tree(
             feats = np.arange(n_features)
         else:
             feats = np.sort(rng.choice(n_features, features_per_split, replace=False))
-        split = _best_split(X[idx], yi, wi, feats, num_classes)
+        split = _best_split(X[idx], yi, wi, feats)
         if split is None:
             split = _forced_split(X[idx], feats)
             if split is None:
@@ -186,12 +187,11 @@ def predict_tree_proba(node: TreeNode, x: np.ndarray) -> np.ndarray:
 @dataclass
 class RandomForest:
     trees: list[TreeNode]
-    num_classes: int = 4
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Tree-vote fractions: each tree votes its leaf argmax class."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = np.zeros((X.shape[0], self.num_classes))
+        votes = np.zeros((X.shape[0], NUM_CLASSES))
         for tree in self.trees:
             for i in range(X.shape[0]):
                 leaf = predict_tree_proba(tree, X[i])
@@ -199,37 +199,35 @@ class RandomForest:
         return votes / len(self.trees)
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        return {"trees": [t.to_dict() for t in self.trees]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomForest":
-        return cls(
-            trees=[TreeNode.from_dict(t) for t in payload["trees"]],
-            num_classes=int(payload["num_classes"]),
-        )
+        return cls(trees=[TreeNode.from_dict(t) for t in payload["trees"]])
 
 
 def train_random_forest(
     X: np.ndarray,
     y: np.ndarray,
-    n_trees: int = 100,
+    *,
+    trees: int = 100,
     max_depth: int = 100,
-    features_per_split: Optional[int] = None,
+    features_per_split: Optional[int] = 16,
     bootstrap: bool = True,
     seed: int = 42,
-    num_classes: int = 4,
 ) -> RandomForest:
-    """Bagged CART forest; each tree owns a substream keyed by (seed, index)."""
+    """Bagged CART forest; each tree owns a substream keyed by (seed, index).
+
+    The default `features_per_split` is floor(sqrt(271)) for 271-beam scans;
+    None applies the same square-root rule to any feature count.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
     if features_per_split is None:
         features_per_split = max(1, int(np.sqrt(X.shape[1])))
-    trees = []
-    for t in range(n_trees):
+    forest = []
+    for t in range(trees):
         rng = np.random.default_rng([seed, t])
         if bootstrap:
             idx = rng.integers(0, n, size=n)
@@ -243,7 +241,6 @@ def train_random_forest(
                 None if features_per_split >= X.shape[1] else features_per_split
             ),
             rng=rng,
-            num_classes=num_classes,
         )
-        trees.append(tree)
-    return RandomForest(trees=trees, num_classes=num_classes)
+        forest.append(tree)
+    return RandomForest(trees=forest)

@@ -8,7 +8,7 @@ sensor envelope [0.001, 30.0].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
@@ -77,6 +77,16 @@ class Scan:
         )
 
 
+def impute_ranges(ranges: np.ndarray) -> np.ndarray:
+    """Map beam distances into the sensor envelope, elementwise.
+
+    Non-finite readings become 30.0 (no-return); everything else is clipped
+    to [0.001, 30.0].
+    """
+    ranges = np.where(np.isfinite(ranges), ranges, MAX_RANGE_M)
+    return np.clip(ranges, MIN_RANGE_M, MAX_RANGE_M)
+
+
 def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Scan:
     """Build a valid Scan from raw beam distances.
 
@@ -90,8 +100,7 @@ def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Sca
         raise DimensionError(
             f"expected {NUM_BEAMS} beam distances, got {ranges.size}"
         )
-    ranges = np.where(np.isfinite(ranges), ranges, MAX_RANGE_M)
-    ranges = np.clip(ranges, MIN_RANGE_M, MAX_RANGE_M)
+    ranges = impute_ranges(ranges)
     if height_m is not None:
         height_m = float(height_m)
         if height_m < 0 or not math.isfinite(height_m):

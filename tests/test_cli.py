@@ -75,10 +75,29 @@ class TestTrainPredict:
                     "--scan", str(scan_path)]) == 0
         json.loads(capsys.readouterr().out)
 
-    def test_corrupt_model_file_is_data_error(self, tiny_csv, tmp_path):
+    def test_corrupt_model_file_is_data_error(self, tiny_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["predict", "--model", str(bad), "--scan", str(tiny_csv)]) == 2
+
+        good = tmp_path / "model.json"
+        assert run(["train", "--model", "logreg", "--data", str(tiny_csv),
+                    "--seed", "21", "--out", str(good)]) == 0
+        document = json.loads(good.read_text())
+        without_w = dict(document["payload"])
+        del without_w["W"]
+        corruptions = {  # expected field name in the message -> corrupted file
+            "'payload'": {k: v for k, v in document.items() if k != "payload"},
+            "'spec'": {k: v for k, v in document.items() if k != "spec"},
+            "payload": {**document, "payload": list(document["payload"])},
+            "'W'": {**document, "payload": without_w},
+        }
+        for field_name, corrupted in corruptions.items():
+            bad.write_text(json.dumps(corrupted))
+            capsys.readouterr()
+            assert run(["predict", "--model", str(bad),
+                        "--scan", str(tiny_csv)]) == 2, field_name
+            assert field_name in capsys.readouterr().err
 
 
 class TestCrossval:

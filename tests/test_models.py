@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from placescan.classifiers import (
     VARIANTS,
     ModelSpec,
     dataset_fingerprint,
+    default_params,
     load_model,
     model_from_json,
     model_to_json,
@@ -39,6 +42,20 @@ class TestModelSpec:
     def test_unknown_hyperparameter_rejected(self):
         with pytest.raises(ValueError, match="unknown hyperparameters"):
             ModelSpec(variant="rf", params={"n_estimators": 5})
+        # the trainer's seed argument comes from ModelSpec.seed only
+        with pytest.raises(ValueError, match="unknown hyperparameters"):
+            ModelSpec(variant="mlp", params={"seed": 1})
+
+    def test_default_params_pinned(self):
+        assert {v: default_params(v) for v in VARIANTS} == {
+            "rf": {"trees": 100, "max_depth": 100, "features_per_split": 16,
+                   "bootstrap": True},
+            "adaboost": {"rounds": 200},
+            "svm": {"C": 1.0, "degree": 3, "coef0": 0.0, "gamma": None, "tol": 1e-3},
+            "logreg": {"l2": 1e-4, "max_iter": 2000, "grad_tol": 1e-6},
+            "mlp": {"epochs": 30, "batch_size": 32, "lr": 0.01, "dropout": 0.5},
+            "cnn": {"epochs": 30, "batch_size": 32, "lr": 0.01, "dropout": 0.25},
+        }
 
     def test_resolved_params_merge_defaults(self):
         spec = ModelSpec(variant="rf", params={"trees": 7})
@@ -61,6 +78,10 @@ class TestTrain:
         )
         assert _accuracy(model, synth_small) > 0.25
         assert model.metadata["train_fingerprint"] == dataset_fingerprint(synth_small)
+
+    def test_unconverged_logreg_is_recorded(self, synth_small):
+        model = train(ModelSpec(variant="logreg", params={"max_iter": 1}), synth_small)
+        assert model.metadata["converged"] is False
 
     def test_training_is_deterministic(self, synth_small):
         spec = ModelSpec(variant="rf", seed=5, params={"trees": 8})
@@ -92,6 +113,24 @@ class TestPredict:
         with pytest.raises(DimensionError):
             model.predict_proba_matrix(np.ones((1, 100)))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_imputes_like_validate_scan(self, synth_small, variant):
+        model = train(
+            ModelSpec(variant=variant, seed=4, params=FAST_PARAMS[variant]),
+            synth_small,
+        )
+        raw = synth_small.feature_matrix()[:4].copy()
+        for row, value in enumerate([np.nan, np.inf, -np.inf, -1.0]):
+            raw[row, [0, 100, 270]] = value
+        scans = [validate_scan(row) for row in raw]
+        batch = model.predict_proba_matrix(raw)
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(
+            batch, model.predict_proba_matrix(np.stack([s.ranges for s in scans]))
+        )
+        single = np.stack([predict_proba(model, s) for s in scans])
+        assert np.allclose(batch, single, rtol=1e-9, atol=1e-12)
+
     def test_single_scan_wrapper_agrees_with_matrix(self, synth_small):
         model = train(ModelSpec(variant="rf", seed=6, params={"trees": 5}),
                       synth_small)
@@ -116,6 +155,11 @@ class TestSerialization:
         )
         assert back.spec == model.spec
         assert back.metadata == model.metadata
+        # files from before the class count became a constant carry it
+        document = json.loads(model_to_json(model))
+        document["payload"]["num_classes"] = 4
+        legacy = model_from_json(json.dumps(document))
+        assert np.array_equal(legacy.predict_proba_matrix(X), back.predict_proba_matrix(X))
 
     def test_bad_format_version_rejected(self, synth_small):
         model = train(ModelSpec(variant="logreg", seed=8), synth_small)

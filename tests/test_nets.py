@@ -13,8 +13,6 @@ from placescan.classifiers.nets import (
     adam_step,
     build_cnn,
     build_mlp,
-    network_from_dict,
-    network_to_dict,
     softmax_cross_entropy,
     train_network,
 )
@@ -121,6 +119,12 @@ class TestGradients:
         x = rng.normal(size=(3, 1, 12))
         onehot = np.eye(4)[rng.integers(0, 4, size=3)]
         check_gradients(net, x, onehot)
+        # a one-channel net also takes (batch, length) rows, with the same loss
+        check_gradients(net, x[:, 0, :], onehot)
+        loss, _ = net.loss_and_grads(x, onehot, train=False)
+        loss_2d, _ = net.loss_and_grads(x[:, 0, :], onehot, train=False)
+        assert loss_2d == loss
+        assert net.layers[0].backward(np.ones((3, 2, 10))).shape == (3, 12)
 
 
 class TestNetworkBehaviour:
@@ -178,5 +182,5 @@ class TestSerialization:
             net = build_cnn(rng, length=16, filters=(2, 2), kernel=3, pool=2,
                             dense_widths=(5, 4))
             probe = np.random.default_rng(11).normal(size=(3, 1, 16))
-        back = network_from_dict(network_to_dict(net))
+        back = Network.from_dict(net.to_dict())
         assert np.allclose(net.predict_proba(probe), back.predict_proba(probe))

@@ -78,7 +78,7 @@ class TestRandomForest:
         X = rng.normal(size=(60, 5))
         y = rng.integers(0, 4, size=60)
         forest = train_random_forest(
-            X, y, n_trees=1, bootstrap=False, features_per_split=5, seed=9
+            X, y, trees=1, bootstrap=False, features_per_split=5, seed=9
         )
         reference = fit_tree(X, y, max_depth=100)
         probe = rng.normal(size=(40, 5))
@@ -95,7 +95,7 @@ class TestRandomForest:
         y = np.repeat(np.arange(4), n_per)
         X[y == 0, 0] = rng.uniform(50.0, 60.0, n_per)  # far from all others
         X[y != 0, 0] = rng.uniform(-1.0, 1.0, 3 * n_per)
-        forest = train_random_forest(X, y, n_trees=25, seed=0, features_per_split=6)
+        forest = train_random_forest(X, y, trees=25, seed=0, features_per_split=6)
         proba = forest.predict_proba(X[y == 0])
         assert np.all(proba[:, 0] == 1.0)
 
@@ -103,8 +103,8 @@ class TestRandomForest:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 4))
         y = rng.integers(0, 4, size=40)
-        a = train_random_forest(X, y, n_trees=5, seed=11)
-        b = train_random_forest(X, y, n_trees=5, seed=11)
+        a = train_random_forest(X, y, trees=5, seed=11, features_per_split=None)
+        b = train_random_forest(X, y, trees=5, seed=11, features_per_split=None)
         probe = rng.normal(size=(10, 4))
         assert np.array_equal(a.predict_proba(probe), b.predict_proba(probe))
 
@@ -112,7 +112,7 @@ class TestRandomForest:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 4, size=30)
-        forest = train_random_forest(X, y, n_trees=3, seed=2)
+        forest = train_random_forest(X, y, trees=3, seed=2, features_per_split=None)
         back = RandomForest.from_dict(forest.to_dict())
         probe = rng.normal(size=(10, 4))
         assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
