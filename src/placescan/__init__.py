@@ -8,7 +8,6 @@ simulator provides reproducible synthetic datasets and a geometric oracle.
 from .core import (
     ClassLabel,
     Dataset,
-    LabeledScan,
     Scan,
     label_codec,
     validate_scan,
@@ -25,7 +24,6 @@ __all__ = [
     "ClassLabel",
     "Dataset",
     "FeatureTransformer",
-    "LabeledScan",
     "ModelSpec",
     "Scan",
     "SimConfig",

@@ -106,8 +106,7 @@ def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
     Deterministic given (spec, data): every stochastic component draws from
     substreams of spec.seed.
     """
-    X_raw = data.feature_matrix()
-    y = data.label_vector()
+    X_raw, y = data.X, data.y
     if np.unique(y).shape[0] < 2:
         raise DegenerateTrainingError(
             "training data must contain at least two classes"

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import NUM_CLASSES
+from ..core import NUM_BEAMS, NUM_CLASSES
 
 DEFAULT_C = 1.0
 DEFAULT_DEGREE = 3
@@ -193,9 +193,8 @@ class SvmModel:
         machines = payload["machines"]
         return cls(
             support_vectors=[
-                np.asarray(m["support_vectors"], dtype=np.float64).reshape(
-                    len(m["support_vectors"]), -1
-                )
+                # a machine without support vectors is written as []
+                np.asarray(m["support_vectors"] or np.empty((0, NUM_BEAMS)), np.float64)
                 for m in machines
             ],
             coefficients=[

@@ -125,8 +125,7 @@ def _read_scan(path: str):
         first = fh.readline()
         if first.split(",")[0].strip().lstrip("﻿") == "label":
             fh.seek(0)
-            dataset = parse_dataset(fh, provenance=str(p))
-            return dataset.rows[0].scan
+            return validate_scan(parse_dataset(fh, provenance=str(p)).X[0])
     values = [float(v) for v in first.strip().split(",") if v != ""]
     return validate_scan(values)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def impute_ranges(ranges: np.ndarray) -> np.ndarray:
     to [0.001, 30.0].
     """
     ranges = np.where(np.isfinite(ranges), ranges, MAX_RANGE_M)
-    return np.clip(ranges, MIN_RANGE_M, MAX_RANGE_M)
+    return np.clip(ranges, MIN_RANGE_M, MAX_RANGE_M, out=ranges)
 
 
 def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Scan:
@@ -108,40 +108,56 @@ def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Sca
     return Scan(ranges=ranges, height_m=height_m)
 
 
-@dataclass(frozen=True)
-class LabeledScan:
-    scan: Scan
-    label: ClassLabel
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered, non-empty collection of labeled scans."""
+    """An ordered, non-empty table of labeled scans, one row per scan.
 
-    rows: list[LabeledScan]
+    Read-only columns: `X` (n, 271) beam distances, imputed like
+    validate_scan does; `y` class indices; `heights` in meters, NaN for none.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    heights: Optional[np.ndarray] = None
     provenance: str = ""
 
     def __post_init__(self):
-        if not self.rows:
+        X = np.asarray(self.X, dtype=np.float64)
+        if X.shape[:1] == (0,):
             raise EmptyDatasetError("a dataset must contain at least one row")
+        if X.ndim != 2 or X.shape[1] != NUM_BEAMS:
+            raise DimensionError(f"expected an (n, {NUM_BEAMS}) distance matrix, got {X.shape}")
+        n = X.shape[0]
+        y = np.asarray(self.y)
+        heights = np.array(
+            np.full(n, np.nan) if self.heights is None else self.heights, dtype=np.float64
+        )
+        if y.shape != (n,) or heights.shape != (n,):
+            raise DimensionError(f"labels and heights must have shape ({n},)")
+        if y.dtype.kind not in "iu" or np.any((y < 0) | (y >= NUM_CLASSES)):
+            raise UnknownLabelError(f"labels must be class indices 0..{NUM_CLASSES - 1}")
+        if np.any((heights < 0) | np.isinf(heights)):
+            raise ValueError("heights must be finite and non-negative, or NaN for none")
+        X, y = impute_ranges(X), y.astype(np.int64)
+        for name, value in (("X", X), ("y", y), ("heights", heights)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.X.shape[0]
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([row.scan.ranges for row in self.rows])
+        """A writable copy of X."""
+        return self.X.copy()
 
     def label_vector(self) -> np.ndarray:
-        return np.array([int(row.label) for row in self.rows], dtype=np.int64)
+        """A writable copy of y."""
+        return self.y.copy()
 
-    def class_counts(self) -> dict[ClassLabel, int]:
-        counts = {label: 0 for label in ClassLabel}
-        for row in self.rows:
-            counts[row.label] += 1
-        return counts
-
-    def subset(self, indices: Iterable[int], provenance: str = "") -> "Dataset":
+    def subset(self, indices, provenance: str = "") -> "Dataset":
         return Dataset(
-            rows=[self.rows[i] for i in indices],
+            X=self.X[indices],
+            y=self.y[indices],
+            heights=self.heights[indices],
             provenance=provenance or self.provenance,
         )

@@ -8,24 +8,20 @@ Distances are rendered with 4 decimal places, '.' decimal separator and
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO
 
 import numpy as np
 
-from .core import (
-    NUM_BEAMS,
-    ClassLabel,
-    Dataset,
-    LabeledScan,
-    label_codec,
-    validate_scan,
-)
+from .core import LABEL_NAMES, NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, label_codec
 from .errors import RowError, SchemaError
 
 DISTANCE_COLUMNS = tuple(f"d{k:03d}" for k in range(NUM_BEAMS))
 HEADER_WITH_HEIGHT = "label,height_m," + ",".join(DISTANCE_COLUMNS)
 HEADER_NO_HEIGHT = "label," + ",".join(DISTANCE_COLUMNS)
+_ROW_FORMAT = ",".join(["%.4f"] * NUM_BEAMS)
 
 
 @dataclass
@@ -52,15 +48,17 @@ class DatasetSummary:
 def parse_dataset(stream: IO[str], provenance: str = "") -> Dataset:
     """Parse the canonical CSV into a Dataset; row order is preserved.
 
-    Every row passes through validate_scan, so out-of-range or non-finite
-    distances are imputed per the clipping rule. Errors carry 1-based line
-    numbers.
+    Out-of-range or non-finite distances are imputed per the clipping rule.
+    Errors carry 1-based line numbers.
     """
     header_line = stream.readline().rstrip("\r\n")
     has_height = _check_header(header_line)
-    expected_fields = (2 if has_height else 1) + NUM_BEAMS
+    offset = 2 if has_height else 1
+    expected_fields = offset + NUM_BEAMS
 
-    rows: list[LabeledScan] = []
+    distances = array("d")  # packed doubles, not a list of Python floats
+    labels: list[int] = []
+    heights: list[float] = []
     for line_number, line in enumerate(stream, start=2):
         line = line.rstrip("\r\n")
         if not line:
@@ -72,27 +70,31 @@ def parse_dataset(stream: IO[str], provenance: str = "") -> Dataset:
                 f"expected {expected_fields} fields, got {len(fields)}",
             )
         try:
-            label = label_codec(fields[0])
+            labels.append(label_codec(fields[0]))
         except Exception as exc:
             raise RowError(line_number, str(exc)) from exc
-        height: Optional[float] = None
-        offset = 1
-        if has_height:
-            offset = 2
-            if fields[1] != "":
-                try:
-                    height = float(fields[1])
-                except ValueError as exc:
-                    raise RowError(
-                        line_number, f"unparseable height_m {fields[1]!r}"
-                    ) from exc
+        height = math.nan
+        if has_height and fields[1] != "":
+            try:
+                height = float(fields[1])
+            except ValueError:
+                pass  # left NaN, so reported below with the out-of-range values
+            if not 0.0 <= height < math.inf:
+                raise RowError(
+                    line_number, f"height_m {fields[1]!r} is not a finite non-negative number"
+                )
+        heights.append(height)
         try:
-            ranges = [float(v) for v in fields[offset:]]
+            distances.extend([float(v) for v in fields[offset:]])
         except ValueError as exc:
             raise RowError(line_number, f"unparseable distance: {exc}") from exc
-        rows.append(LabeledScan(scan=validate_scan(ranges, height), label=label))
 
-    return Dataset(rows=rows, provenance=provenance)
+    return Dataset(
+        X=np.frombuffer(distances).reshape(-1, NUM_BEAMS),
+        y=np.array(labels, dtype=np.int64),
+        heights=np.array(heights),
+        provenance=provenance,
+    )
 
 
 def write_dataset(dataset: Dataset, stream: IO[str]) -> None:
@@ -102,26 +104,26 @@ def write_dataset(dataset: Dataset, stream: IO[str]) -> None:
     without one get an empty field. parse(write(d)) = d for datasets whose
     distances sit on the 4-decimal grid.
     """
-    has_height = any(row.scan.height_m is not None for row in dataset.rows)
+    has_height = not np.all(np.isnan(dataset.heights))
     stream.write((HEADER_WITH_HEIGHT if has_height else HEADER_NO_HEIGHT) + "\n")
-    for row in dataset.rows:
-        fields = [row.label.name]
+    for label, height, ranges in zip(
+        dataset.y.tolist(), dataset.heights.tolist(), dataset.X
+    ):
+        prefix = LABEL_NAMES[label] + ","
         if has_height:
-            h = row.scan.height_m
-            fields.append("" if h is None else f"{h:.4f}")
-        fields.extend(f"{r:.4f}" for r in row.scan.ranges)
-        stream.write(",".join(fields) + "\n")
+            prefix += ("" if math.isnan(height) else "%.4f" % height) + ","
+        stream.write(prefix + _ROW_FORMAT % tuple(ranges.tolist()) + "\n")
 
 
 def summarize(dataset: Dataset) -> DatasetSummary:
     """Exact per-class counts and per-feature min/max/mean."""
-    matrix = dataset.feature_matrix()
+    counts = np.bincount(dataset.y, minlength=NUM_CLASSES)
     return DatasetSummary(
-        counts=dataset.class_counts(),
+        counts={label: int(counts[label]) for label in ClassLabel},
         total=len(dataset),
-        feature_min=matrix.min(axis=0),
-        feature_max=matrix.max(axis=0),
-        feature_mean=matrix.mean(axis=0),
+        feature_min=dataset.X.min(axis=0),
+        feature_max=dataset.X.max(axis=0),
+        feature_mean=dataset.X.mean(axis=0),
     )
 
 

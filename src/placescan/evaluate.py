@@ -169,14 +169,13 @@ def cross_validate(
 ) -> VariantResult:
     """Train/score the variant across stratified folds; pool out-of-fold
     probabilities for the per-class curves and the confusion matrix."""
-    y = dataset.label_vector()
+    X_raw, y = dataset.X, dataset.y
     if folds is None:
         folds = stratified_folds(y, k, seed)
     n = len(dataset)
     oof = np.zeros((n, NUM_CLASSES))
     fold_accuracies = []
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    X_raw = dataset.feature_matrix()
     for fold in range(folds.k):
         train_idx = folds.train_indices(fold)
         test_idx = folds.test_indices(fold)
@@ -216,8 +215,7 @@ def run_experiment(
     variant_params: dict | None = None,
 ) -> Report:
     """Cross-validate several variants against one shared fold assignment."""
-    y = dataset.label_vector()
-    folds = stratified_folds(y, k, seed)
+    folds = stratified_folds(dataset.y, k, seed)
     report = Report(
         dataset_fingerprint=dataset_fingerprint(dataset),
         seed=seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_RANGE_M, NUM_BEAMS, Scan
+from .core import MIN_RANGE_M, NUM_BEAMS
 from .errors import DegenerateFeatureError, DimensionError, InsufficientDataError
 
 LAMBDA_MIN = -5.0
@@ -22,11 +22,6 @@ LAMBDA_MAX = 5.0
 LAMBDA_TOL = 1e-4
 STD_FLOOR = 1e-12
 _COARSE_STEP = 0.1
-
-
-def vectorize(scan: Scan) -> np.ndarray:
-    """Feature vector of a scan: the 271 clipped beam distances."""
-    return np.array(scan.ranges, dtype=np.float64)
 
 
 def boxcox_apply(x, lam: float):
@@ -65,11 +60,7 @@ def boxcox_loglik(samples: np.ndarray, lam: float) -> float:
 
 
 def fit_boxcox_lambda(samples, tol: float = LAMBDA_TOL) -> float:
-    """Maximum-likelihood Box-Cox exponent over [-5, 5].
-
-    A coarse grid pass brackets the optimum, then golden-section search
-    refines it to the requested absolute tolerance.
-    """
+    """Maximum-likelihood Box-Cox exponent over [-5, 5], to absolute `tol`."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] < 3:
         raise InsufficientDataError("need at least 3 samples to fit the exponent")
@@ -77,13 +68,39 @@ def fit_boxcox_lambda(samples, tol: float = LAMBDA_TOL) -> float:
         raise ValueError("samples must be strictly positive")
     if float(np.ptp(samples)) < STD_FLOOR:
         raise DegenerateFeatureError("all samples are equal; exponent is undefined")
+    return float(_fit_lambdas(samples[:, None], tol)[0])
 
+
+def _fit_lambdas(X: np.ndarray, tol: float = LAMBDA_TOL) -> np.ndarray:
+    """Maximum-likelihood exponent of every column of a positive matrix.
+
+    A coarse grid over [-5, 5], evaluated on the whole matrix at once,
+    brackets each column's optimum; golden-section search then refines it
+    column by column. Constant columns get 1.
+    """
+    n, width = X.shape
+    logX = np.log(X)
+    log_sums = np.sum(logX, axis=0)
     grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
-    lls = [boxcox_loglik(samples, lam) for lam in grid]
-    best = int(np.argmax(lls))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    return _golden_section(lambda lam: boxcox_loglik(samples, lam), lo, hi, tol)
+    best_ll = np.full(width, -np.inf)
+    best_idx = np.zeros(width, dtype=np.int64)
+    for i, lam in enumerate(grid):
+        t = logX if lam == 0.0 else (np.power(X, lam) - 1.0) / lam
+        var = np.var(t, axis=0)
+        with np.errstate(divide="ignore"):
+            ll = -(n / 2.0) * np.log(var) + (lam - 1.0) * log_sums
+        ll = np.where(var > 0.0, ll, -np.inf)
+        better = ll > best_ll
+        best_ll = np.where(better, ll, best_ll)
+        best_idx[better] = i
+
+    lambdas = np.ones(width)
+    for j in np.flatnonzero(np.ptp(X, axis=0) >= STD_FLOOR):
+        col = X[:, j]
+        lo = grid[max(best_idx[j] - 1, 0)]
+        hi = grid[min(best_idx[j] + 1, len(grid) - 1)]
+        lambdas[j] = _golden_section(lambda lam: boxcox_loglik(col, lam), lo, hi, tol)
+    return lambdas
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -123,15 +140,7 @@ class FeatureTransformer:
 
     def transform_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.clip(np.asarray(X, dtype=np.float64), self.epsilon, None)
-        out = np.empty_like(X)
-        zero = self.lambdas == 0.0
-        if np.any(zero):
-            out[:, zero] = np.log(X[:, zero])
-        nz = ~zero
-        if np.any(nz):
-            lams = self.lambdas[nz]
-            out[:, nz] = (np.power(X[:, nz], lams) - 1.0) / lams
-        return (out - self.means) / self.stds
+        return (_boxcox_columns(X, self.lambdas) - self.means) / self.stds
 
     def transform(self, v: np.ndarray) -> np.ndarray:
         return self.transform_matrix(np.asarray(v, dtype=np.float64)[None, :])[0]
@@ -154,11 +163,19 @@ class FeatureTransformer:
         )
 
 
+def _boxcox_columns(X: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """boxcox_apply of every column of X with its own exponent."""
+    out = np.empty_like(X)
+    zero = lambdas == 0.0
+    out[:, zero] = np.log(X[:, zero])
+    out[:, ~zero] = (np.power(X[:, ~zero], lambdas[~zero]) - 1.0) / lambdas[~zero]
+    return out
+
+
 def fit_feature_transformer(X: np.ndarray) -> FeatureTransformer:
     """Fit exponents and standardization statistics column by column.
 
-    Training rows only; the coarse grid stage is evaluated on the whole
-    matrix at once to keep the 271 fits cheap.
+    Training rows only; values below the sensor floor are clipped up to it.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != NUM_BEAMS:
@@ -166,40 +183,8 @@ def fit_feature_transformer(X: np.ndarray) -> FeatureTransformer:
     if X.shape[0] < 3:
         raise InsufficientDataError("need at least 3 training rows")
     X = np.clip(X, MIN_RANGE_M, None)
-    n = X.shape[0]
-
-    degenerate = np.ptp(X, axis=0) < STD_FLOOR
-    log_sums = np.sum(np.log(X), axis=0)
-
-    # coarse grid over every column simultaneously
-    grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
-    best_ll = np.full(NUM_BEAMS, -np.inf)
-    best_idx = np.zeros(NUM_BEAMS, dtype=np.int64)
-    logX = np.log(X)
-    for i, lam in enumerate(grid):
-        t = logX if lam == 0.0 else (np.power(X, lam) - 1.0) / lam
-        var = np.var(t, axis=0)
-        with np.errstate(divide="ignore"):
-            ll = -(n / 2.0) * np.log(var) + (lam - 1.0) * log_sums
-        ll = np.where(var > 0.0, ll, -np.inf)
-        better = ll > best_ll
-        best_ll = np.where(better, ll, best_ll)
-        best_idx[better] = i
-
-    lambdas = np.ones(NUM_BEAMS)
-    for j in range(NUM_BEAMS):
-        if degenerate[j]:
-            continue
-        col = X[:, j]
-        lo = grid[max(best_idx[j] - 1, 0)]
-        hi = grid[min(best_idx[j] + 1, len(grid) - 1)]
-        lambdas[j] = _golden_section(
-            lambda lam: boxcox_loglik(col, lam), lo, hi, LAMBDA_TOL
-        )
-
-    transformed = np.empty_like(X)
-    for j in range(NUM_BEAMS):
-        transformed[:, j] = boxcox_apply(X[:, j], lambdas[j])
+    lambdas = _fit_lambdas(X)
+    transformed = _boxcox_columns(X, lambdas)
     means = transformed.mean(axis=0)
     stds = np.maximum(transformed.std(axis=0), STD_FLOOR)
     return FeatureTransformer(lambdas=lambdas, means=means, stds=stds)

@@ -20,7 +20,6 @@ from .core import (
     NUM_BEAMS,
     ClassLabel,
     Dataset,
-    LabeledScan,
     Scan,
     validate_scan,
 )
@@ -329,19 +328,19 @@ def generate_dataset(config: SimConfig) -> Dataset:
     total = sum(config.per_class.values())
     if total < 1:
         raise ValueError("total row count must be at least 1")
-    rows: list[LabeledScan] = []
-    row_index = 0
+    sigma = config.noise_sigma if config.noise else 0.0
+    scans: list[Scan] = []
+    labels: list[ClassLabel] = []
     for label in ClassLabel:
         for _ in range(config.per_class.get(label, 0)):
-            rng = np.random.default_rng([config.seed, row_index])
+            rng = np.random.default_rng([config.seed, len(scans)])
             scene = generate_scene(label, rng)
             pose = sample_pose(scene, rng)
-            scan = simulate_scan(
-                scene,
-                pose,
-                noise_sigma=config.noise_sigma if config.noise else 0.0,
-                rng=rng,
-            )
-            rows.append(LabeledScan(scan=scan, label=label))
-            row_index += 1
-    return Dataset(rows=rows, provenance=f"synthetic seed={config.seed}")
+            scans.append(simulate_scan(scene, pose, noise_sigma=sigma, rng=rng))
+            labels.append(label)
+    return Dataset(
+        X=np.stack([scan.ranges for scan in scans]),
+        y=np.array(labels, dtype=np.int64),
+        heights=np.array([scan.height_m for scan in scans]),
+        provenance=f"synthetic seed={config.seed}",
+    )

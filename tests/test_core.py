@@ -9,7 +9,6 @@ from placescan.core import (
     NUM_BEAMS,
     ClassLabel,
     Dataset,
-    LabeledScan,
     label_codec,
     validate_scan,
 )
@@ -101,14 +100,63 @@ class TestLabelCodec:
 class TestDataset:
     def test_empty_forbidden(self):
         with pytest.raises(EmptyDatasetError):
-            Dataset(rows=[])
+            Dataset(X=np.empty((0, NUM_BEAMS)), y=np.empty(0, dtype=np.int64))
 
     def test_counts_and_matrix(self):
-        rows = [
-            LabeledScan(scan=validate_scan([float(i + 1)] * NUM_BEAMS), label=label)
-            for i, label in enumerate(ClassLabel)
-        ]
-        ds = Dataset(rows=rows)
+        X = np.repeat(np.arange(1.0, 5.0)[:, None], NUM_BEAMS, axis=1)
+        ds = Dataset(X=X, y=np.arange(4))
         assert len(ds) == 4
         assert ds.feature_matrix().shape == (4, NUM_BEAMS)
-        assert all(count == 1 for count in ds.class_counts().values())
+        assert np.bincount(ds.y).tolist() == [1, 1, 1, 1]
+        assert np.all(np.isnan(ds.heights))
+
+    def test_imputes_like_validate_scan(self):
+        X = np.full((4, NUM_BEAMS), 5.0)
+        for row, value in enumerate([np.nan, np.inf, -np.inf, -1.0]):
+            X[row, [0, 100, 270]] = value
+        ds = Dataset(X=X, y=np.zeros(4, dtype=np.int64))
+        expected = np.stack([validate_scan(row).ranges for row in X])
+        assert np.array_equal(ds.X, expected)
+
+    def test_columns_read_only_and_matrices_copied(self):
+        X = np.full((2, NUM_BEAMS), 5.0)
+        ds = Dataset(X=X, y=[0, 1], heights=[1.0, np.nan])
+        X[0, 0] = 7.0
+        assert ds.X[0, 0] == 5.0
+        for column in (ds.X, ds.y, ds.heights):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        copy = ds.feature_matrix()
+        copy[0, 0] = 9.0
+        labels = ds.label_vector()
+        labels[0] = 3
+        assert ds.X[0, 0] == 5.0 and ds.y[0] == 0
+
+    @pytest.mark.parametrize(
+        "X, y, heights, error",
+        [
+            (np.ones((2, NUM_BEAMS - 1)), [0, 1], None, DimensionError),
+            (np.ones(NUM_BEAMS), [0], None, DimensionError),
+            (np.ones((2, NUM_BEAMS)), [0], None, DimensionError),
+            (np.ones((2, NUM_BEAMS)), [0, 1], [1.0], DimensionError),
+            (np.ones((2, NUM_BEAMS)), [0, 4], None, UnknownLabelError),
+            (np.ones((2, NUM_BEAMS)), [-1, 0], None, UnknownLabelError),
+            (np.ones((2, NUM_BEAMS)), [0.0, 1.0], None, UnknownLabelError),
+            (np.ones((2, NUM_BEAMS)), [0, 1], [1.0, -1.0], ValueError),
+            (np.ones((2, NUM_BEAMS)), [0, 1], [np.inf, 1.0], ValueError),
+        ],
+    )
+    def test_invalid_columns_rejected(self, X, y, heights, error):
+        with pytest.raises(error):
+            Dataset(X=X, y=y, heights=heights)
+
+    def test_subset_is_fancy_indexing(self):
+        X = np.repeat(np.arange(1.0, 5.0)[:, None], NUM_BEAMS, axis=1)
+        ds = Dataset(X=X, y=np.arange(4), heights=[0.0, 1.0, np.nan, 3.0], provenance="p")
+        part = ds.subset([2, 0])
+        assert part.y.tolist() == [2, 0]
+        assert np.array_equal(part.X, X[[2, 0]])
+        assert np.array_equal(part.heights, [np.nan, 0.0], equal_nan=True)
+        assert part.provenance == "p"
+        with pytest.raises(EmptyDatasetError):
+            ds.subset([])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from placescan.core import NUM_BEAMS, validate_scan
+from placescan.core import NUM_BEAMS
 from placescan.errors import DegenerateFeatureError, InsufficientDataError
 from placescan.features import (
     FeatureTransformer,
@@ -12,7 +12,6 @@ from placescan.features import (
     boxcox_loglik,
     fit_boxcox_lambda,
     fit_feature_transformer,
-    vectorize,
 )
 
 
@@ -38,17 +37,6 @@ def grid_search_lambda(samples, step=1e-3):
         if ll[i] > best_ll:
             best_ll, best_lam = float(ll[i]), float(chunk[i])
     return best_lam
-
-
-class TestVectorize:
-    def test_identity(self):
-        scan = validate_scan([5.0] * NUM_BEAMS)
-        assert np.all(vectorize(scan) == 5.0)
-
-    def test_preserves_clipped_low_value(self):
-        raw = [5.0] * NUM_BEAMS
-        raw[0] = 0.001
-        assert vectorize(validate_scan(raw))[0] == 0.001
 
 
 class TestBoxcoxApply:
@@ -143,6 +131,20 @@ class TestFeatureTransformer:
         assert t.lambdas[13] == 1.0
         assert t.stds[13] == 1e-12
         assert np.all(t.transform_matrix(X)[:, 13] == 0.0)
+
+    def test_matches_per_column_fit_and_apply(self):
+        # the matrix fit is the scalar fit and transform, column by column
+        X = self._training_matrix(seed=6)
+        X[:, :40] = np.exp(X[:, :40] / 10.0)
+        X[:, 7] = 3.0
+        t = fit_feature_transformer(X)
+        columns = [j for j in range(NUM_BEAMS) if j != 7]
+        assert [t.lambdas[j] for j in columns] == [fit_boxcox_lambda(X[:, j]) for j in columns]
+        transformed = np.stack(
+            [boxcox_apply(X[:, j], t.lambdas[j]) for j in range(NUM_BEAMS)], axis=1
+        )
+        assert np.array_equal(t.means, transformed.mean(axis=0))
+        assert np.array_equal(t.stds, np.maximum(transformed.std(axis=0), 1e-12))
 
     def test_deterministic(self):
         X = self._training_matrix(seed=2)

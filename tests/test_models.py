@@ -16,7 +16,7 @@ from placescan.classifiers import (
     save_model,
     train,
 )
-from placescan.core import ClassLabel, Dataset, LabeledScan, validate_scan
+from placescan.core import ClassLabel, Dataset, validate_scan
 from placescan.errors import DegenerateTrainingError, DimensionError
 
 FAST_PARAMS = {
@@ -66,9 +66,9 @@ class TestModelSpec:
 
 class TestTrain:
     def test_single_class_data_raises(self, synth_small):
-        rows = [r for r in synth_small.rows if r.label == ClassLabel.corridor]
+        corridors = synth_small.subset(synth_small.y == ClassLabel.corridor)
         with pytest.raises(DegenerateTrainingError):
-            train(ModelSpec(variant="logreg"), Dataset(rows=rows))
+            train(ModelSpec(variant="logreg"), corridors)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_each_variant_beats_chance_on_train(self, synth_small, variant):
@@ -104,7 +104,7 @@ class TestPredict:
 
     def test_predict_label_matches_argmax(self, synth_small):
         model = train(ModelSpec(variant="logreg", seed=6), synth_small)
-        scan = synth_small.rows[0].scan
+        scan = validate_scan(synth_small.X[0])
         proba = predict_proba(model, scan)
         assert predict_label(model, scan) == ClassLabel(int(np.argmax(proba)))
 
@@ -134,7 +134,7 @@ class TestPredict:
     def test_single_scan_wrapper_agrees_with_matrix(self, synth_small):
         model = train(ModelSpec(variant="rf", seed=6, params={"trees": 5}),
                       synth_small)
-        scan = synth_small.rows[3].scan
+        scan = validate_scan(synth_small.X[3])
         direct = model.predict_proba_matrix(np.array(scan.ranges)[None, :])[0]
         assert np.array_equal(predict_proba(model, scan), direct)
 
@@ -171,14 +171,10 @@ class TestSerialization:
 class TestFingerprint:
     def test_sensitive_to_any_change(self, synth_small):
         base = dataset_fingerprint(synth_small)
-        rows = list(synth_small.rows)
-        bumped = np.array(rows[0].scan.ranges).copy()
-        bumped[0] += 0.01
-        rows[0] = LabeledScan(
-            scan=validate_scan(bumped, height_m=rows[0].scan.height_m),
-            label=rows[0].label,
-        )
-        assert dataset_fingerprint(Dataset(rows=rows)) != base
+        bumped = synth_small.feature_matrix()
+        bumped[0, 0] += 0.01
+        changed = Dataset(X=bumped, y=synth_small.y, heights=synth_small.heights)
+        assert dataset_fingerprint(changed) != base
 
     def test_stable_across_calls(self, synth_small):
         assert dataset_fingerprint(synth_small) == dataset_fingerprint(synth_small)

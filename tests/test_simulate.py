@@ -182,7 +182,7 @@ class TestGenerateDataset:
     def test_one_row_per_class(self):
         ds = generate_dataset(SimConfig.uniform(1, seed=42))
         assert len(ds) == 4
-        assert [row.label for row in ds.rows] == list(ClassLabel)
+        assert ds.y.tolist() == list(ClassLabel)
 
     def test_byte_identical_across_runs(self):
         config = SimConfig.uniform(3, seed=42)
@@ -197,7 +197,7 @@ class TestGenerateDataset:
 
     def test_heights_on_meter_grid(self):
         ds = generate_dataset(SimConfig.uniform(10, seed=3))
-        assert all(row.scan.height_m in (0.0, 1.0, 2.0, 3.0) for row in ds.rows)
+        assert np.all(np.isin(ds.heights, (0.0, 1.0, 2.0, 3.0)))
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):

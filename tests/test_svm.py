@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from placescan.classifiers import ModelSpec, model_from_json, model_to_json, train
 from placescan.classifiers.svm import (
     SvmModel,
     default_gamma,
@@ -9,6 +10,8 @@ from placescan.classifiers.svm import (
     smo_solve,
     train_svm,
 )
+from placescan.core import NUM_BEAMS, ClassLabel
+from placescan.simulate import SimConfig, generate_dataset
 
 
 def project_box_hyperplane(alpha, y, C):
@@ -150,3 +153,14 @@ class TestTrainSvm:
         back = SvmModel.from_dict(model.to_dict())
         probe = rng.normal(size=(10, 3))
         assert np.allclose(model.predict_proba(probe), back.predict_proba(probe))
+
+    def test_missing_class_model_file_round_trip(self):
+        # the absent class's machine keeps no support vectors
+        data = generate_dataset(SimConfig.uniform(6, seed=3))
+        three = data.subset(data.y != ClassLabel.restroom)
+        model = train(ModelSpec(variant="svm"), three)
+        assert model.payload.support_vectors[ClassLabel.restroom].shape == (0, NUM_BEAMS)
+        back = model_from_json(model_to_json(model))
+        assert back.payload.support_vectors[ClassLabel.restroom].shape == (0, NUM_BEAMS)
+        X = data.feature_matrix()
+        assert np.array_equal(back.predict_proba_matrix(X), model.predict_proba_matrix(X))
