@@ -23,7 +23,7 @@ from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_feature_transformer
 from . import boosting, linear, nets, svm, trees
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # variant -> (trainer module, trainer name, payload class). The trainer is
 # looked up on its module at call time, so a wrapper installed on the module
@@ -171,7 +171,7 @@ def _decode(document: dict, key: str, decode):
         return decode(section)
     except KeyError as exc:
         raise ValueError(f"model file field {key!r} lacks {exc.args[0]!r}") from exc
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"model file field {key!r} is malformed: {exc}") from exc
 
 
@@ -191,7 +191,10 @@ def model_from_json(text: str) -> TrainedModel:
         raise ValueError("a model file must hold a JSON object")
     version = document.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
+        raise ValueError(
+            f"unsupported model format version {version!r}; this placescan reads "
+            f"version {MODEL_FORMAT_VERSION}, so retrain the model"
+        )
     spec = _decode(document, "spec", _spec_from_dict)
     _, _, payload_class = _VARIANTS[spec.variant]
     return TrainedModel(

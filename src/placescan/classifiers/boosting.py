@@ -4,6 +4,11 @@ Round weight is ln((1-err)/err) + ln(K-1). Rounds whose weighted error
 reaches the multiclass chance bound 1 - 1/K are rejected and training
 halts with the model built so far; a zero-error round gets a capped weight
 and also halts training.
+
+The stumps are one `trees.TreeArrays` ensemble (depth-1 trees: a root and
+its two leaves, or a lone leaf). A stump votes its leaf's argmax class, and
+a class's score is the sum of the alphas of the stumps voting for it, added
+in stump order.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES
-from .trees import TreeNode, fit_tree, predict_tree_proba
+from .trees import TreeArrays, fit_tree
 
 ALPHA_CAP = np.log(1e10)
 _ZERO_ERR = 1e-12
@@ -26,10 +31,7 @@ def adaboost_round(X: np.ndarray, y: np.ndarray, weights: np.ndarray):
     above chance, discard stump, stop).
     """
     stump = fit_tree(X, y, sample_weight=weights, max_depth=1)
-    pred = np.array(
-        [int(np.argmax(predict_tree_proba(stump, x))) for x in X], dtype=np.int64
-    )
-    miss = pred != y
+    miss = stump.leaf_classes(X)[:, 0] != y
     err = float(weights[miss].sum())
     if err < _ZERO_ERR:
         return stump, float(ALPHA_CAP), weights, "perfect"
@@ -43,17 +45,23 @@ def adaboost_round(X: np.ndarray, y: np.ndarray, weights: np.ndarray):
 
 @dataclass
 class AdaBoostModel:
-    stumps: list[TreeNode]
-    alphas: list[float]
+    stumps: TreeArrays
+    alphas: np.ndarray
+
+    def __post_init__(self):
+        self.alphas = np.asarray(self.alphas, dtype=np.float64)
+        if self.alphas.shape != (len(self.stumps),):
+            raise ValueError("AdaBoost needs one alpha per stump")
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        s = np.zeros((X.shape[0], NUM_CLASSES))
-        for stump, alpha in zip(self.stumps, self.alphas):
-            for i in range(X.shape[0]):
-                k = int(np.argmax(predict_tree_proba(stump, X[i])))
-                s[i, k] += alpha
-        return s
+        classes = self.stumps.leaf_classes(X)
+        # a running sum adds the alphas in stump order, as boosting made
+        # them; the leading zero ballot scores a model without stumps
+        ballots = np.zeros((classes.shape[0], len(self.stumps) + 1, NUM_CLASSES))
+        ballots[:, 1:] = np.where(
+            classes[:, :, None] == np.arange(NUM_CLASSES), self.alphas[:, None], 0.0
+        )
+        return np.cumsum(ballots, axis=1)[:, -1]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         s = self.scores(X)
@@ -62,16 +70,12 @@ class AdaBoostModel:
         return e / e.sum(axis=1, keepdims=True)
 
     def to_dict(self) -> dict:
-        return {
-            "alphas": list(self.alphas),
-            "stumps": [s.to_dict() for s in self.stumps],
-        }
+        return {"alphas": self.alphas.tolist(), "stumps": self.stumps.to_dict()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AdaBoostModel":
         return cls(
-            stumps=[TreeNode.from_dict(s) for s in payload["stumps"]],
-            alphas=[float(a) for a in payload["alphas"]],
+            stumps=TreeArrays.from_dict(payload["stumps"]), alphas=payload["alphas"]
         )
 
 
@@ -84,7 +88,7 @@ def train_adaboost(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     weights = np.full(X.shape[0], 1.0 / X.shape[0])
-    stumps: list[TreeNode] = []
+    stumps: list[TreeArrays] = []
     alphas: list[float] = []
     for _ in range(rounds):
         stump, alpha, weights, status = adaboost_round(X, y, weights)
@@ -94,4 +98,4 @@ def train_adaboost(
         alphas.append(alpha)
         if status == "perfect":
             break
-    return AdaBoostModel(stumps=stumps, alphas=alphas)
+    return AdaBoostModel(stumps=TreeArrays.concatenate(stumps), alphas=alphas)

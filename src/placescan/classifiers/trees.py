@@ -4,6 +4,14 @@ Splits minimize weighted Gini impurity over candidate thresholds at the
 midpoints of sorted unique feature values. Ties are broken toward the
 lowest feature index, then the lowest threshold, so training is fully
 deterministic given the rng passed in.
+
+Trees are stored flat, as in scikit-learn's `Tree`: parallel `feature`,
+`threshold`, `left`, `right` and `(nodes, 4)` `value` arrays, with
+`feature == -1` marking a leaf (`TreeArrays`). A forest is one such set of
+arrays plus each tree's root index. Nodes are in preorder, so every child
+index is greater than its parent's, and a leaf is its own child; that is
+what ends the traversal, which walks all rows through all trees one level
+per step. Model files hold the same arrays as JSON lists.
 """
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import NUM_CLASSES
+from ..core import NUM_BEAMS, NUM_CLASSES
 
 _GAIN_EPS = 1e-12
 
@@ -29,44 +37,82 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-@dataclass
-class TreeNode:
-    distribution: np.ndarray
-    feature: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
+_NODE_FIELDS = ("roots", "feature", "threshold", "left", "right", "value")
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"dist": self.distribution.tolist()}
-        return {
-            "dist": self.distribution.tolist(),
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+@dataclass(frozen=True)
+class TreeArrays:
+    """One or more CART trees as parallel node arrays (layout: module doc).
+
+    A row at node i goes to `left[i]` if `x[feature[i]] <= threshold[i]`,
+    else to `right[i]`; tree t starts at node `roots[t]`. The constructor
+    checks the layout, so a malformed model file cannot load.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        for name in _NODE_FIELDS:
+            dtype = np.float64 if name in ("threshold", "value") else np.int64
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = self.feature.size
+        per_node = (self.feature, self.threshold, self.left, self.right)
+        if any(a.shape != (n,) for a in per_node):
+            raise ValueError("tree node arrays must be 1-D and of equal length")
+        if self.value.shape != (n, NUM_CLASSES):
+            raise ValueError(f"tree values must be shaped (nodes, {NUM_CLASSES})")
+        if self.roots.ndim != 1 or np.any((self.roots < 0) | (self.roots >= n)):
+            raise ValueError("tree roots must index the node arrays")
+        if np.any((self.feature < -1) | (self.feature >= NUM_BEAMS)):
+            raise ValueError(f"tree split features must lie in [0, {NUM_BEAMS})")
+        node = np.arange(n)
+        internal = self.feature >= 0
+        for child in (self.left, self.right):
+            inside = np.where(internal, (child > node) & (child < n), child == node)
+            if not np.all(inside):
+                raise ValueError(
+                    "tree child indices must point forward inside the node "
+                    "arrays (a leaf's to itself)"
+                )
+
+    def __len__(self) -> int:
+        return self.roots.shape[0]
+
+    def leaf_classes(self, X: np.ndarray) -> np.ndarray:
+        """(rows, trees) argmax class of the leaf each row reaches in each tree.
+
+        All rows walk all trees together, one level per step.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        rows = np.arange(X.shape[0])[:, None]
+        node = np.broadcast_to(self.roots, (X.shape[0], len(self)))
+        while np.any(self.feature[node] >= 0):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return np.argmax(self.value[node], axis=-1)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "TreeNode":
-        node = cls(distribution=np.asarray(payload["dist"], dtype=np.float64))
-        if "feature" in payload:
-            node.feature = int(payload["feature"])
-            node.threshold = float(payload["threshold"])
-            node.left = cls.from_dict(payload["left"])
-            node.right = cls.from_dict(payload["right"])
-        return node
+    def concatenate(cls, parts: list["TreeArrays"]) -> "TreeArrays":
+        """One ensemble holding the trees of `parts` in order."""
+        offsets = np.cumsum([0] + [p.feature.shape[0] for p in parts])
+        shifted = [
+            (p.roots + o, p.feature, p.threshold, p.left + o, p.right + o, p.value)
+            for p, o in zip(parts, offsets)
+        ]
+        empty = ([], [], [], [], [], np.empty((0, NUM_CLASSES)))
+        return cls(*(np.concatenate(column) for column in zip(*shifted, empty)))
 
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in _NODE_FIELDS}
 
-def _class_weight_sums(y, w):
-    sums = np.zeros(NUM_CLASSES)
-    np.add.at(sums, y, w)
-    return sums
+    @classmethod
+    def from_dict(cls, payload: dict) -> "TreeArrays":
+        return cls(**{name: payload[name] for name in _NODE_FIELDS})
 
 
 def _best_split(X, y, w, feature_indices):
@@ -77,7 +123,7 @@ def _best_split(X, y, w, feature_indices):
     strictly improves impurity.
     """
     total_w = w.sum()
-    parent_counts = _class_weight_sums(y, w)
+    parent_counts = np.bincount(y, weights=w, minlength=NUM_CLASSES)
     parent_gini = gini_impurity(parent_counts)
     onehot = np.eye(NUM_CLASSES)[y]
 
@@ -113,8 +159,8 @@ def fit_tree(
     max_depth: Optional[int] = None,
     features_per_split: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-) -> TreeNode:
-    """Grow a CART tree; `features_per_split=None` evaluates all features.
+) -> TreeArrays:
+    """Grow one CART tree; `features_per_split=None` evaluates all features.
 
     Stops at max_depth, pure nodes, or nodes with fewer than 2 samples.
     When no single-feature split has positive Gini gain but the node is
@@ -131,14 +177,19 @@ def fit_tree(
         sample_weight = np.asarray(sample_weight, dtype=np.float64)
     n_features = X.shape[1]
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    nodes = {name: [] for name in _NODE_FIELDS if name != "roots"}
+
+    def build(idx: np.ndarray, depth: int) -> int:
+        """Append the subtree grown on rows `idx` in preorder; return its root."""
         yi = y[idx]
         wi = sample_weight[idx]
-        counts = _class_weight_sums(yi, np.maximum(wi, 0.0))
+        counts = np.bincount(yi, np.maximum(wi, 0.0), minlength=NUM_CLASSES)
         if counts.sum() <= 0:
             counts = np.bincount(yi, minlength=NUM_CLASSES).astype(np.float64)
-        dist = counts / counts.sum()
-        node = TreeNode(distribution=dist)
+        node = len(nodes["value"])
+        # a leaf until a split is found: no feature, itself as both children
+        for name, leaf in zip(nodes, (-1, 0.0, node, node, counts / counts.sum())):
+            nodes[name].append(leaf)
         if (
             idx.shape[0] < 2
             or (max_depth is not None and depth >= max_depth)
@@ -160,13 +211,14 @@ def fit_tree(
         right_idx = idx[~mask]
         if left_idx.shape[0] == 0 or right_idx.shape[0] == 0:
             return node
-        node.feature = feature
-        node.threshold = threshold
-        node.left = build(left_idx, depth + 1)
-        node.right = build(right_idx, depth + 1)
+        nodes["feature"][node] = feature
+        nodes["threshold"][node] = threshold
+        nodes["left"][node] = build(left_idx, depth + 1)
+        nodes["right"][node] = build(right_idx, depth + 1)
         return node
 
-    return build(np.arange(X.shape[0]), 0)
+    build(np.arange(X.shape[0]), 0)
+    return TreeArrays(roots=[0], **nodes)
 
 
 def _forced_split(Xn, feats):
@@ -178,32 +230,22 @@ def _forced_split(Xn, feats):
     return None
 
 
-def predict_tree_proba(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.distribution
-
-
 @dataclass
 class RandomForest:
-    trees: list[TreeNode]
+    trees: TreeArrays
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Tree-vote fractions: each tree votes its leaf argmax class."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = np.zeros((X.shape[0], NUM_CLASSES))
-        for tree in self.trees:
-            for i in range(X.shape[0]):
-                leaf = predict_tree_proba(tree, X[i])
-                votes[i, int(np.argmax(leaf))] += 1.0
+        classes = self.trees.leaf_classes(X)
+        votes = np.sum(classes[:, :, None] == np.arange(NUM_CLASSES), axis=1)
         return votes / len(self.trees)
 
     def to_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees]}
+        return {"trees": self.trees.to_dict()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomForest":
-        return cls(trees=[TreeNode.from_dict(t) for t in payload["trees"]])
+        return cls(trees=TreeArrays.from_dict(payload["trees"]))
 
 
 def train_random_forest(
@@ -237,10 +279,8 @@ def train_random_forest(
             X[idx],
             y[idx],
             max_depth=max_depth,
-            features_per_split=(
-                None if features_per_split >= X.shape[1] else features_per_split
-            ),
+            features_per_split=features_per_split,
             rng=rng,
         )
         forest.append(tree)
-    return RandomForest(trees=forest)
+    return RandomForest(trees=TreeArrays.concatenate(forest))

@@ -124,8 +124,14 @@ def _read_scan(path: str):
     with open(p, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if first.split(",")[0].strip().lstrip("﻿") == "label":
-            fh.seek(0)
-            return validate_scan(parse_dataset(fh, provenance=str(p)).X[0])
+            # only the header and the first data row are read; blank lines
+            # before it are kept so that errors name the right line
+            head = first
+            for line in fh:
+                head += line
+                if line.rstrip("\r\n"):
+                    break
+            return validate_scan(parse_dataset(io.StringIO(head), provenance=str(p)).X[0])
     values = [float(v) for v in first.strip().split(",") if v != ""]
     return validate_scan(values)
 

@@ -1,9 +1,12 @@
 import json
+import signal
 
 import pytest
 
+from placescan.classifiers import ModelSpec, model_to_json, train
 from placescan.cli import run
 from placescan.core import LABEL_NAMES
+from placescan.dataset_io import parse_dataset
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,26 @@ class TestTrainPredict:
                     "--scan", str(scan_path)]) == 0
         json.loads(capsys.readouterr().out)
 
+    def test_predict_reads_only_the_first_row(self, tiny_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        run(["train", "--model", "logreg", "--data", str(tiny_csv),
+             "--seed", "21", "--out", str(model_path)])
+        header, first = tiny_csv.read_text().splitlines()[:2]
+        head_path, broken_path = tmp_path / "head.csv", tmp_path / "broken.csv"
+        head_path.write_text(f"{header}\n{first}\n")
+        broken_path.write_text(f"{header}\n\n{first}\nnot,a,scan\n")
+        outputs = []
+        for path in (head_path, broken_path):
+            capsys.readouterr()
+            assert run(["predict", "--model", str(model_path),
+                        "--scan", str(path)]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        broken_path.write_text(f"{header}\n\nnot,a,scan\n{first}\n")
+        assert run(["predict", "--model", str(model_path),
+                    "--scan", str(broken_path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_corrupt_model_file_is_data_error(self, tiny_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -86,18 +109,67 @@ class TestTrainPredict:
         document = json.loads(good.read_text())
         without_w = dict(document["payload"])
         del without_w["W"]
-        corruptions = {  # expected field name in the message -> corrupted file
-            "'payload'": {k: v for k, v in document.items() if k != "payload"},
-            "'spec'": {k: v for k, v in document.items() if k != "spec"},
-            "payload": {**document, "payload": list(document["payload"])},
-            "'W'": {**document, "payload": without_w},
-        }
-        for field_name, corrupted in corruptions.items():
-            bad.write_text(json.dumps(corrupted))
-            capsys.readouterr()
-            assert run(["predict", "--model", str(bad),
-                        "--scan", str(tiny_csv)]) == 2, field_name
-            assert field_name in capsys.readouterr().err
+        corruptions = [  # (text expected in the message, corrupted file)
+            ("'payload'", {k: v for k, v in document.items() if k != "payload"}),
+            ("'spec'", {k: v for k, v in document.items() if k != "spec"}),
+            ("payload", {**document, "payload": list(document["payload"])}),
+            ("'W'", {**document, "payload": without_w}),
+        ]
+        with open(tiny_csv) as fh:
+            data = parse_dataset(fh)
+        forest, boost = (
+            json.loads(model_to_json(train(ModelSpec(variant, params=params), data)))
+            for variant, params in (("rf", {"trees": 3}), ("adaboost", {"rounds": 4}))
+        )
+
+        def with_nodes(model, key="trees", **fields):
+            payload = {**model["payload"], key: {**model["payload"][key], **fields}}
+            return {**model, "payload": payload}
+
+        nodes = forest["payload"]["trees"]
+        n = len(nodes["feature"])
+        no_roots = {k: v for k, v in nodes.items() if k != "roots"}
+        stump_nodes = len(boost["payload"]["stumps"]["left"])
+        # hand-made cycles: node 0 -> node 0, and node 0 -> node 1 -> node 0
+        loop = {"roots": [0], "feature": [0], "threshold": [0.0], "left": [0],
+                "right": [0], "value": [[1.0, 0.0, 0.0, 0.0]]}
+        two_cycle = {"roots": [0], "feature": [0, 0], "threshold": [0.0, 0.0],
+                     "left": [1, 0], "right": [1, 0], "value": [[1.0, 0, 0, 0]] * 2}
+        corruptions += [
+            ("equal length", with_nodes(forest, threshold=nodes["threshold"][:-1])),
+            ("equal length", with_nodes(forest, right=nodes["right"] + [0])),
+            ("point forward", with_nodes(forest, **loop)),
+            ("point forward", with_nodes(forest, **two_cycle)),
+            ("point forward", with_nodes(forest, right=[n] * n)),
+            ("point forward", with_nodes(boost, "stumps", right=[0] * stump_nodes)),
+            ("[0, 271)", with_nodes(forest, feature=[271] * n)),
+            ("[0, 271)", with_nodes(forest, feature=[-2] * n)),
+            ("(nodes, 4)", with_nodes(forest, value=[v[:3] for v in nodes["value"]])),
+            ("(nodes, 4)", with_nodes(forest, value=nodes["value"][:-1])),
+            ("roots", with_nodes(forest, roots=[n])),
+            ("'roots'", {**forest, "payload": {"trees": no_roots}}),
+            ("payload", with_nodes(forest, left=[2**70] * n)),
+            ("one alpha per stump", {**boost, "payload": {
+                **boost["payload"], "alphas": boost["payload"]["alphas"][:-1]}}),
+        ]
+
+        def hung(signum, frame):
+            raise TimeoutError("predict did not finish on a corrupt model file")
+
+        # a cycle that slipped through would loop forever instead of failing
+        previous = signal.signal(signal.SIGALRM, hung)
+        try:
+            for expected, corrupted in corruptions:
+                bad.write_text(json.dumps(corrupted))
+                capsys.readouterr()
+                signal.alarm(20)
+                assert run(["predict", "--model", str(bad),
+                            "--scan", str(tiny_csv)]) == 2, expected
+                signal.alarm(0)
+                assert expected in capsys.readouterr().err
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCrossval:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from placescan.classifiers import (
+    MODEL_FORMAT_VERSION,
     VARIANTS,
     ModelSpec,
     dataset_fingerprint,
@@ -163,9 +164,13 @@ class TestSerialization:
 
     def test_bad_format_version_rejected(self, synth_small):
         model = train(ModelSpec(variant="logreg", seed=8), synth_small)
-        text = model_to_json(model).replace('"format_version": 1', '"format_version": 99')
-        with pytest.raises(ValueError, match="format version"):
-            model_from_json(text)
+        document = json.loads(model_to_json(model))
+        assert document["format_version"] == MODEL_FORMAT_VERSION
+        # files written before trees became flat arrays carry version 1
+        for version in (1, MODEL_FORMAT_VERSION - 1, MODEL_FORMAT_VERSION + 1, None):
+            text = json.dumps({**document, "format_version": version})
+            with pytest.raises(ValueError, match=f"format version {version};"):
+                model_from_json(text)
 
 
 class TestFingerprint:

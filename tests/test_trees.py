@@ -1,13 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from placescan.classifiers.boosting import train_adaboost
 from placescan.classifiers.trees import (
     RandomForest,
     fit_tree,
     gini_impurity,
-    predict_tree_proba,
     train_random_forest,
 )
+
+
+def walk(trees, root, x):
+    """Scalar reference traversal: the leaf one row reaches from `root`."""
+    node = root
+    while trees.feature[node] >= 0:
+        go_left = x[trees.feature[node]] <= trees.threshold[node]
+        node = trees.left[node] if go_left else trees.right[node]
+    return node
+
+
+def walk_classes(trees, X):
+    """(rows, trees) leaf argmax classes, one row and one tree at a time."""
+    return np.array(
+        [[np.argmax(trees.value[walk(trees, r, x)]) for r in trees.roots] for x in X],
+        dtype=np.int64,
+    )
 
 
 class TestGini:
@@ -32,16 +51,19 @@ class TestGini:
 class TestFitTree:
     def test_single_row_leaf(self):
         tree = fit_tree(np.array([[1.0, 2.0]]), np.array([2]))
-        assert tree.is_leaf
-        assert int(np.argmax(tree.distribution)) == 2
+        assert tree.feature.tolist() == [-1]
+        assert int(np.argmax(tree.value[0])) == 2
 
     def test_separable_1d(self):
         X = np.array([[-3.0], [-1.0], [2.0], [5.0]])
         y = np.array([0, 0, 1, 1])
         tree = fit_tree(X, y)
-        assert not tree.is_leaf
-        assert tree.left.is_leaf and tree.right.is_leaf
-        assert -1.0 < tree.threshold < 2.0
+        # preorder: the root, then its left leaf, then its right leaf
+        assert tree.roots.tolist() == [0]
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.left.tolist() == [1, 1, 2]
+        assert tree.right.tolist() == [2, 1, 2]
+        assert -1.0 < tree.threshold[0] < 2.0
 
     def test_perfect_fit_without_conflicts(self):
         # unlimited depth fits any dataset whose duplicate feature rows agree
@@ -52,24 +74,22 @@ class TestFitTree:
             y = rng.integers(0, 4, size=n)
             # continuous features: duplicates have probability zero
             tree = fit_tree(X, y)
-            pred = np.array([np.argmax(predict_tree_proba(tree, x)) for x in X])
-            assert np.all(pred == y)
+            assert np.all(walk_classes(tree, X)[:, 0] == y)
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(50, 4))
         y = rng.integers(0, 4, size=50)
         stump = fit_tree(X, y, max_depth=1)
-        for child in (stump.left, stump.right):
-            assert child is None or child.is_leaf
+        assert len(stump.feature) <= 3
+        assert np.all(stump.feature[1:] == -1)
 
     def test_weighted_fit_ignores_zero_weight_rows(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 0])
         w = np.array([0.4, 0.3, 0.0, 0.3])
         tree = fit_tree(X, y, sample_weight=w, max_depth=1)
-        pred = np.array([np.argmax(predict_tree_proba(tree, x)) for x in X])
-        assert np.all(pred == 0)
+        assert np.all(walk_classes(tree, X) == 0)
 
 
 class TestRandomForest:
@@ -83,10 +103,7 @@ class TestRandomForest:
         reference = fit_tree(X, y, max_depth=100)
         probe = rng.normal(size=(40, 5))
         forest_pred = forest.predict_proba(probe).argmax(axis=1)
-        tree_pred = np.array(
-            [np.argmax(predict_tree_proba(reference, x)) for x in probe]
-        )
-        assert np.all(forest_pred == tree_pred)
+        assert np.all(forest_pred == walk_classes(reference, probe)[:, 0])
 
     def test_perfectly_separated_class_gets_probability_one(self):
         rng = np.random.default_rng(4)
@@ -116,3 +133,48 @@ class TestRandomForest:
         back = RandomForest.from_dict(forest.to_dict())
         probe = rng.normal(size=(10, 4))
         assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
+
+
+@st.composite
+def _ensembles(draw):
+    """A random training set and rf/adaboost settings, plus probe rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 6))
+    # a coarse grid makes tied values and thresholds that probes hit exactly
+    X = rng.integers(-3, 4, size=(n, n_features)) / draw(st.sampled_from([1.0, 4.0]))
+    y = rng.integers(0, draw(st.integers(2, 4)), size=n)
+    extra = rng.integers(-4, 5, size=(draw(st.integers(1, 12)), n_features)) / 2.0
+    params = {
+        "trees": draw(st.integers(1, 8)),
+        "max_depth": draw(st.integers(1, 6)),
+        "features_per_split": draw(st.integers(1, n_features)),
+        "bootstrap": draw(st.booleans()),
+        "seed": seed,
+    }
+    return X, y, np.vstack([X, extra]), params, draw(st.integers(1, 12))
+
+
+class TestVectorisedTraversal:
+    @settings(max_examples=60, deadline=None)
+    @given(_ensembles())
+    def test_matches_scalar_walk_and_row_by_row(self, case):
+        X, y, probe, params, rounds = case
+        forest = train_random_forest(X, y, **params)
+        classes = walk_classes(forest.trees, probe)
+        votes = np.stack([np.bincount(c, minlength=4) for c in classes])
+        proba = forest.predict_proba(probe)
+        assert np.array_equal(proba, votes / len(forest.trees))
+        assert np.array_equal(forest.trees.leaf_classes(probe), classes)
+
+        boost = train_adaboost(X, y, rounds=rounds)
+        scores = np.zeros((len(probe), 4))
+        for row, stump_classes in zip(scores, walk_classes(boost.stumps, probe)):
+            for k, alpha in zip(stump_classes, boost.alphas):
+                row[k] += alpha
+        assert np.array_equal(boost.scores(probe), scores)
+
+        for model, batch in ((forest, proba), (boost, boost.predict_proba(probe))):
+            rows = np.vstack([model.predict_proba(x) for x in probe])
+            assert np.array_equal(batch, rows)
