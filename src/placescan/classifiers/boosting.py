@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES
+from .linear import softmax
 from .trees import TreeArrays, fit_tree
 
 ALPHA_CAP = np.log(1e10)
@@ -64,10 +65,7 @@ class AdaBoostModel:
         return np.cumsum(ballots, axis=1)[:, -1]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        s = self.scores(X)
-        s = s - s.max(axis=1, keepdims=True)
-        e = np.exp(s)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(self.scores(X))
 
     def to_dict(self) -> dict:
         return {"alphas": self.alphas.tolist(), "stumps": self.stumps.to_dict()}

@@ -37,6 +37,16 @@ class LogRegModel:
     b: np.ndarray
     converged: bool = True
 
+    def __post_init__(self):
+        shaped = self.W.ndim == 2 and self.W.shape[1] == NUM_CLASSES
+        if not shaped or self.b.shape != (NUM_CLASSES,):
+            raise ValueError(
+                f"logreg needs a (d, {NUM_CLASSES}) weight matrix and "
+                f"{NUM_CLASSES} intercepts"
+            )
+        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
+            raise ValueError("logreg weights must be finite")
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return softmax(X @ self.W + self.b)

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..core import NUM_CLASSES
 from ..errors import DimensionError
+from .linear import softmax
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -205,10 +206,7 @@ class Network:
         return x
 
     def predict_proba(self, x):
-        logits = self.forward(x, train=False)
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(self.forward(x, train=False))
 
     def loss_and_grads(self, x, onehot, train=True, rng=None):
         logits = self.forward(x, train=train, rng=rng)

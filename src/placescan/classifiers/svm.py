@@ -1,23 +1,29 @@
 """Kernel SVM trained by sequential minimal optimization, one-vs-rest.
 
-The binary dual is solved by SMO with the classic two-multiplier analytic
-update; the partner multiplier is chosen by the maximum |E_i - E_j|
-heuristic, which keeps the solver deterministic. Multiclass prediction is
-a softmax over the four one-vs-rest decision values.
+The binary dual is solved by SMO with the second-order working-set rule
+of Fan, Chen & Lin (JMLR 6, 2005), the LIBSVM solver: i is the maximal
+violator in I_up, j the I_low member whose pair with i decreases the dual
+most, and the solver stops once the maximal violating pair's gap m - M is
+below `tol`. Ties go to the lowest index, so training is deterministic.
+Multiclass prediction is a softmax over the four one-vs-rest decision
+values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import NUM_BEAMS, NUM_CLASSES
+from .linear import softmax
 
 DEFAULT_C = 1.0
 DEFAULT_DEGREE = 3
 DEFAULT_COEF0 = 0.0
 DEFAULT_TOL = 1e-3
-DEFAULT_SWEEP_LIMIT = 2000
+# iteration cap, as in LIBSVM: max(MAX_ITER, MAX_ITER_PER_ROW * n)
+MAX_ITER = 10**7
+MAX_ITER_PER_ROW = 100
 
 
 def poly_kernel(
@@ -47,94 +53,45 @@ def smo_solve(
     y: np.ndarray,
     C: float = DEFAULT_C,
     tol: float = DEFAULT_TOL,
-    sweep_limit: int = DEFAULT_SWEEP_LIMIT,
 ):
     """Solve the binary SVM dual for a precomputed kernel matrix.
 
-    Returns (alphas, bias, converged). Sweeps over all points, updating
-    KKT-violating pairs analytically, until a full sweep makes no progress
-    or the sweep limit is hit.
+    `y` holds both labels, +1 and -1. Returns (alphas, bias, converged):
+    `converged` is True once the maximal violating pair's gap m - M is
+    below `tol`, and False if the iteration cap stops the loop first.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
-    state = {
-        "alpha": np.zeros(n),
-        "b": 0.0,
-        "f": np.zeros(n),  # decision values minus bias, kept incrementally
-    }
-
-    def try_pair(i: int, j: int) -> bool:
-        alpha, b, f = state["alpha"], state["b"], state["f"]
-        if i == j:
-            return False
-        Ei = f[i] + b - y[i]
-        Ej = f[j] + b - y[j]
-        ai_old, aj_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            L = max(0.0, aj_old - ai_old)
-            H = min(C, C + aj_old - ai_old)
-        else:
-            L = max(0.0, ai_old + aj_old - C)
-            H = min(C, ai_old + aj_old)
-        if H - L < 1e-12:
-            return False
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if eta <= 1e-12:
-            return False
-        aj = aj_old + y[j] * (Ei - Ej) / eta
-        aj = min(max(aj, L), H)
-        if abs(aj - aj_old) < 1e-10:
-            return False
-        ai = ai_old + y[i] * y[j] * (aj_old - aj)
-        alpha[i], alpha[j] = ai, aj
-        di = y[i] * (ai - ai_old)
-        dj = y[j] * (aj - aj_old)
-        state["f"] = f + di * K[i] + dj * K[j]
-        b1 = b - Ei - di * K[i, i] - dj * K[i, j]
-        b2 = b - Ej - di * K[i, j] - dj * K[j, j]
-        if 0.0 < ai < C:
-            state["b"] = b1
-        elif 0.0 < aj < C:
-            state["b"] = b2
-        else:
-            state["b"] = (b1 + b2) / 2.0
-        return True
-
-    converged = False
-    for _ in range(sweep_limit):
-        changed = 0
-        for i in range(n):
-            alpha, b, f = state["alpha"], state["b"], state["f"]
-            Ei = f[i] + b - y[i]
-            r = y[i] * Ei
-            if not ((r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0)):
-                continue
-            E = f + b - y
-            # preferred partner: largest |E_i - E_j|; fall back to scanning
-            order = np.argsort(-np.abs(E - Ei), kind="stable")
-            for j in order:
-                if try_pair(i, int(j)):
-                    changed += 1
-                    break
-        if changed == 0:
-            converged = _kkt_satisfied(
-                state["alpha"], y, state["f"] + state["b"], C, tol
-            )
+    # signed multipliers v = alpha * y live in [lo, hi]; a step moves
+    # v_i up and v_j down by the same amount, which keeps sum(v) at 0
+    hi = np.where(y > 0, C, 0.0)
+    lo = hi - C
+    v = np.zeros(n)
+    r = y.copy()  # y - K @ v, i.e. -y * (gradient of the dual)
+    diag = K.diagonal()
+    max_iter = max(MAX_ITER, MAX_ITER_PER_ROW * n)
+    for it in range(max_iter + 1):
+        i = int(np.argmax(np.where(v < hi, r, -np.inf)))
+        low = v > lo
+        m, M = r[i], np.min(np.where(low, r, np.inf))
+        converged = m - M < tol
+        if converged or it == max_iter:
             break
-    return state["alpha"], state["b"], converged
-
-
-def _kkt_satisfied(alpha, y, decision, C, tol):
-    margin = y * decision
-    at_zero = alpha <= 1e-9
-    at_cap = alpha >= C - 1e-9
-    free = ~at_zero & ~at_cap
-    ok = np.ones_like(alpha, dtype=bool)
-    ok &= np.where(at_zero, margin >= 1.0 - tol, True)
-    ok &= np.where(free, np.abs(margin - 1.0) <= tol, True)
-    ok &= np.where(at_cap, margin <= 1.0 + tol, True)
-    return bool(np.all(ok))
+        # second-order choice of j: the largest decrease of the dual
+        gap = m - r
+        curvature = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+        gain = np.where(low & (gap > 0), gap * gap / curvature, -np.inf)
+        j = int(np.argmax(gain))
+        room_i, room_j = hi[i] - v[i], v[j] - lo[j]
+        step = min(gap[j] / curvature[j], room_i, room_j)
+        # a step stopped by a bound lands on it exactly
+        v[i] = hi[i] if step == room_i else v[i] + step
+        v[j] = lo[j] if step == room_j else v[j] - step
+        r -= step * (K[i] - K[j])
+    free = (v > lo) & (v < hi)
+    bias = float(np.mean(r[free])) if free.any() else float(m + M) / 2.0
+    return v * y, bias, bool(converged)
 
 
 def dual_objective(K, y, alpha) -> float:
@@ -149,10 +106,30 @@ class SvmModel:
     support_vectors: list[np.ndarray]  # per class: (m, d) matrix
     coefficients: list[np.ndarray]  # per class: alpha_i * y_i
     biases: list[float]
+    converged: list[bool]
     gamma: float
     coef0: float = DEFAULT_COEF0
     degree: int = DEFAULT_DEGREE
-    converged: list[bool] = field(default_factory=list)
+
+    def __post_init__(self):
+        counts = {len(self.support_vectors), len(self.coefficients),
+                  len(self.biases), len(self.converged)}
+        if counts != {NUM_CLASSES}:
+            raise ValueError(
+                f"an svm needs {NUM_CLASSES} machines, biases and converged flags"
+            )
+        for sv, coef in zip(self.support_vectors, self.coefficients):
+            if sv.ndim != 2 or coef.shape != (sv.shape[0],):
+                raise ValueError(
+                    "each svm machine needs an (m, d) support-vector matrix "
+                    "and m coefficients"
+                )
+        if len({sv.shape[1] for sv in self.support_vectors if sv.shape[0]}) > 1:
+            raise ValueError("svm support vectors must all have the same width")
+        values = [*self.support_vectors, *self.coefficients, self.biases,
+                  [self.gamma, self.coef0]]
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValueError("svm model values must be finite")
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -167,10 +144,7 @@ class SvmModel:
         return out
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        s = self.decision_values(X)
-        s = s - s.max(axis=1, keepdims=True)
-        e = np.exp(s)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(self.decision_values(X))
 
     def to_dict(self) -> dict:
         return {

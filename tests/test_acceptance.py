@@ -91,14 +91,14 @@ def test_criterion_4_gradient_oracle():
 
 
 def test_criterion_5_qp_oracle():
-    from test_svm import _toy_problem, kkt_violations, projected_gradient_qp
+    from test_svm import _toy_problem, kkt_violations, oracle_alpha
     from placescan.classifiers.svm import dual_objective, smo_solve
 
     worst_gap, worst_kkt = 0.0, 0.0
     for seed in range(20):
         K, y = _toy_problem(seed)
         alpha, b, _ = smo_solve(K, y, C=1.0)
-        oracle = projected_gradient_qp(K, y, C=1.0)
+        oracle = oracle_alpha(seed)
         worst_gap = max(worst_gap, abs(dual_objective(K, y, alpha)
                                        - dual_objective(K, y, oracle)))
         worst_kkt = max(worst_kkt, float(kkt_violations(K, y, alpha, b, 1.0).max()))

@@ -117,9 +117,11 @@ class TestTrainPredict:
         ]
         with open(tiny_csv) as fh:
             data = parse_dataset(fh)
-        forest, boost = (
+        forest, boost, svm = (
             json.loads(model_to_json(train(ModelSpec(variant, params=params), data)))
-            for variant, params in (("rf", {"trees": 3}), ("adaboost", {"rounds": 4}))
+            for variant, params in (
+                ("rf", {"trees": 3}), ("adaboost", {"rounds": 4}), ("svm", {}),
+            )
         )
 
         def with_nodes(model, key="trees", **fields):
@@ -135,6 +137,30 @@ class TestTrainPredict:
                 "right": [0], "value": [[1.0, 0.0, 0.0, 0.0]]}
         two_cycle = {"roots": [0], "feature": [0, 0], "threshold": [0.0, 0.0],
                      "left": [1, 0], "right": [1, 0], "value": [[1.0, 0, 0, 0]] * 2}
+        def with_payload(model, **fields):
+            return {**model, "payload": {**model["payload"], **fields}}
+
+        machines = svm["payload"]["machines"]
+        first = machines[0]
+
+        def with_first_machine(**fields):
+            return with_payload(svm, machines=[{**first, **fields}, *machines[1:]])
+
+        corruptions += [
+            ("4 machines", with_payload(svm, machines=machines[:3])),
+            ("4 machines", with_payload(svm, converged=[True] * 3)),
+            ("(m, d)", with_first_machine(support_vectors=first["support_vectors"][0])),
+            ("m coefficients", with_first_machine(
+                coefficients=first["coefficients"][:-1])),
+            ("same width", with_first_machine(
+                support_vectors=[row[:-1] for row in first["support_vectors"]])),
+            ("finite", with_first_machine(bias=float("nan"))),
+            ("finite", with_first_machine(
+                coefficients=[float("inf")] + first["coefficients"][1:])),
+            ("finite", with_payload(svm, gamma=float("nan"))),
+            ("weight matrix", with_payload(document, W=[[0.0]] * 271)),
+            ("weight matrix", with_payload(document, b=[0.0])),
+        ]
         corruptions += [
             ("equal length", with_nodes(forest, threshold=nodes["threshold"][:-1])),
             ("equal length", with_nodes(forest, right=nodes["right"] + [0])),

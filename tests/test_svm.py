@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from placescan.classifiers.svm import (
     smo_solve,
     train_svm,
 )
-from placescan.core import NUM_BEAMS, ClassLabel
+from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel
+from placescan.features import fit_feature_transformer
 from placescan.simulate import SimConfig, generate_dataset
 
 
@@ -68,6 +71,14 @@ def _toy_problem(seed):
     return K, y
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_alpha(seed):
+    """The QP oracle's solution of _toy_problem(seed) at C = 1, solved once."""
+    alpha = projected_gradient_qp(*_toy_problem(seed), C=1.0)
+    alpha.setflags(write=False)
+    return alpha
+
+
 class TestPolyKernel:
     def test_zero_vectors(self):
         z = np.zeros((1, 4))
@@ -117,12 +128,54 @@ class TestSmo:
         for seed in range(20):
             K, y = _toy_problem(seed)
             alpha, b, converged = smo_solve(K, y, C=1.0)
-            oracle = projected_gradient_qp(K, y, C=1.0)
+            oracle = oracle_alpha(seed)
             smo_obj = dual_objective(K, y, alpha)
             qp_obj = dual_objective(K, y, oracle)
             assert abs(smo_obj - qp_obj) <= 1e-4, (seed, smo_obj, qp_obj)
             viol = kkt_violations(K, y, alpha, b, C=1.0)
             assert float(viol.max()) <= 1e-2, (seed, viol.max())
+
+    def test_one_vs_rest_machines_meet_kkt_on_beam_data(self):
+        # the KKT conditions certify the optimum of the convex dual
+        data = generate_dataset(SimConfig.uniform(8, seed=5))
+        Xt = fit_feature_transformer(data.X).transform_matrix(data.X)
+        K = poly_kernel(Xt, Xt, default_gamma(Xt))
+        for c in range(NUM_CLASSES):
+            y = np.where(data.y == c, 1.0, -1.0)
+            alpha, b, converged = smo_solve(K, y)
+            assert converged, c
+            assert float(kkt_violations(K, y, alpha, b, C=1.0).max()) <= 1e-2, c
+
+    def test_zero_curvature_pairs_terminate(self):
+        # every row has a twin with the opposite label: K_ii + K_jj - 2 K_ij = 0
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(6, 2))
+        X = np.vstack([X, X])
+        y = np.array([1.0, -1.0] * 3 + [-1.0, 1.0] * 3)
+        K = poly_kernel(X, X, gamma=0.5, coef0=1.0, degree=3)
+        alpha, _, converged = smo_solve(K, y, C=1.0)
+        assert converged
+        assert np.all((alpha >= 0.0) & (alpha <= 1.0))
+        assert abs(float(alpha @ y)) <= 1e-12
+
+    def test_bound_limited_steps_land_exactly_on_the_box(self):
+        C = 0.3
+        K, y = _toy_problem(3)
+        alpha, _, converged = smo_solve(K, y, C=C)
+        assert converged
+        assert np.any(alpha == C) and np.any(alpha == 0.0)
+        near = (alpha < 1e-9) | (alpha > C - 1e-9)
+        assert np.all((alpha[near] == 0.0) | (alpha[near] == C))
+
+    def test_iteration_cap_reports_unconverged(self, monkeypatch):
+        import placescan.classifiers.svm as svm
+
+        monkeypatch.setattr(svm, "MAX_ITER", 1)
+        monkeypatch.setattr(svm, "MAX_ITER_PER_ROW", 0)
+        K, y = _toy_problem(0)
+        alpha, _, converged = smo_solve(K, y, C=1.0)
+        assert not converged
+        assert np.count_nonzero(alpha) == 2
 
 
 class TestTrainSvm:
