@@ -100,8 +100,15 @@ class TrainedModel:
         return self.payload.predict_proba(Xt)
 
 
-def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
+def train(
+    spec: ModelSpec, data: Dataset, transformer: FeatureTransformer | None = None
+) -> TrainedModel:
     """Fit the transformer and the variant trainer on the whole dataset.
+
+    A caller that trains several variants on the same rows may pass
+    `transformer`, which must be `fit_feature_transformer(data.X)`; the
+    model is then the one this function would have fitted itself. None
+    fits it here.
 
     Deterministic given (spec, data): every stochastic component draws from
     substreams of spec.seed.
@@ -111,7 +118,8 @@ def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
         raise DegenerateTrainingError(
             "training data must contain at least two classes"
         )
-    transformer = fit_feature_transformer(X_raw)
+    if transformer is None:
+        transformer = fit_feature_transformer(X_raw)
     Xt = transformer.transform_matrix(X_raw)
     params = spec.resolved_params()
     fit = _trainer(spec.variant)

@@ -1,29 +1,45 @@
 """Stratified cross-validation, accuracy reduction, PR curves and AP.
 
-With k=5 each test fold is a 20% split. Per-class precision-recall curves
-are computed from predictions pooled out-of-fold, so every row is scored
-exactly once by a model that never saw it. The area under each curve is
-step-wise average precision: AP = sum (R_n - R_{n-1}) P_n.
+With k=5 each test fold is a 20% split. Cross-validation is fold-major: a
+fold's Box-Cox transform is fitted once, on its training rows only, and
+passed to `train` for every variant, whose precondition (a transformer
+fitted on the training rows' `X`) it meets. Curves and the confusion matrix
+pool out-of-fold predictions, so every row is scored exactly once by a model
+that never saw it. Curve area is step-wise AP = sum (R_n - R_{n-1}) P_n.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ModelSpec, TrainedModel, dataset_fingerprint, train
+from .classifiers import ModelSpec, dataset_fingerprint, train
 from .core import NUM_CLASSES, ClassLabel, Dataset
 from .errors import StratificationError, UndefinedCurveError
+from .features import fit_feature_transformer
 
 
 @dataclass(frozen=True)
 class FoldAssignment:
+    """Test fold of each row: ids in [0, k), no fold empty, a read-only int64 copy."""
+
     fold_of_row: np.ndarray
     k: int
 
     def __post_init__(self):
-        self.fold_of_row.setflags(write=False)
+        raw = np.asarray(self.fold_of_row)
+        if raw.ndim != 1 or (raw.size and not np.issubdtype(raw.dtype, np.integer)):
+            raise ValueError("fold_of_row must be a 1-D vector of integer fold ids")
+        if self.k < 2:
+            raise ValueError("k must be at least 2")
+        fold_of_row = raw.astype(np.int64)  # always a copy
+        if np.any((fold_of_row < 0) | (fold_of_row >= self.k)):
+            raise ValueError(f"fold ids must lie in [0, {self.k})")
+        empty = np.flatnonzero(np.bincount(fold_of_row, minlength=self.k) == 0)
+        if empty.size:
+            raise ValueError(f"fold {empty[0]} has no rows")
+        fold_of_row.setflags(write=False)
+        object.__setattr__(self, "fold_of_row", fold_of_row)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of_row == fold)
@@ -50,9 +66,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
             raise StratificationError(
                 f"class {name} has {idx.shape[0]} rows, fewer than k={k}"
             )
-        perm = rng.permutation(idx)
-        for position, row in enumerate(perm):
-            fold_of_row[row] = position % k
+        fold_of_row[rng.permutation(idx)] = np.arange(idx.shape[0]) % k
     return FoldAssignment(fold_of_row=fold_of_row, k=k)
 
 
@@ -160,72 +174,58 @@ class Report:
         }
 
 
-def cross_validate(
-    spec: ModelSpec,
-    dataset: Dataset,
-    k: int = 5,
-    seed: int = 42,
-    folds: FoldAssignment | None = None,
-) -> VariantResult:
+def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
+                    folds: FoldAssignment) -> list[VariantResult]:
+    """Fold-major loop: per fold, one training subset and one transformer,
+    shared by every spec; out-of-fold probabilities are pooled per spec."""
+    X_raw, y = dataset.X, dataset.y
+    if folds.fold_of_row.shape != y.shape:
+        raise ValueError("the fold assignment must give every dataset row one fold")
+    tests = [folds.test_indices(fold) for fold in range(folds.k)]
+    oof = np.zeros((len(specs), len(dataset), NUM_CLASSES))
+    for fold, test_idx in enumerate(tests):
+        train_data = dataset.subset(folds.train_indices(fold))
+        transformer = fit_feature_transformer(train_data.X)
+        for i, spec in enumerate(specs):
+            model = train(spec, train_data, transformer)
+            oof[i, test_idx] = model.predict_proba_matrix(X_raw[test_idx])
+    results = []
+    for spec, scores in zip(specs, oof):
+        predicted = scores.argmax(axis=1)
+        accuracies = [accuracy(predicted[test_idx], y[test_idx]) for test_idx in tests]
+        # every row is in exactly one test fold, so one count over the pooled
+        # argmax is the sum of the per-fold confusion matrices
+        confusion = np.bincount(y * NUM_CLASSES + predicted, minlength=NUM_CLASSES**2)
+        per_class = [
+            ClassCurve(label, average_precision(scores[:, label], y == label),
+                       pr_curve(scores[:, label], y == label))
+            for label in ClassLabel
+        ]
+        results.append(VariantResult(
+            spec.variant, accuracies, *summarize_folds(accuracies), per_class,
+            confusion.reshape(NUM_CLASSES, NUM_CLASSES),
+        ))
+    return results
+
+
+def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 42,
+                   folds: FoldAssignment | None = None) -> VariantResult:
     """Train/score the variant across stratified folds; pool out-of-fold
     probabilities for the per-class curves and the confusion matrix."""
-    X_raw, y = dataset.X, dataset.y
     if folds is None:
-        folds = stratified_folds(y, k, seed)
-    n = len(dataset)
-    oof = np.zeros((n, NUM_CLASSES))
-    fold_accuracies = []
-    confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for fold in range(folds.k):
-        train_idx = folds.train_indices(fold)
-        test_idx = folds.test_indices(fold)
-        model = train(spec, dataset.subset(train_idx))
-        proba = model.predict_proba_matrix(X_raw[test_idx])
-        oof[test_idx] = proba
-        predicted = proba.argmax(axis=1)
-        fold_accuracies.append(accuracy(predicted, y[test_idx]))
-        for t, p in zip(y[test_idx], predicted):
-            confusion[t, p] += 1
-    mean, std = summarize_folds(fold_accuracies)
-    per_class = []
-    for label in ClassLabel:
-        truths = y == int(label)
-        per_class.append(
-            ClassCurve(
-                label=label,
-                ap=average_precision(oof[:, int(label)], truths),
-                curve=pr_curve(oof[:, int(label)], truths),
-            )
-        )
-    return VariantResult(
-        name=spec.variant,
-        fold_accuracies=fold_accuracies,
-        mean=mean,
-        std=std,
-        per_class=per_class,
-        confusion=confusion,
-    )
+        folds = stratified_folds(dataset.y, k, seed)
+    return _cross_validate([spec], dataset, folds)[0]
 
 
-def run_experiment(
-    variants,
-    dataset: Dataset,
-    k: int = 5,
-    seed: int = 42,
-    variant_params: dict | None = None,
-) -> Report:
+def run_experiment(variants, dataset: Dataset, k: int = 5, seed: int = 42,
+                   variant_params: dict | None = None) -> Report:
     """Cross-validate several variants against one shared fold assignment."""
+    variants = list(variants)
     folds = stratified_folds(dataset.y, k, seed)
-    report = Report(
-        dataset_fingerprint=dataset_fingerprint(dataset),
-        seed=seed,
-        k=k,
-        config={"variants": list(variants), "k": k, "seed": seed},
+    params = variant_params or {}
+    specs = [ModelSpec(variant=v, seed=seed, params=params.get(v, {})) for v in variants]
+    return Report(
+        dataset_fingerprint=dataset_fingerprint(dataset), seed=seed, k=k,
+        variants=_cross_validate(specs, dataset, folds),
+        config={"variants": variants, "k": k, "seed": seed},
     )
-    for variant in variants:
-        params = (variant_params or {}).get(variant, {})
-        spec = ModelSpec(variant=variant, seed=seed, params=params)
-        report.variants.append(
-            cross_validate(spec, dataset, k=k, seed=seed, folds=folds)
-        )
-    return report

@@ -131,12 +131,19 @@ class FeatureTransformer:
     epsilon: float = MIN_RANGE_M
 
     def __post_init__(self):
-        for arr in (self.lambdas, self.means, self.stds):
+        for name in ("lambdas", "means", "stds"):
+            arr = getattr(self, name)
             if arr.shape != (NUM_BEAMS,):
                 raise DimensionError(
                     f"transformer parameters must have shape ({NUM_BEAMS},)"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"transformer {name} must be finite")
             arr.setflags(write=False)
+        if not np.all(self.stds > 0.0):
+            raise ValueError("transformer stds must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("transformer epsilon must be finite and positive")
 
     def transform_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.clip(np.asarray(X, dtype=np.float64), self.epsilon, None)

@@ -161,6 +161,18 @@ class TestTrainPredict:
             ("weight matrix", with_payload(document, W=[[0.0]] * 271)),
             ("weight matrix", with_payload(document, b=[0.0])),
         ]
+        transformer = document["transformer"]
+
+        def with_transformer(**fields):
+            return {**document, "transformer": {**transformer, **fields}}
+
+        corruptions += [
+            ("stds", with_transformer(stds=[float("nan")] * len(transformer["stds"]))),
+            ("lambdas", with_transformer(
+                lambdas=[float("inf")] + transformer["lambdas"][1:])),
+            ("stds", with_transformer(stds=[0.0] + transformer["stds"][1:])),
+            ("epsilon", with_transformer(epsilon=float("nan"))),
+        ]
         corruptions += [
             ("equal length", with_nodes(forest, threshold=nodes["threshold"][:-1])),
             ("equal length", with_nodes(forest, right=nodes["right"] + [0])),

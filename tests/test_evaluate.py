@@ -5,11 +5,15 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from placescan import classifiers, evaluate
 from placescan.classifiers import ModelSpec
 from placescan.core import ClassLabel
 from placescan.errors import StratificationError, UndefinedCurveError
 from placescan.evaluate import (
+    FoldAssignment,
     accuracy,
     average_precision,
     cross_validate,
@@ -18,7 +22,22 @@ from placescan.evaluate import (
     stratified_folds,
     summarize_folds,
 )
+from placescan.features import fit_feature_transformer
 from placescan.reporting import accuracy_csv, pr_curves_svg, render_report
+
+
+@st.composite
+def _label_vectors(draw):
+    """Shuffled 4-class labels with at least k rows per class, a seed, and a
+    class to cut below k rows."""
+    k = draw(st.integers(2, 8))
+    counts = draw(st.lists(st.integers(k, 5 * k), min_size=4, max_size=4))
+    labels = np.repeat(np.arange(4), counts)
+    order = draw(st.permutations(range(labels.shape[0])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    short_class = draw(st.integers(0, 3))
+    short_count = draw(st.integers(1, k - 1))
+    return labels[np.array(order)], k, seed, short_class, short_count
 
 
 class TestStratifiedFolds:
@@ -31,23 +50,26 @@ class TestStratifiedFolds:
             counts = np.bincount(labels[test], minlength=4)
             assert np.array_equal(counts, [2, 2, 2, 2])
 
-    def test_within_one_of_proportionality_random_multisets(self):
-        rng = np.random.default_rng(1)
-        for trial in range(100):
-            k = int(rng.integers(2, 6))
-            counts = rng.integers(k, 40, size=4)
-            labels = np.repeat(np.arange(4), counts)
-            labels = rng.permutation(labels)
-            folds = stratified_folds(labels, k=k, seed=trial)
-            for c in range(4):
-                per_fold = np.array(
-                    [
-                        int(np.sum(labels[folds.test_indices(f)] == c))
-                        for f in range(k)
-                    ]
-                )
-                assert per_fold.sum() == counts[c]
-                assert per_fold.max() - per_fold.min() <= 1, trial
+    @settings(max_examples=80, deadline=None)
+    @given(_label_vectors())
+    def test_within_one_of_proportionality_random_multisets(self, case):
+        labels, k, seed, short_class, short_count = case
+        folds = stratified_folds(labels, k=k, seed=seed)
+        times_tested = np.zeros(labels.shape[0], dtype=np.int64)
+        counts = np.bincount(labels, minlength=4)
+        for fold in range(k):
+            test = folds.test_indices(fold)
+            times_tested[test] += 1
+            per_class = np.bincount(labels[test], minlength=4)
+            assert np.all(np.abs(per_class - counts / k) < 1.0)
+        assert np.all(times_tested == 1)
+        again = stratified_folds(labels, k=k, seed=seed)
+        assert np.array_equal(again.fold_of_row, folds.fold_of_row)
+
+        kept = np.flatnonzero(labels == short_class)[:short_count]
+        short = np.concatenate([labels[labels != short_class], labels[kept]])
+        with pytest.raises(StratificationError, match=ClassLabel(short_class).name):
+            stratified_folds(short, k=k, seed=seed)
 
     def test_deterministic_for_fixed_seed(self):
         labels = np.random.default_rng(2).integers(0, 4, size=60)
@@ -69,6 +91,33 @@ class TestStratifiedFolds:
             train = set(folds.train_indices(fold).tolist())
             assert test | train == set(range(57))
             assert not (test & train)
+
+
+class TestFoldAssignment:
+    def test_holds_a_read_only_int64_copy(self):
+        fold_of_row = np.array([0, 1, 0, 1], dtype=np.int32)
+        folds = FoldAssignment(fold_of_row, 2)
+        fold_of_row[0] = 1  # the caller's array stays writable and separate
+        assert folds.fold_of_row.dtype == np.int64
+        assert folds.fold_of_row.tolist() == [0, 1, 0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            folds.fold_of_row[0] = 1
+
+    @pytest.mark.parametrize(
+        "fold_of_row, k, message",
+        [
+            (np.zeros((2, 2), dtype=np.int64), 2, "1-D"),
+            (np.array([0.0, 1.0]), 2, "integer"),
+            (np.array([0, 0]), 1, "at least 2"),
+            (np.array([0, 1, 2]), 2, r"\[0, 2\)"),
+            (np.array([-1, 0, 1]), 2, r"\[0, 2\)"),
+            (np.array([0, 0, 1, 1]), 3, "fold 2 has no rows"),
+            (np.array([], dtype=np.int64), 2, "fold 0 has no rows"),
+        ],
+    )
+    def test_invalid_assignment_rejected(self, fold_of_row, k, message):
+        with pytest.raises(ValueError, match=message):
+            FoldAssignment(fold_of_row, k)
 
 
 class TestAccuracy:
@@ -145,6 +194,11 @@ class TestCrossValidate:
         mean, std = summarize_folds(a.fold_accuracies)
         assert (a.mean, a.std) == (mean, std)
 
+    def test_folds_must_cover_the_dataset(self, synth_small):
+        folds = stratified_folds(synth_small.y[:-4], k=3, seed=13)
+        with pytest.raises(ValueError, match="every dataset row"):
+            cross_validate(ModelSpec(variant="logreg"), synth_small, folds=folds)
+
     def test_run_experiment_shares_folds(self, synth_small):
         report = run_experiment(
             ["logreg", "rf"],
@@ -157,6 +211,45 @@ class TestCrossValidate:
         payload = report.to_dict()
         json.dumps(payload)  # must be JSON-serializable as-is
         assert payload["k"] == 3
+
+
+class TestFoldMajor:
+    PARAMS = {"logreg": {"max_iter": 200}, "rf": {"trees": 5}}
+
+    def test_one_transformer_per_fold_same_results(self, synth_small, monkeypatch):
+        fitted = []
+
+        def spy(X):
+            fitted.append(X.shape[0])
+            return fit_feature_transformer(X)
+
+        # both bindings: a fit inside train would be counted too
+        for module in (evaluate, classifiers):
+            monkeypatch.setattr(module, "fit_feature_transformer", spy)
+        report = run_experiment(
+            ["logreg", "rf"], synth_small, k=3, seed=13, variant_params=self.PARAMS
+        )
+        assert fitted == [40, 40, 40]
+        monkeypatch.undo()
+
+        folds = stratified_folds(synth_small.y, 3, 13)
+        for result in report.variants:
+            spec = ModelSpec(result.name, seed=13, params=self.PARAMS[result.name])
+            alone = cross_validate(spec, synth_small, folds=folds)
+            assert result.fold_accuracies == alone.fold_accuracies
+            assert (result.mean, result.std) == (alone.mean, alone.std)
+            assert np.array_equal(result.confusion, alone.confusion)
+            # rows are the true classes; the diagonal holds the correct rows
+            true_counts = np.bincount(synth_small.y, minlength=4)
+            assert np.array_equal(result.confusion.sum(axis=1), true_counts)
+            correct = sum(
+                acc * folds.test_indices(f).shape[0]
+                for f, acc in enumerate(result.fold_accuracies)
+            )
+            assert np.trace(result.confusion) == round(correct)
+            assert [(c.label, c.ap, c.curve) for c in result.per_class] == [
+                (c.label, c.ap, c.curve) for c in alone.per_class
+            ]
 
 
 @pytest.fixture(scope="module")

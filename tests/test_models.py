@@ -19,6 +19,7 @@ from placescan.classifiers import (
 )
 from placescan.core import ClassLabel, Dataset, validate_scan
 from placescan.errors import DegenerateTrainingError, DimensionError
+from placescan.features import fit_feature_transformer
 
 FAST_PARAMS = {
     "rf": {"trees": 10},
@@ -79,6 +80,14 @@ class TestTrain:
         )
         assert _accuracy(model, synth_small) > 0.25
         assert model.metadata["train_fingerprint"] == dataset_fingerprint(synth_small)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_given_transformer_gives_the_same_model(self, synth_small, variant):
+        spec = ModelSpec(variant=variant, seed=3, params=FAST_PARAMS[variant])
+        shared = fit_feature_transformer(synth_small.X)
+        assert model_to_json(train(spec, synth_small, shared)) == model_to_json(
+            train(spec, synth_small)
+        )
 
     def test_unconverged_logreg_is_recorded(self, synth_small):
         model = train(ModelSpec(variant="logreg", params={"max_iter": 1}), synth_small)
