@@ -1,8 +1,11 @@
 """CART decision trees and a bootstrap-aggregated forest.
 
 Splits minimize weighted Gini impurity over candidate thresholds at the
-midpoints of sorted unique feature values. Ties are broken toward the
-lowest feature index, then the lowest threshold, so training is fully
+midpoints of sorted unique feature values. A node searches all of its
+candidate features in one numpy pass (`_best_split`), sorting the
+attribute columns together as SLIQ does. A later feature wins only when
+its gain beats the best so far by more than `_GAIN_EPS`, and within a
+feature the lowest of equally good thresholds wins, so training is fully
 deterministic given the rng passed in.
 
 Trees are stored flat, as in scikit-learn's `Tree`: parallel `feature`,
@@ -121,35 +124,51 @@ def _best_split(X, y, w, feature_indices):
     Candidate thresholds are midpoints of consecutive distinct sorted
     values; gain is the weighted Gini decrease. Returns None when no split
     strictly improves impurity.
+
+    All candidate columns are searched in one pass: one stable argsort
+    along rows, one cumsum of the sorted weighted one-hot labels into the
+    `(n - 1, F, K)` class weights left of every cut, and the Gini terms of
+    every cut of every column at once. A column's best cut is its first
+    maximum. Over the column maxima, in feature order, the first gain above
+    `_GAIN_EPS` leads, and a later column takes the lead only by beating
+    the leader by more than `_GAIN_EPS`.
+
+    This is bit-identical to searching one column at a time: a cumsum
+    along rows adds each column's weights in the order a one-column cumsum
+    does, and each cut's class sums reduce over the same contiguous axis.
     """
     total_w = w.sum()
     parent_counts = np.bincount(y, weights=w, minlength=NUM_CLASSES)
     parent_gini = gini_impurity(parent_counts)
-    onehot = np.eye(NUM_CLASSES)[y]
+    Xf = X[:, feature_indices]
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    weighted_onehot = w[:, None] * np.eye(NUM_CLASSES)[y]
+    left = np.cumsum(weighted_onehot[order], axis=0)[:-1]
+    right = parent_counts - left
+    lw = left.sum(axis=-1)
+    rw = total_w - lw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gl = 1.0 - np.sum((left / lw[..., None]) ** 2, axis=-1)
+        gr = 1.0 - np.sum((right / rw[..., None]) ** 2, axis=-1)
+        child = (lw * gl + rw * gr) / total_w
+    usable = (np.diff(xs, axis=0) > 0) & (lw > 0) & (rw > 0)
+    gain = np.where(usable, parent_gini - child, -np.inf)
+    cut = np.argmax(gain, axis=0)
+    column_gain = gain[cut, np.arange(gain.shape[1])]
 
-    best = None  # (gain, feature, threshold)
-    for f in feature_indices:
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        wy = w[order, None] * onehot[order]
-        left = np.cumsum(wy, axis=0)[:-1]
-        distinct = np.diff(xs_sorted) > 0
-        if not np.any(distinct):
-            continue
-        right = parent_counts[None, :] - left
-        lw = left.sum(axis=1)
-        rw = total_w - lw
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gl = 1.0 - np.sum((left / lw[:, None]) ** 2, axis=1)
-            gr = 1.0 - np.sum((right / rw[:, None]) ** 2, axis=1)
-            child = (lw * gl + rw * gr) / total_w
-        usable = distinct & (lw > 0) & (rw > 0)
-        gain = np.where(usable, parent_gini - child, -np.inf)
-        i = int(np.argmax(gain))
-        if gain[i] > _GAIN_EPS and (best is None or gain[i] > best[0] + _GAIN_EPS):
-            best = (float(gain[i]), int(f), float((xs_sorted[i] + xs_sorted[i + 1]) / 2.0))
-    return best
+    above = np.flatnonzero(column_gain > _GAIN_EPS)
+    if above.size == 0:
+        return None
+    lead = above[0]
+    while True:  # one step per change of leader, not per feature
+        beats = np.flatnonzero(column_gain[lead + 1 :] > column_gain[lead] + _GAIN_EPS)
+        if beats.size == 0:
+            break
+        lead += 1 + beats[0]
+    i = cut[lead]
+    threshold = (xs[i, lead] + xs[i + 1, lead]) / 2.0
+    return float(column_gain[lead]), int(feature_indices[lead]), float(threshold)
 
 
 def fit_tree(
@@ -162,19 +181,31 @@ def fit_tree(
 ) -> TreeArrays:
     """Grow one CART tree; `features_per_split=None` evaluates all features.
 
-    Stops at max_depth, pure nodes, or nodes with fewer than 2 samples.
-    When no single-feature split has positive Gini gain but the node is
-    impure and splittable, the first splittable feature is forced at its
-    median midpoint so conflict-free data can always be separated.
+    Stops at max_depth, pure nodes, nodes with fewer than 2 samples and
+    nodes whose weights sum to zero (their leaf holds unweighted class
+    fractions). When no single-feature split has positive Gini gain but the
+    node is impure and splittable, the first splittable feature is forced
+    at its median midpoint so conflict-free data can always be separated.
+    `sample_weight` must be 1-D of one weight per row, finite and
+    non-negative, with a positive sum.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("cannot fit a tree on zero rows")
     if sample_weight is None:
-        sample_weight = np.full(X.shape[0], 1.0 / X.shape[0])
+        sample_weight = np.full(n, 1.0 / n)
     else:
         sample_weight = np.asarray(sample_weight, dtype=np.float64)
+        if sample_weight.shape != (n,):
+            raise ValueError(
+                f"sample_weight must be 1-D of length {n}, got shape {sample_weight.shape}"
+            )
+        if not (np.all(np.isfinite(sample_weight)) and np.all(sample_weight >= 0)):
+            raise ValueError("sample_weight must be finite and non-negative")
+        if sample_weight.sum() <= 0:
+            raise ValueError("sample_weight must have a positive sum")
     n_features = X.shape[1]
 
     nodes = {name: [] for name in _NODE_FIELDS if name != "roots"}
@@ -183,15 +214,17 @@ def fit_tree(
         """Append the subtree grown on rows `idx` in preorder; return its root."""
         yi = y[idx]
         wi = sample_weight[idx]
-        counts = np.bincount(yi, np.maximum(wi, 0.0), minlength=NUM_CLASSES)
-        if counts.sum() <= 0:
+        counts = np.bincount(yi, wi, minlength=NUM_CLASSES)
+        weightless = counts.sum() <= 0
+        if weightless:
             counts = np.bincount(yi, minlength=NUM_CLASSES).astype(np.float64)
         node = len(nodes["value"])
         # a leaf until a split is found: no feature, itself as both children
         for name, leaf in zip(nodes, (-1, 0.0, node, node, counts / counts.sum())):
             nodes[name].append(leaf)
         if (
-            idx.shape[0] < 2
+            weightless
+            or idx.shape[0] < 2
             or (max_depth is not None and depth >= max_depth)
             or np.unique(yi).shape[0] == 1
         ):

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from placescan.classifiers import ModelSpec, train
 from placescan.classifiers.boosting import train_adaboost
 from placescan.classifiers.trees import (
+    _GAIN_EPS,
     RandomForest,
+    _best_split,
     fit_tree,
     gini_impurity,
     train_random_forest,
 )
+from placescan.core import NUM_BEAMS, NUM_CLASSES
 
 
 def walk(trees, root, x):
@@ -27,6 +32,85 @@ def walk_classes(trees, X):
         [[np.argmax(trees.value[walk(trees, r, x)]) for r in trees.roots] for x in X],
         dtype=np.int64,
     )
+
+
+def per_feature_best_split(X, y, w, feature_indices):
+    """Reference split search: one argsort, cumsum and Gini pass per feature."""
+    total_w = w.sum()
+    parent_counts = np.bincount(y, weights=w, minlength=NUM_CLASSES)
+    parent_gini = gini_impurity(parent_counts)
+    onehot = np.eye(NUM_CLASSES)[y]
+
+    best = None  # (gain, feature, threshold)
+    for f in feature_indices:
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        wy = w[order, None] * onehot[order]
+        left = np.cumsum(wy, axis=0)[:-1]
+        distinct = np.diff(xs_sorted) > 0
+        if not np.any(distinct):
+            continue
+        right = parent_counts[None, :] - left
+        lw = left.sum(axis=1)
+        rw = total_w - lw
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gl = 1.0 - np.sum((left / lw[:, None]) ** 2, axis=1)
+            gr = 1.0 - np.sum((right / rw[:, None]) ** 2, axis=1)
+            child = (lw * gl + rw * gr) / total_w
+        usable = distinct & (lw > 0) & (rw > 0)
+        gain = np.where(usable, parent_gini - child, -np.inf)
+        i = int(np.argmax(gain))
+        if gain[i] > _GAIN_EPS and (best is None or gain[i] > best[0] + _GAIN_EPS):
+            best = (float(gain[i]), int(f), float((xs_sorted[i] + xs_sorted[i + 1]) / 2.0))
+    return best
+
+
+@st.composite
+def _split_nodes(draw):
+    """One node's rows: tied and constant columns, positive weights, a feature subset."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 60))
+    n_features = draw(st.integers(1, 12))
+    levels = draw(st.integers(1, 8))
+    X = rng.integers(0, levels, size=(n, n_features)) / draw(st.sampled_from([1.0, 3.0]))
+    constant = rng.random(n_features) < draw(st.sampled_from([0.0, 0.3]))
+    X[:, constant] = rng.normal()
+    y = rng.integers(0, draw(st.integers(1, NUM_CLASSES)), size=n)
+    if draw(st.booleans()):
+        w = rng.uniform(1e-3, 1.0, size=n)
+    else:
+        w = np.full(n, 1.0 / n)  # equal weights give exactly equal gains
+    feats = draw(
+        st.lists(st.integers(0, n_features - 1), min_size=1, max_size=n_features, unique=True)
+    )
+    return X, y, w, np.array(sorted(feats))
+
+
+class TestBestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(_split_nodes())
+    def test_matches_per_feature_search(self, node):
+        X, y, w, feats = node
+        assert _best_split(X, y, w, feats) == per_feature_best_split(X, y, w, feats)
+
+    def test_gain_within_eps_keeps_the_earlier_feature(self):
+        # feature 1 separates the classes perfectly; feature 0 does too but
+        # for a row of weight 1e-14, so its gain is lower by less than eps
+        tiny = 1e-14
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.5, 2.5]])
+        y = np.array([0, 0, 1, 1, 1])
+        w = np.array([1.0, 1.0, 1.0, 1.0, tiny]) / (4.0 + tiny)
+        g0 = per_feature_best_split(X, y, w, [0])[0]
+        g1 = per_feature_best_split(X, y, w, [1])[0]
+        assert 0.0 < g1 - g0 < _GAIN_EPS
+        split = _best_split(X, y, w, np.array([0, 1]))
+        assert split == per_feature_best_split(X, y, w, [0, 1])
+        assert split[1] == 0
+        # beaten by more than eps, the earlier feature gives way
+        w[4] = 1e-6
+        assert _best_split(X, y, w, np.array([0, 1]))[1] == 1
 
 
 class TestGini:
@@ -90,6 +174,34 @@ class TestFitTree:
         w = np.array([0.4, 0.3, 0.0, 0.3])
         tree = fit_tree(X, y, sample_weight=w, max_depth=1)
         assert np.all(walk_classes(tree, X) == 0)
+
+    def test_zero_weight_node_becomes_a_leaf(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 1, 0, 1])
+        tree = fit_tree(X, y, sample_weight=np.array([0.0, 0.0, 1.0, 1.0]))
+        assert walk_classes(tree, X[2:])[:, 0].tolist() == [0, 1]
+        # rows 0 and 1 end in one leaf holding their unweighted class fractions
+        leaf = walk(tree, 0, X[0])
+        assert walk(tree, 0, X[1]) == leaf
+        assert tree.value[leaf].tolist() == [0.5, 0.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [np.nan, 1.0, 1.0, 1.0],
+            [np.inf, 1.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0],
+            [[1.0, 1.0, 1.0, 1.0]],
+            [-0.5, 1.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+        ids=["nan", "inf", "short", "2d", "negative", "zero-sum"],
+    )
+    def test_invalid_sample_weight_rejected(self, w):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="sample_weight"):
+            fit_tree(X, y, sample_weight=np.array(w))
 
 
 class TestRandomForest:
@@ -178,3 +290,30 @@ class TestVectorisedTraversal:
         for model, batch in ((forest, proba), (boost, boost.predict_proba(probe))):
             rows = np.vstack([model.predict_proba(x) for x in probe])
             assert np.array_equal(batch, rows)
+
+
+@pytest.fixture(scope="module")
+def tree_models(synth_small):
+    """rf and adaboost trained once on the 60-row set at small budgets."""
+    return [
+        train(ModelSpec("rf", params={"trees": 10}), synth_small),
+        train(ModelSpec("adaboost", params={"rounds": 10}), synth_small),
+    ]
+
+
+_SCAN_VALUES = st.one_of(
+    st.floats(0.0, 30.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e9]),
+)
+
+
+class TestSimplex:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(NUM_BEAMS)), elements=_SCAN_VALUES))
+    def test_probability_rows_for_any_scan(self, tree_models, scans):
+        for model in tree_models:
+            proba = model.predict_proba_matrix(scans)
+            assert proba.shape == (scans.shape[0], NUM_CLASSES)
+            assert np.all(np.isfinite(proba)) and np.all(proba >= 0.0)
+            assert np.allclose(proba.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
