@@ -23,7 +23,7 @@ from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_feature_transformer
 from . import boosting, linear, nets, svm, trees
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # variant -> (trainer module, trainer name, payload class). The trainer is
 # looked up on its module at call time, so a wrapper installed on the module

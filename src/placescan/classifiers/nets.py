@@ -1,12 +1,19 @@
 """Feed-forward and 1-D convolutional networks with exact backpropagation.
 
-Everything is double precision numpy. Layers cache what they need during
-forward and return input gradients during backward; the Adam update is a
-pure function so the optimizer state is explicit and testable. Dropout is
-inverted (masks scaled by 1/(1-rate)) and drawn from the rng passed to the
-forward call, so training is fully seeded.
+Everything is double precision numpy. A `Network` keeps its parameters in
+one flat vector `theta`: each weighted layer's `W` (C order), then its `b`,
+in layer order. `W` and `b` are views of `theta`, and `gW` and `gb` the
+matching views of `grad`, which backward passes write in place
+(`self.gW[...] = ...`); so one `Adam.step(theta, grad)` updates every layer.
+Layers cache what they need during forward and return input gradients
+during backward. Dropout is inverted (masks scaled by 1/(1-rate)) and drawn
+from the rng passed to the forward call, so training is fully seeded. A
+model file holds the builder name, its keyword arguments and `theta`.
 """
 from __future__ import annotations
+
+import inspect
+import math
 
 import numpy as np
 
@@ -15,17 +22,10 @@ from ..errors import DimensionError
 from .linear import softmax
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 class Dense:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        self.W = he_uniform(rng, (n_in, n_out), n_in)
-        self.b = np.zeros(n_out)
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
+    def __init__(self, n_in: int, n_out: int):
+        self.shapes = ((n_in, n_out), (n_out,))
+        self.fan_in = n_in
 
     def forward(self, x, train, rng):
         if x.shape[1] != self.W.shape[0]:
@@ -36,15 +36,9 @@ class Dense:
         return x @ self.W + self.b
 
     def backward(self, dy):
-        self.gW = self._x.T @ dy
-        self.gb = dy.sum(axis=0)
+        self.gW[...] = self._x.T @ dy
+        self.gb[...] = dy.sum(axis=0)
         return dy @ self.W.T
-
-    def params(self):
-        return [self.W, self.b]
-
-    def grads(self):
-        return [self.gW, self.gb]
 
 
 class ReLU:
@@ -54,12 +48,6 @@ class ReLU:
 
     def backward(self, dy):
         return dy * self._mask
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class Dropout:
@@ -77,12 +65,6 @@ class Dropout:
     def backward(self, dy):
         return dy if self._mask is None else dy * self._mask
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class Conv1D:
     """Valid cross-correlation over (batch, channels, length) signals.
@@ -91,11 +73,9 @@ class Conv1D:
     gradients in that same shape.
     """
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
-        self.W = he_uniform(rng, (c_out, c_in, kernel), c_in * kernel)
-        self.b = np.zeros(c_out)
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
+    def __init__(self, c_in: int, c_out: int, kernel: int):
+        self.shapes = ((c_out, c_in, kernel), (c_out,))
+        self.fan_in = c_in * kernel
         self.kernel = kernel
 
     def forward(self, x, train, rng):
@@ -124,20 +104,14 @@ class Conv1D:
         k = self.kernel
         O = self.W.shape[0]
         dym = dy.transpose(0, 2, 1).reshape(B * L_out, O)
-        self.gW = (dym.T @ self._cols).reshape(O, C, k)
-        self.gb = dy.sum(axis=(0, 2))
+        self.gW[...] = (dym.T @ self._cols).reshape(O, C, k)
+        self.gb[...] = dy.sum(axis=(0, 2))
         dy_pad = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1)))
         dyw = np.lib.stride_tricks.sliding_window_view(dy_pad, k, axis=2)
         cols = dyw.transpose(0, 2, 1, 3).reshape(B * L, O * k)
         w_flip = self.W[:, :, ::-1].transpose(0, 2, 1).reshape(O * k, C)
         dx = (cols @ w_flip).reshape(B, L, C).transpose(0, 2, 1)
         return dx[:, 0, :] if self._flat else dx
-
-    def params(self):
-        return [self.W, self.b]
-
-    def grads(self):
-        return [self.gW, self.gb]
 
 
 class MaxPool1D:
@@ -164,12 +138,6 @@ class MaxPool1D:
         out[:, :, : Lp * self.size] = dx.reshape(B, C, Lp * self.size)
         return out
 
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class Flatten:
     def forward(self, x, train, rng):
@@ -178,12 +146,6 @@ class Flatten:
 
     def backward(self, dy):
         return dy.reshape(self._shape)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
@@ -196,9 +158,89 @@ def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
     return float(loss), (p - onehot) / n, p
 
 
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name}: {value!r} is not a positive integer")
+    return value
+
+
+def _check_rate(rate) -> None:
+    if not (isinstance(rate, (int, float)) and 0.0 <= rate < 1.0):
+        raise ValueError(f"dropout_rate must lie in [0, 1), got {rate!r}")
+
+
+def _dense_stack(n_in: int, name: str, widths, dropout_after, dropout_rate) -> list:
+    """Dense layers from n_in through `widths`, which must end with the class
+    outputs; ReLU behind each hidden layer, then dropout behind the hidden
+    layers (0-based) that `dropout_after` indexes."""
+    dims = [n_in, *(_count(name, width) for width in widths)]
+    if len(dims) < 2 or dims[-1] != NUM_CLASSES:
+        raise ValueError(f"{name} must end with {NUM_CLASSES} outputs, got {widths!r}")
+    layers: list = []
+    for i, (fan_in, width) in enumerate(zip(dims, dims[1:])):
+        layers.append(Dense(fan_in, width))
+        if i < len(dims) - 2:
+            layers.append(ReLU())
+            if i in dropout_after:
+                layers.append(Dropout(dropout_rate))
+    return layers
+
+
+def _mlp_layers(n_in, widths, dropout_after, dropout_rate) -> list:
+    _check_rate(dropout_rate)
+    return _dense_stack(_count("n_in", n_in), "widths", widths, dropout_after, dropout_rate)
+
+
+def _cnn_layers(length, filters, kernel, pool, dense_widths, dropout_rate) -> list:
+    _check_rate(dropout_rate)
+    if len(filters) != 2:
+        raise ValueError(f"filters must hold two filter counts, got {filters!r}")
+    c1, c2 = (_count("filters", f) for f in filters)
+    conv_len = _count("length", length) - 2 * (_count("kernel", kernel) - 1)
+    if conv_len < _count("pool", pool):
+        raise ValueError(f"the conv output ({conv_len} samples) is shorter than pool {pool}")
+    return [
+        Conv1D(1, c1, kernel),
+        ReLU(),
+        Conv1D(c1, c2, kernel),
+        ReLU(),
+        MaxPool1D(pool),
+        Flatten(),
+        Dropout(dropout_rate),
+        *_dense_stack(c2 * (conv_len // pool), "dense_widths", dense_widths, (), 0.0),
+    ]
+
+
+# builder name -> checked layer list from its keyword arguments; no arrays yet
+_LAYERS = {"mlp": _mlp_layers, "cnn": _cnn_layers}
+
+
 class Network:
-    def __init__(self, layers: list):
-        self.layers = layers
+    """A layer stack whose parameters are views of one flat vector `theta`."""
+
+    def __init__(self, builder: str, args: dict, theta: np.ndarray | None = None):
+        """The `builder` architecture with keyword `args`. A given `theta` must
+        be finite and of the architecture's length, checked before anything
+        is allocated; None starts every parameter at zero."""
+        self.builder, self.args = builder, args
+        self.layers = _LAYERS[builder](**args)
+        self._weighted = [layer for layer in self.layers if hasattr(layer, "shapes")]
+        size = sum(math.prod(s) for layer in self._weighted for s in layer.shapes)
+        if theta is None:
+            theta = np.zeros(size)
+        elif theta.shape != (size,):
+            raise ValueError(f"network theta holds {theta.size} values; "
+                             f"the {builder} architecture has {size} parameters")
+        elif not np.all(np.isfinite(theta)):
+            raise ValueError("network theta must be finite")
+        self.theta, self.grad = theta, np.zeros(size)
+        offset = 0
+        for layer in self._weighted:
+            for name, shape in zip(("W", "b"), layer.shapes):
+                end = offset + math.prod(shape)
+                setattr(layer, name, self.theta[offset:end].reshape(shape))
+                setattr(layer, "g" + name, self.grad[offset:end].reshape(shape))
+                offset = end
 
     def forward(self, x, train=False, rng=None):
         for layer in self.layers:
@@ -209,61 +251,69 @@ class Network:
         return softmax(self.forward(x, train=False))
 
     def loss_and_grads(self, x, onehot, train=True, rng=None):
+        """Batch loss, and the gradient views `[gW, gb, ...]` of `grad`."""
         logits = self.forward(x, train=train, rng=rng)
         loss, dlogits, _ = softmax_cross_entropy(logits, onehot)
         grad = dlogits
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        return loss, self.grads()
+        return loss, [g for layer in self._weighted for g in (layer.gW, layer.gb)]
 
     def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
-    def grads(self):
-        return [g for layer in self.layers for g in layer.grads()]
-
-    def set_params(self, values):
-        own = self.params()
-        if len(own) != len(values):
-            raise DimensionError("parameter list length mismatch")
-        for p, v in zip(own, values):
-            p[...] = np.asarray(v, dtype=np.float64).reshape(p.shape)
+        """The parameter views `[W, b, ...]` of `theta`, in layer order."""
+        return [p for layer in self._weighted for p in (layer.W, layer.b)]
 
     def to_dict(self) -> dict:
-        return {"layers": [_layer_to_dict(layer) for layer in self.layers]}
+        return {"builder": self.builder, "args": self.args, "theta": self.theta.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Network":
-        return cls([_layer_from_dict(entry) for entry in payload["layers"]])
-
-
-def adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update; returns (param, m, v) as new arrays."""
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+        builder, args = payload["builder"], payload["args"]
+        if builder not in _LAYERS:
+            raise ValueError(f"unknown network builder {builder!r}; use {sorted(_LAYERS)}")
+        expected = set(inspect.signature(_LAYERS[builder]).parameters)
+        if not isinstance(args, dict) or set(args) != expected:
+            raise ValueError(f"{builder} network args must be exactly {sorted(expected)}")
+        return cls(builder, args, np.asarray(payload["theta"], dtype=np.float64))
 
 
 class Adam:
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba (2015), Algorithm 1, on one flat parameter vector: `step`
+    works in place, in the order and so with the rounding of
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    theta = theta - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)."""
+
+    def __init__(self, theta, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self._step = np.empty_like(theta)
+        self._denom = np.empty_like(theta)
 
-    def step(self, params, grads):
+    def step(self, theta, grad):
         self.t += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            new_p, self.m[i], self.v[i] = adam_step(
-                p, g, self.m[i], self.v[i], self.t, self.lr,
-                self.beta1, self.beta2, self.eps,
-            )
-            p[...] = new_p
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=step)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=step)
+        v += np.multiply(step, grad, out=step)
+        np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=denom), out=denom)
+        denom += self.eps
+        np.multiply(np.divide(m, 1.0 - self.beta1**self.t, out=step), self.lr, out=step)
+        theta -= np.divide(step, denom, out=step)
+
+
+def _he_uniform(net: Network, rng: np.random.Generator) -> Network:
+    """Draw every W uniform in +-sqrt(6 / fan_in), layer by layer; b stays 0."""
+    for layer in net._weighted:
+        limit = np.sqrt(6.0 / layer.fan_in)
+        layer.W[...] = rng.uniform(-limit, limit, size=layer.W.shape)
+    return net
 
 
 def build_mlp(rng: np.random.Generator, n_in: int = 271, widths=(481, 364, 256, 125, 50, 4),
@@ -273,40 +323,18 @@ def build_mlp(rng: np.random.Generator, n_in: int = 271, widths=(481, 364, 256, 
     `dropout_after` indexes the hidden layers (0-based) that get a dropout
     layer behind their activation.
     """
-    layers: list = []
-    prev = n_in
-    for i, width in enumerate(widths):
-        layers.append(Dense(prev, width, rng))
-        if i < len(widths) - 1:
-            layers.append(ReLU())
-            if i in dropout_after:
-                layers.append(Dropout(dropout_rate))
-        prev = width
-    return Network(layers)
+    args = {"n_in": n_in, "widths": list(widths), "dropout_after": list(dropout_after),
+            "dropout_rate": dropout_rate}
+    return _he_uniform(Network("mlp", args), rng)
 
 
 def build_cnn(rng: np.random.Generator, length: int = 271,
               filters=(16, 32), kernel: int = 5, pool: int = 2,
               dense_widths=(125, 50, 4), dropout_rate: float = 0.25) -> Network:
     """Two conv layers, one max-pool, flatten, dropout, three dense layers."""
-    layers: list = [
-        Conv1D(1, filters[0], kernel, rng),
-        ReLU(),
-        Conv1D(filters[0], filters[1], kernel, rng),
-        ReLU(),
-        MaxPool1D(pool),
-        Flatten(),
-        Dropout(dropout_rate),
-    ]
-    conv_len = length - 2 * (kernel - 1)
-    flat = filters[1] * (conv_len // pool)
-    prev = flat
-    for i, width in enumerate(dense_widths):
-        layers.append(Dense(prev, width, rng))
-        if i < len(dense_widths) - 1:
-            layers.append(ReLU())
-        prev = width
-    return Network(layers)
+    args = {"length": length, "filters": list(filters), "kernel": kernel, "pool": pool,
+            "dense_widths": list(dense_widths), "dropout_rate": dropout_rate}
+    return _he_uniform(Network("cnn", args), rng)
 
 
 def train_network(
@@ -324,15 +352,15 @@ def train_network(
     n = X.shape[0]
     Y = np.eye(NUM_CLASSES)[y]
     rng = np.random.default_rng([seed, 910])
-    optimizer = Adam(net.params(), lr=lr)
+    optimizer = Adam(net.theta, lr=lr)
     history = []
     for _ in range(epochs):
         perm = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
-            loss, grads = net.loss_and_grads(X[idx], Y[idx], train=True, rng=rng)
-            optimizer.step(net.params(), grads)
+            loss, _ = net.loss_and_grads(X[idx], Y[idx], train=True, rng=rng)
+            optimizer.step(net.theta, net.grad)
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return history
@@ -353,52 +381,3 @@ def train_cnn(X, y, *, epochs: int = 30, batch_size: int = 32, lr: float = 0.01,
     net = build_cnn(np.random.default_rng([seed, 12]), X.shape[1], dropout_rate=dropout)
     train_network(net, X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
     return net
-
-
-# --- serialization -----------------------------------------------------------
-
-_LAYER_TAGS = {
-    Dense: "dense",
-    ReLU: "relu",
-    Dropout: "dropout",
-    Conv1D: "conv1d",
-    MaxPool1D: "maxpool1d",
-    Flatten: "flatten",
-}
-
-
-def _layer_to_dict(layer) -> dict:
-    entry: dict = {"type": _LAYER_TAGS[type(layer)]}
-    if isinstance(layer, (Dense, Conv1D)):
-        entry["W"] = layer.W.tolist()
-        entry["b"] = layer.b.tolist()
-    if isinstance(layer, Conv1D):
-        entry["kernel"] = layer.kernel
-    elif isinstance(layer, Dropout):
-        entry["rate"] = layer.rate
-    elif isinstance(layer, MaxPool1D):
-        entry["size"] = layer.size
-    return entry
-
-
-def _layer_from_dict(entry: dict):
-    tag = entry["type"]
-    if tag in ("dense", "conv1d"):
-        W = np.asarray(entry["W"], dtype=np.float64)
-        rng = np.random.default_rng(0)  # weights are overwritten below
-        if tag == "dense":
-            layer = Dense(W.shape[0], W.shape[1], rng)
-        else:
-            layer = Conv1D(W.shape[1], W.shape[0], int(entry["kernel"]), rng)
-        layer.W = W
-        layer.b = np.asarray(entry["b"], dtype=np.float64)
-        return layer
-    if tag == "relu":
-        return ReLU()
-    if tag == "dropout":
-        return Dropout(float(entry["rate"]))
-    if tag == "maxpool1d":
-        return MaxPool1D(int(entry["size"]))
-    if tag == "flatten":
-        return Flatten()
-    raise ValueError(f"unknown layer tag {tag!r}")

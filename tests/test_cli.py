@@ -190,6 +190,36 @@ class TestTrainPredict:
             ("one alpha per stump", {**boost, "payload": {
                 **boost["payload"], "alphas": boost["payload"]["alphas"][:-1]}}),
         ]
+        mlp, cnn = (
+            json.loads(model_to_json(train(ModelSpec(variant, params={"epochs": 1}), data)))
+            for variant in ("mlp", "cnn")
+        )
+
+        def with_args(model, **fields):
+            return with_payload(model, args={**model["payload"]["args"], **fields})
+
+        for net, huge in ((mlp, "widths"), (cnn, "dense_widths")):
+            theta = net["payload"]["theta"]
+            args = net["payload"]["args"]
+            corruptions += [
+                ("finite", with_payload(net, theta=[float("nan")] + theta[1:])),
+                ("finite", with_payload(net, theta=theta[:-1] + [float("inf")])),
+                ("parameters", with_payload(net, theta=theta[:-1])),
+                ("parameters", with_payload(net, theta=theta + [0.0])),
+                ("builder", with_payload(net, builder="rnn")),
+                ("args", with_args(net, depth=3)),
+                ("args", with_payload(net, args={
+                    k: v for k, v in args.items() if k != "dropout_rate"})),
+                ("dropout_rate", with_args(net, dropout_rate=7)),
+                # ~1e16 parameters: counted, never allocated
+                ("parameters", with_args(net, **{huge: [10**8, 10**8, 4]})),
+                ("retrain", {**net, "format_version": 2}),
+            ]
+        corruptions += [
+            ("kernel", with_args(cnn, kernel=0)),
+            ("pool", with_args(cnn, pool=0)),
+            ("parameters", with_args(cnn, filters=[10**8, 10**8])),
+        ]
 
         def hung(signum, frame):
             raise TimeoutError("predict did not finish on a corrupt model file")

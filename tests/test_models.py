@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from placescan.classifiers import (
     MODEL_FORMAT_VERSION,
@@ -17,7 +20,7 @@ from placescan.classifiers import (
     save_model,
     train,
 )
-from placescan.core import ClassLabel, Dataset, validate_scan
+from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
 from placescan.errors import DegenerateTrainingError, DimensionError
 from placescan.features import fit_feature_transformer
 
@@ -89,6 +92,12 @@ class TestTrain:
             train(spec, synth_small)
         )
 
+    @pytest.mark.parametrize("variant", ["mlp", "cnn"])
+    def test_dropout_of_one_is_rejected(self, synth_small, variant):
+        # a rate of 1 would zero every unit and predict NaN
+        with pytest.raises(ValueError, match="dropout_rate"):
+            train(ModelSpec(variant=variant, params={"dropout": 1.0}), synth_small)
+
     def test_unconverged_logreg_is_recorded(self, synth_small):
         model = train(ModelSpec(variant="logreg", params={"max_iter": 1}), synth_small)
         assert model.metadata["converged"] is False
@@ -147,6 +156,30 @@ class TestPredict:
         scan = validate_scan(synth_small.X[3])
         direct = model.predict_proba_matrix(np.array(scan.ranges)[None, :])[0]
         assert np.array_equal(predict_proba(model, scan), direct)
+
+
+@pytest.fixture(scope="module")
+def fast_models(synth_small):
+    """Every variant trained once on the 60-row set at FAST_PARAMS budgets."""
+    return {v: train(ModelSpec(v, params=FAST_PARAMS[v]), synth_small) for v in VARIANTS}
+
+
+_SCAN_VALUES = st.one_of(
+    st.floats(0.0, 30.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e9]),
+)
+
+
+class TestSimplex:
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(NUM_BEAMS)), elements=_SCAN_VALUES))
+    def test_probability_rows_for_any_scan(self, fast_models, scans):
+        for variant, model in fast_models.items():
+            proba = model.predict_proba_matrix(scans)
+            assert proba.shape == (scans.shape[0], NUM_CLASSES), variant
+            assert np.all(np.isfinite(proba)) and np.all(proba >= 0.0), variant
+            assert np.allclose(proba.sum(axis=1), 1.0, rtol=0.0, atol=1e-9), variant
 
 
 class TestSerialization:

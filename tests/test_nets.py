@@ -1,16 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from placescan.classifiers.nets import (
     Adam,
-    Conv1D,
-    Dense,
     Dropout,
-    Flatten,
     MaxPool1D,
     Network,
-    ReLU,
-    adam_step,
     build_cnn,
     build_mlp,
     softmax_cross_entropy,
@@ -18,57 +15,69 @@ from placescan.classifiers.nets import (
 )
 
 
-def flat_loss(net, x, onehot, flat, shapes):
-    """Loss at a flattened parameter vector (dropout off)."""
-    values = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        values.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    net.set_params(values)
-    logits = net.forward(x, train=False)
-    return softmax_cross_entropy(logits, onehot)[0]
-
-
 def check_gradients(net, x, onehot, h=1e-6, tol=1e-5):
-    params = net.params()
-    shapes = [p.shape for p in params]
-    flat = np.concatenate([p.ravel() for p in params])
+    """Central differences over every entry of `theta` (dropout off)."""
     _, grads = net.loss_and_grads(x, onehot, train=False)
-    analytic = np.concatenate([g.ravel() for g in grads])
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        up, down = flat.copy(), flat.copy()
-        up[i] += h
-        down[i] -= h
-        numeric[i] = (
-            flat_loss(net, x, onehot, up, shapes)
-            - flat_loss(net, x, onehot, down, shapes)
-        ) / (2 * h)
+    analytic = net.grad.copy()
+    assert np.array_equal(np.concatenate([g.ravel() for g in grads]), analytic)
+    numeric = np.zeros_like(net.theta)
+    for i in range(net.theta.size):
+        original = net.theta[i]
+        net.theta[i] = original + h
+        up = softmax_cross_entropy(net.forward(x, train=False), onehot)[0]
+        net.theta[i] = original - h
+        down = softmax_cross_entropy(net.forward(x, train=False), onehot)[0]
+        net.theta[i] = original
+        numeric[i] = (up - down) / (2 * h)
     scale = max(float(np.abs(numeric).max()), 1.0)
     assert float(np.abs(analytic - numeric).max()) / scale <= tol
+
+
+def adam_reference(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba (2015), Algorithm 1, written out with fresh arrays."""
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta, m, v
 
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = np.array([1.0, -2.0])
-        new_p, m, v = adam_step(p, np.zeros(2), np.zeros(2), np.zeros(2), 1, lr=0.01)
-        assert np.allclose(new_p, p)
+        Adam(p, lr=0.01).step(p, np.zeros(2))
+        assert np.allclose(p, [1.0, -2.0])
 
     def test_first_step_magnitude_is_learning_rate(self):
         p = np.zeros(3)
         g = np.array([5.0, -0.01, 123.0])
-        new_p, _, _ = adam_step(p, g, np.zeros(3), np.zeros(3), 1, lr=0.01)
+        Adam(p, lr=0.01).step(p, g)
         # bias correction makes the first update lr * sign(g) (up to eps)
-        assert np.allclose(new_p, -0.01 * np.sign(g), atol=1e-6)
+        assert np.allclose(p, -0.01 * np.sign(g), atol=1e-6)
+
+    def test_steps_match_algorithm_1_exactly(self):
+        rng = np.random.default_rng(12)
+        start = rng.normal(size=50) * 10.0 ** rng.integers(-8, 1, size=50)
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=50) for _ in range(7)]
+        grads[3][:10] = 0.0
+        p = start.copy()
+        opt = Adam(p, lr=0.003)
+        for g in grads:
+            opt.step(p, g)
+        theta, m, v = adam_reference(start, grads, lr=0.003)
+        assert np.array_equal(p, theta)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
     def test_optimizer_descends_quadratic(self):
-        p = [np.array([10.0])]
+        p = np.array([10.0])
         opt = Adam(p, lr=0.1)
         for _ in range(500):
-            opt.step(p, [2.0 * p[0]])
-        assert abs(p[0][0]) < 1e-2
+            opt.step(p, 2.0 * p)
+        assert abs(p[0]) < 1e-2
 
 
 class TestLayers:
@@ -81,7 +90,8 @@ class TestLayers:
 
     def test_conv_zero_sum_kernel_ignores_constant_shift(self):
         rng = np.random.default_rng(0)
-        conv = Conv1D(1, 1, 3, rng)
+        conv = build_cnn(rng, length=9, filters=(1, 1), kernel=3, pool=1,
+                         dense_widths=(4,)).layers[0]
         conv.W[...] = np.array([[[1.0, -2.0, 1.0]]])
         conv.b[...] = 0.0
         x = rng.normal(size=(2, 1, 9))
@@ -171,6 +181,39 @@ class TestNetworkBehaviour:
         assert histories[0] == histories[1]
 
 
+class TestFlatLayout:
+    def test_params_are_views_of_theta_in_layer_order(self):
+        net = build_cnn(np.random.default_rng([13, 1]), length=16, filters=(2, 3),
+                        kernel=3, pool=2, dense_widths=(5, 4))
+        params = net.params()
+        assert [p.shape for p in params] == [
+            (2, 1, 3), (2,), (3, 2, 3), (3,), (18, 5), (5,), (5, 4), (4,)
+        ]
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), net.theta)
+        assert all(np.shares_memory(p, net.theta) for p in params)
+        net.theta[:] = np.arange(net.theta.size)
+        assert params[0][1, 0, 2] == 5.0 and params[1][0] == 6.0
+
+    @pytest.mark.parametrize("build, args, name", [
+        (build_mlp, {"dropout_rate": 1.0}, "dropout_rate"),
+        (build_mlp, {"dropout_rate": -0.1}, "dropout_rate"),
+        (build_mlp, {"widths": (8, 0, 4)}, "widths"),
+        (build_mlp, {"widths": (8.5, 4)}, "widths"),
+        (build_mlp, {"widths": (8, 3)}, "widths"),
+        (build_mlp, {"n_in": 0}, "n_in"),
+        (build_cnn, {"kernel": 0}, "kernel"),
+        (build_cnn, {"pool": 0}, "pool"),
+        (build_cnn, {"filters": (16, -1)}, "filters"),
+        (build_cnn, {"filters": (16,)}, "filters"),
+        (build_cnn, {"dense_widths": (125, 2.0, 4)}, "dense_widths"),
+        (build_cnn, {"length": 9, "kernel": 5}, "pool"),
+        (build_cnn, {"dropout_rate": 7}, "dropout_rate"),
+    ])
+    def test_bad_builder_argument_is_named(self, build, args, name):
+        with pytest.raises(ValueError, match=name):
+            build(np.random.default_rng(0), **args)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     def test_round_trip(self, kind):
@@ -182,5 +225,6 @@ class TestSerialization:
             net = build_cnn(rng, length=16, filters=(2, 2), kernel=3, pool=2,
                             dense_widths=(5, 4))
             probe = np.random.default_rng(11).normal(size=(3, 1, 16))
-        back = Network.from_dict(net.to_dict())
-        assert np.allclose(net.predict_proba(probe), back.predict_proba(probe))
+        back = Network.from_dict(json.loads(json.dumps(net.to_dict())))
+        assert np.array_equal(back.theta, net.theta)
+        assert np.array_equal(net.predict_proba(probe), back.predict_proba(probe))

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from placescan.classifiers import ModelSpec, train
 from placescan.classifiers.boosting import train_adaboost
 from placescan.classifiers.trees import (
     _GAIN_EPS,
@@ -14,7 +12,7 @@ from placescan.classifiers.trees import (
     gini_impurity,
     train_random_forest,
 )
-from placescan.core import NUM_BEAMS, NUM_CLASSES
+from placescan.core import NUM_CLASSES
 
 
 def walk(trees, root, x):
@@ -291,29 +289,3 @@ class TestVectorisedTraversal:
             rows = np.vstack([model.predict_proba(x) for x in probe])
             assert np.array_equal(batch, rows)
 
-
-@pytest.fixture(scope="module")
-def tree_models(synth_small):
-    """rf and adaboost trained once on the 60-row set at small budgets."""
-    return [
-        train(ModelSpec("rf", params={"trees": 10}), synth_small),
-        train(ModelSpec("adaboost", params={"rounds": 10}), synth_small),
-    ]
-
-
-_SCAN_VALUES = st.one_of(
-    st.floats(0.0, 30.0),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e9]),
-)
-
-
-class TestSimplex:
-    @settings(max_examples=60, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(NUM_BEAMS)), elements=_SCAN_VALUES))
-    def test_probability_rows_for_any_scan(self, tree_models, scans):
-        for model in tree_models:
-            proba = model.predict_proba_matrix(scans)
-            assert proba.shape == (scans.shape[0], NUM_CLASSES)
-            assert np.all(np.isfinite(proba)) and np.all(proba >= 0.0)
-            assert np.allclose(proba.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
