@@ -5,7 +5,9 @@ trainer is called as `fit(Xt, y, **params)` on Box-Cox standardised rows;
 its keyword-only arguments are the variant's hyperparameters and their
 defaults, plus `seed` if it draws random numbers. The payload it returns
 provides `predict_proba(Xt)`, `to_dict()` and the `from_dict(payload)`
-classmethod used by the model-file codec.
+classmethod used by the model-file codec. `to_dict()` leaves its arrays as
+they are, for `core.pack` to encode; `from_dict` reads each through
+`core.unpack`, which also checks it.
 """
 from __future__ import annotations
 
@@ -17,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges
+from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges, pack
 from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_feature_transformer
 from . import boosting, linear, nets, svm, trees
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 # variant -> (trainer module, trainer name, payload class). The trainer is
 # looked up on its module at call time, so a wrapper installed on the module
@@ -167,7 +169,7 @@ def model_to_json(model: TrainedModel) -> str:
         "payload": model.payload.to_dict(),
         "metadata": model.metadata,
     }
-    return json.dumps(document)
+    return json.dumps(document, default=pack)
 
 
 def _decode(document: dict, key: str, decode):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import NUM_CLASSES
+from ..core import NUM_CLASSES, unpack
 from .linear import softmax
 from .trees import TreeArrays, fit_tree
 
@@ -68,12 +68,12 @@ class AdaBoostModel:
         return softmax(self.scores(X))
 
     def to_dict(self) -> dict:
-        return {"alphas": self.alphas.tolist(), "stumps": self.stumps.to_dict()}
+        return {"alphas": self.alphas, "stumps": self.stumps.to_dict()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AdaBoostModel":
         return cls(
-            stumps=TreeArrays.from_dict(payload["stumps"]), alphas=payload["alphas"]
+            stumps=TreeArrays.from_dict(payload["stumps"]), alphas=unpack(payload, "alphas")
         )
 
 

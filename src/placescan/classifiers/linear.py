@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import NUM_CLASSES
+from ..core import NUM_CLASSES, unpack
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -44,8 +44,6 @@ class LogRegModel:
                 f"logreg needs a (d, {NUM_CLASSES}) weight matrix and "
                 f"{NUM_CLASSES} intercepts"
             )
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
-            raise ValueError("logreg weights must be finite")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -53,16 +51,16 @@ class LogRegModel:
 
     def to_dict(self) -> dict:
         return {
-            "W": self.W.tolist(),
-            "b": self.b.tolist(),
+            "W": self.W,
+            "b": self.b,
             "converged": self.converged,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LogRegModel":
         return cls(
-            W=np.asarray(payload["W"], dtype=np.float64),
-            b=np.asarray(payload["b"], dtype=np.float64),
+            W=unpack(payload, "W"),
+            b=unpack(payload, "b"),
             converged=bool(payload["converged"]),
         )
 

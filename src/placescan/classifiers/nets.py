@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..core import NUM_CLASSES
+from ..core import NUM_CLASSES, unpack
 from ..errors import DimensionError
 from .linear import softmax
 
@@ -220,8 +220,8 @@ class Network:
 
     def __init__(self, builder: str, args: dict, theta: np.ndarray | None = None):
         """The `builder` architecture with keyword `args`. A given `theta` must
-        be finite and of the architecture's length, checked before anything
-        is allocated; None starts every parameter at zero."""
+        be of the architecture's length, checked before anything is
+        allocated; None starts every parameter at zero."""
         self.builder, self.args = builder, args
         self.layers = _LAYERS[builder](**args)
         self._weighted = [layer for layer in self.layers if hasattr(layer, "shapes")]
@@ -231,8 +231,6 @@ class Network:
         elif theta.shape != (size,):
             raise ValueError(f"network theta holds {theta.size} values; "
                              f"the {builder} architecture has {size} parameters")
-        elif not np.all(np.isfinite(theta)):
-            raise ValueError("network theta must be finite")
         self.theta, self.grad = theta, np.zeros(size)
         offset = 0
         for layer in self._weighted:
@@ -264,7 +262,7 @@ class Network:
         return [p for layer in self._weighted for p in (layer.W, layer.b)]
 
     def to_dict(self) -> dict:
-        return {"builder": self.builder, "args": self.args, "theta": self.theta.tolist()}
+        return {"builder": self.builder, "args": self.args, "theta": self.theta}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Network":
@@ -274,7 +272,7 @@ class Network:
         expected = set(inspect.signature(_LAYERS[builder]).parameters)
         if not isinstance(args, dict) or set(args) != expected:
             raise ValueError(f"{builder} network args must be exactly {sorted(expected)}")
-        return cls(builder, args, np.asarray(payload["theta"], dtype=np.float64))
+        return cls(builder, args, unpack(payload, "theta"))
 
 
 class Adam:
@@ -346,7 +344,15 @@ def train_network(
     lr: float = 0.01,
     seed: int = 42,
 ) -> list[float]:
-    """Seeded mini-batch Adam training; returns per-epoch mean losses."""
+    """Seeded mini-batch Adam training; returns per-epoch mean losses.
+
+    `epochs` and `batch_size` must be positive integers and `lr` a finite
+    positive number; anything else raises ValueError naming the argument.
+    """
+    _count("epochs", epochs)
+    _count("batch_size", batch_size)
+    if not (isinstance(lr, (int, float)) and math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr: {lr!r} is not a finite positive number")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]

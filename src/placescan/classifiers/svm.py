@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import NUM_BEAMS, NUM_CLASSES
+from ..core import NUM_CLASSES, unpack
 from .linear import softmax
 
 DEFAULT_C = 1.0
@@ -126,9 +126,7 @@ class SvmModel:
                 )
         if len({sv.shape[1] for sv in self.support_vectors if sv.shape[0]}) > 1:
             raise ValueError("svm support vectors must all have the same width")
-        values = [*self.support_vectors, *self.coefficients, self.biases,
-                  [self.gamma, self.coef0]]
-        if not all(np.isfinite(v).all() for v in values):
+        if not np.all(np.isfinite([*self.biases, self.gamma, self.coef0])):
             raise ValueError("svm model values must be finite")
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
@@ -154,8 +152,8 @@ class SvmModel:
             "converged": list(self.converged),
             "machines": [
                 {
-                    "support_vectors": self.support_vectors[c].tolist(),
-                    "coefficients": self.coefficients[c].tolist(),
+                    "support_vectors": self.support_vectors[c],
+                    "coefficients": self.coefficients[c],
                     "bias": self.biases[c],
                 }
                 for c in range(NUM_CLASSES)
@@ -166,14 +164,8 @@ class SvmModel:
     def from_dict(cls, payload: dict) -> "SvmModel":
         machines = payload["machines"]
         return cls(
-            support_vectors=[
-                # a machine without support vectors is written as []
-                np.asarray(m["support_vectors"] or np.empty((0, NUM_BEAMS)), np.float64)
-                for m in machines
-            ],
-            coefficients=[
-                np.asarray(m["coefficients"], dtype=np.float64) for m in machines
-            ],
+            support_vectors=[unpack(m, "support_vectors") for m in machines],
+            coefficients=[unpack(m, "coefficients") for m in machines],
             biases=[float(m["bias"]) for m in machines],
             gamma=float(payload["gamma"]),
             coef0=float(payload["coef0"]),

@@ -14,7 +14,7 @@ Trees are stored flat, as in scikit-learn's `Tree`: parallel `feature`,
 arrays plus each tree's root index. Nodes are in preorder, so every child
 index is greater than its parent's, and a leaf is its own child; that is
 what ends the traversal, which walks all rows through all trees one level
-per step. Model files hold the same arrays as JSON lists.
+per step. Model files hold the same arrays, packed by `core.pack`.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import NUM_BEAMS, NUM_CLASSES
+from ..core import NUM_BEAMS, NUM_CLASSES, unpack
 
 _GAIN_EPS = 1e-12
 
@@ -111,11 +111,11 @@ class TreeArrays:
         return cls(*(np.concatenate(column) for column in zip(*shifted, empty)))
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _NODE_FIELDS}
+        return {name: getattr(self, name) for name in _NODE_FIELDS}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TreeArrays":
-        return cls(**{name: payload[name] for name in _NODE_FIELDS})
+        return cls(**{name: unpack(payload, name) for name in _NODE_FIELDS})
 
 
 def _best_split(X, y, w, feature_indices):

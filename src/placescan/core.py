@@ -7,6 +7,7 @@ sensor envelope [0.001, 30.0].
 """
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -161,3 +162,42 @@ class Dataset:
             heights=self.heights[indices],
             provenance=provenance or self.provenance,
         )
+
+
+def pack(arr: np.ndarray) -> dict:
+    """A float64 or int64 array as `{"dtype", "shape", "data"}`, `data` being
+    the base64 of its little-endian C-order bytes (NumPy's .npy layout, NEP 1).
+
+    The `default=` hook of the model-file `json.dumps`.
+    """
+    if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "fi" and arr.itemsize == 8):
+        raise TypeError(f"cannot pack a {type(arr).__name__} into a model file")
+    dtype = arr.dtype.newbyteorder("<")
+    data = base64.b64encode(arr.astype(dtype, copy=False).tobytes()).decode("ascii")
+    return {"dtype": dtype.str, "shape": list(arr.shape), "data": data}
+
+
+def unpack(section: dict, key: str) -> np.ndarray:
+    """The read-only array that `pack` stored at `section[key]`.
+
+    Anything else, and any NaN or infinity, raises ValueError naming `key`.
+    """
+    packed = section[key]
+    if not isinstance(packed, dict) or set(packed) != {"dtype", "shape", "data"}:
+        raise ValueError(f"model file array {key!r} is not a packed array")
+    dtype, shape, data = packed["dtype"], packed["shape"], packed["data"]
+    if dtype not in ("<f8", "<i8"):
+        raise ValueError(f"model file array {key!r} has dtype {dtype!r}, not '<f8' or '<i8'")
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"model file array {key!r} has shape {shape!r}, not a list of sizes")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model file array {key!r} is not valid base64") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"model file array {key!r} holds {len(raw)} bytes, "
+                         f"not the {8 * math.prod(shape)} of shape {shape}")
+    arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"model file array {key!r} must be finite")
+    return arr

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_RANGE_M, NUM_BEAMS
+from .core import MIN_RANGE_M, NUM_BEAMS, unpack
 from .errors import DegenerateFeatureError, DimensionError, InsufficientDataError
 
 LAMBDA_MIN = -5.0
@@ -131,14 +131,11 @@ class FeatureTransformer:
     epsilon: float = MIN_RANGE_M
 
     def __post_init__(self):
-        for name in ("lambdas", "means", "stds"):
-            arr = getattr(self, name)
+        for arr in (self.lambdas, self.means, self.stds):
             if arr.shape != (NUM_BEAMS,):
                 raise DimensionError(
                     f"transformer parameters must have shape ({NUM_BEAMS},)"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"transformer {name} must be finite")
             arr.setflags(write=False)
         if not np.all(self.stds > 0.0):
             raise ValueError("transformer stds must be positive")
@@ -155,17 +152,17 @@ class FeatureTransformer:
     def to_dict(self) -> dict:
         return {
             "epsilon": self.epsilon,
-            "lambdas": self.lambdas.tolist(),
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
+            "lambdas": self.lambdas,
+            "means": self.means,
+            "stds": self.stds,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FeatureTransformer":
         return cls(
-            lambdas=np.asarray(payload["lambdas"], dtype=np.float64),
-            means=np.asarray(payload["means"], dtype=np.float64),
-            stds=np.asarray(payload["stds"], dtype=np.float64),
+            lambdas=unpack(payload, "lambdas"),
+            means=unpack(payload, "means"),
+            stds=unpack(payload, "stds"),
             epsilon=float(payload["epsilon"]),
         )
 

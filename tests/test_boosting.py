@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from placescan.classifiers.boosting import (
     adaboost_round,
     train_adaboost,
 )
+from placescan.core import pack
 
 
 class TestAdaboostRound:
@@ -91,5 +93,11 @@ class TestAdaboostModel:
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 4, size=30)
         model = train_adaboost(X, y, rounds=8)
-        back = AdaBoostModel.from_dict(model.to_dict())
+        back = AdaBoostModel.from_dict(json.loads(json.dumps(model.to_dict(), default=pack)))
+        pairs = [(model.alphas, back.alphas)] + [
+            (getattr(model.stumps, name), getattr(back.stumps, name))
+            for name in ("roots", "feature", "threshold", "left", "right", "value")
+        ]
+        for a, b in pairs:
+            assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a)
         assert np.array_equal(model.predict_proba(X), back.predict_proba(X))

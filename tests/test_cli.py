@@ -1,11 +1,12 @@
 import json
 import signal
 
+import numpy as np
 import pytest
 
 from placescan.classifiers import ModelSpec, model_to_json, train
 from placescan.cli import run
-from placescan.core import LABEL_NAMES
+from placescan.core import LABEL_NAMES, pack, unpack
 from placescan.dataset_io import parse_dataset
 
 
@@ -16,6 +17,19 @@ def tiny_csv(tmp_path_factory):
                 "--out", str(path)])
     assert code == 0
     return path
+
+
+def stored(packed) -> np.ndarray:
+    """The array that a packed field of a sound model file holds."""
+    return unpack({"field": packed}, "field")
+
+
+def packed_array(values, dtype=np.float64):
+    return pack(np.asarray(values, dtype=dtype))
+
+
+def with_payload(model, **fields):
+    return {**model, "payload": {**model["payload"], **fields}}
 
 
 class TestSimulate:
@@ -109,11 +123,21 @@ class TestTrainPredict:
         document = json.loads(good.read_text())
         without_w = dict(document["payload"])
         del without_w["W"]
+        b = document["payload"]["b"]
         corruptions = [  # (text expected in the message, corrupted file)
             ("'payload'", {k: v for k, v in document.items() if k != "payload"}),
             ("'spec'", {k: v for k, v in document.items() if k != "spec"}),
             ("payload", {**document, "payload": list(document["payload"])}),
             ("'W'", {**document, "payload": without_w}),
+            ("retrain", {**document, "format_version": 3}),
+            # the array codec itself
+            ("'W' is not a packed array", with_payload(document, W=[[0.0] * 4] * 271)),
+            ("'b' has dtype", with_payload(document, b={**b, "dtype": "<f4"})),
+            ("'b' has dtype", with_payload(document, b={**b, "dtype": "|O"})),
+            ("'b' has shape", with_payload(document, b={**b, "shape": [-4]})),
+            ("'b' has shape", with_payload(document, b={**b, "shape": [4.0]})),
+            ("'b' holds 32 bytes", with_payload(document, b={**b, "shape": [5]})),
+            ("'b' is not valid base64", with_payload(document, b={**b, "data": "!!"})),
         ]
         with open(tiny_csv) as fh:
             data = parse_dataset(fh)
@@ -125,70 +149,86 @@ class TestTrainPredict:
         )
 
         def with_nodes(model, key="trees", **fields):
-            payload = {**model["payload"], key: {**model["payload"][key], **fields}}
+            packed = {  # node indices are int64, thresholds and values float64
+                name: packed_array(value, np.float64 if name in ("threshold", "value")
+                                   else np.int64)
+                for name, value in fields.items()
+            }
+            payload = {**model["payload"], key: {**model["payload"][key], **packed}}
             return {**model, "payload": payload}
 
-        nodes = forest["payload"]["trees"]
-        n = len(nodes["feature"])
-        no_roots = {k: v for k, v in nodes.items() if k != "roots"}
-        stump_nodes = len(boost["payload"]["stumps"]["left"])
+        nodes = {k: stored(v) for k, v in forest["payload"]["trees"].items()}
+        n = nodes["feature"].size
+        no_roots = {k: v for k, v in forest["payload"]["trees"].items() if k != "roots"}
+        stump_nodes = stored(boost["payload"]["stumps"]["left"]).size
+        alphas = stored(boost["payload"]["alphas"])
         # hand-made cycles: node 0 -> node 0, and node 0 -> node 1 -> node 0
         loop = {"roots": [0], "feature": [0], "threshold": [0.0], "left": [0],
                 "right": [0], "value": [[1.0, 0.0, 0.0, 0.0]]}
         two_cycle = {"roots": [0], "feature": [0, 0], "threshold": [0.0, 0.0],
                      "left": [1, 0], "right": [1, 0], "value": [[1.0, 0, 0, 0]] * 2}
-        def with_payload(model, **fields):
-            return {**model, "payload": {**model["payload"], **fields}}
 
         machines = svm["payload"]["machines"]
         first = machines[0]
+        support_vectors = stored(first["support_vectors"])
+        coefficients = stored(first["coefficients"])
 
         def with_first_machine(**fields):
-            return with_payload(svm, machines=[{**first, **fields}, *machines[1:]])
+            packed = {name: packed_array(value) for name, value in fields.items()}
+            return with_payload(svm, machines=[{**first, **packed}, *machines[1:]])
 
         corruptions += [
             ("4 machines", with_payload(svm, machines=machines[:3])),
             ("4 machines", with_payload(svm, converged=[True] * 3)),
-            ("(m, d)", with_first_machine(support_vectors=first["support_vectors"][0])),
-            ("m coefficients", with_first_machine(
-                coefficients=first["coefficients"][:-1])),
-            ("same width", with_first_machine(
-                support_vectors=[row[:-1] for row in first["support_vectors"]])),
-            ("finite", with_first_machine(bias=float("nan"))),
+            ("(m, d)", with_first_machine(support_vectors=support_vectors[0])),
+            ("m coefficients", with_first_machine(coefficients=coefficients[:-1])),
+            ("same width", with_first_machine(support_vectors=support_vectors[:, :-1])),
+            ("finite", with_payload(svm, machines=[
+                {**first, "bias": float("nan")}, *machines[1:]])),
             ("finite", with_first_machine(
-                coefficients=[float("inf")] + first["coefficients"][1:])),
+                coefficients=[float("inf"), *coefficients[1:]])),
             ("finite", with_payload(svm, gamma=float("nan"))),
-            ("weight matrix", with_payload(document, W=[[0.0]] * 271)),
-            ("weight matrix", with_payload(document, b=[0.0])),
+            # a number past float range: _decode's OverflowError path
+            ("payload", with_payload(svm, gamma=10**400)),
+            ("weight matrix", with_payload(document, W=packed_array([[0.0]] * 271))),
+            ("weight matrix", with_payload(document, b=packed_array([0.0]))),
         ]
         transformer = document["transformer"]
+        lambdas, stds = stored(transformer["lambdas"]), stored(transformer["stds"])
 
         def with_transformer(**fields):
-            return {**document, "transformer": {**transformer, **fields}}
+            packed = {k: packed_array(v) if k != "epsilon" else v for k, v in fields.items()}
+            return {**document, "transformer": {**transformer, **packed}}
 
         corruptions += [
-            ("stds", with_transformer(stds=[float("nan")] * len(transformer["stds"]))),
-            ("lambdas", with_transformer(
-                lambdas=[float("inf")] + transformer["lambdas"][1:])),
-            ("stds", with_transformer(stds=[0.0] + transformer["stds"][1:])),
+            ("'stds' must be finite", with_transformer(stds=[float("nan")] * stds.size)),
+            ("'lambdas' must be finite", with_transformer(
+                lambdas=[float("inf"), *lambdas[1:]])),
+            ("stds", with_transformer(stds=[0.0, *stds[1:]])),
             ("epsilon", with_transformer(epsilon=float("nan"))),
         ]
         corruptions += [
             ("equal length", with_nodes(forest, threshold=nodes["threshold"][:-1])),
-            ("equal length", with_nodes(forest, right=nodes["right"] + [0])),
+            ("equal length", with_nodes(forest, right=[*nodes["right"], 0])),
             ("point forward", with_nodes(forest, **loop)),
             ("point forward", with_nodes(forest, **two_cycle)),
             ("point forward", with_nodes(forest, right=[n] * n)),
             ("point forward", with_nodes(boost, "stumps", right=[0] * stump_nodes)),
             ("[0, 271)", with_nodes(forest, feature=[271] * n)),
             ("[0, 271)", with_nodes(forest, feature=[-2] * n)),
-            ("(nodes, 4)", with_nodes(forest, value=[v[:3] for v in nodes["value"]])),
+            ("(nodes, 4)", with_nodes(forest, value=nodes["value"][:, :3])),
             ("(nodes, 4)", with_nodes(forest, value=nodes["value"][:-1])),
             ("roots", with_nodes(forest, roots=[n])),
             ("'roots'", {**forest, "payload": {"trees": no_roots}}),
-            ("payload", with_nodes(forest, left=[2**70] * n)),
-            ("one alpha per stump", {**boost, "payload": {
-                **boost["payload"], "alphas": boost["payload"]["alphas"][:-1]}}),
+            ("'threshold' must be finite", with_nodes(
+                forest, threshold=[float("nan"), *nodes["threshold"][1:]])),
+            ("'value' must be finite", with_nodes(
+                forest, value=[[float("nan")] * 4, *nodes["value"][1:]])),
+            ("one alpha per stump", with_payload(boost, alphas=packed_array(alphas[:-1]))),
+            ("'alphas' must be finite", with_payload(
+                boost, alphas=packed_array([float("nan"), *alphas[1:]]))),
+            ("'alphas' must be finite", with_payload(
+                boost, alphas=packed_array([*alphas[:-1], float("inf")]))),
         ]
         mlp, cnn = (
             json.loads(model_to_json(train(ModelSpec(variant, params={"epochs": 1}), data)))
@@ -199,13 +239,17 @@ class TestTrainPredict:
             return with_payload(model, args={**model["payload"]["args"], **fields})
 
         for net, huge in ((mlp, "widths"), (cnn, "dense_widths")):
-            theta = net["payload"]["theta"]
+            theta = stored(net["payload"]["theta"])
             args = net["payload"]["args"]
+
+            def with_theta(values):
+                return with_payload(net, theta=packed_array(values))
+
             corruptions += [
-                ("finite", with_payload(net, theta=[float("nan")] + theta[1:])),
-                ("finite", with_payload(net, theta=theta[:-1] + [float("inf")])),
-                ("parameters", with_payload(net, theta=theta[:-1])),
-                ("parameters", with_payload(net, theta=theta + [0.0])),
+                ("finite", with_theta([float("nan"), *theta[1:]])),
+                ("finite", with_theta([*theta[:-1], float("inf")])),
+                ("parameters", with_theta(theta[:-1])),
+                ("parameters", with_theta([*theta, 0.0])),
                 ("builder", with_payload(net, builder="rnn")),
                 ("args", with_args(net, depth=3)),
                 ("args", with_payload(net, args={
@@ -214,6 +258,7 @@ class TestTrainPredict:
                 # ~1e16 parameters: counted, never allocated
                 ("parameters", with_args(net, **{huge: [10**8, 10**8, 4]})),
                 ("retrain", {**net, "format_version": 2}),
+                ("retrain", {**net, "format_version": 3}),
             ]
         corruptions += [
             ("kernel", with_args(cnn, kernel=0)),

@@ -1,7 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from placescan.core import (
     MAX_RANGE_M,
@@ -10,6 +15,8 @@ from placescan.core import (
     ClassLabel,
     Dataset,
     label_codec,
+    pack,
+    unpack,
     validate_scan,
 )
 from placescan.errors import DimensionError, EmptyDatasetError, UnknownLabelError
@@ -160,3 +167,48 @@ class TestDataset:
         assert part.provenance == "p"
         with pytest.raises(EmptyDatasetError):
             ds.subset([])
+
+
+_INT64 = np.iinfo(np.int64)
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, np.finfo(np.float64).max]
+_SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+_PACKABLE = st.one_of(
+    arrays(np.float64, _SHAPES, elements=st.one_of(
+        st.sampled_from(_FLOAT_EDGES), st.floats(allow_nan=False, allow_infinity=False))),
+    arrays(np.int64, _SHAPES, elements=st.one_of(
+        st.sampled_from([int(_INT64.min), int(_INT64.max), 0]),
+        st.integers(int(_INT64.min), int(_INT64.max)))),
+)
+
+
+def _through_file(arr, key="a"):
+    return json.loads(json.dumps({key: arr}, default=pack))
+
+
+class TestPackedArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(_PACKABLE)
+    def test_round_trip_is_byte_identical(self, arr):
+        back = unpack(_through_file(arr), "a")
+        assert (back.dtype, back.shape) == (arr.dtype, arr.shape)
+        assert back.tobytes() == arr.tobytes()
+        assert not back.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+        st.data(),
+    )
+    def test_non_finite_values_are_refused_by_name(self, arr, data):
+        arr = arr.copy()
+        index = data.draw(st.integers(0, arr.size - 1))
+        arr.flat[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        key = data.draw(st.from_regex(r"[a-z_]{1,8}", fullmatch=True))
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            unpack(_through_file(arr, key), key)
+
+    def test_only_float64_and_int64_arrays_pack(self):
+        for value in (np.zeros(3, np.float32), np.zeros(3, bool), [1.0], np.int64(1)):
+            with pytest.raises(TypeError):
+                pack(value)

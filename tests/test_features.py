@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from placescan.core import NUM_BEAMS
+from placescan.core import MAX_RANGE_M, MIN_RANGE_M, NUM_BEAMS, pack
 from placescan.errors import DegenerateFeatureError, InsufficientDataError
 from placescan.features import (
     FeatureTransformer,
@@ -75,6 +78,32 @@ class TestBoxcoxApply:
             x = rng.uniform(0.001, 30.0)
             y = boxcox_apply(x, lam)
             assert boxcox_inverse(y, lam) == pytest.approx(x, rel=1e-9)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(MIN_RANGE_M, MAX_RANGE_M),
+        st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    )
+    def test_inverse_round_trip_within_its_conditioning(self, x, lam):
+        # Error model, one rounding of at most eps per operation. With
+        # u = x**lam, the forward pass rounds u, u - 1 and (u - 1)/lam; the
+        # inverse rounds lam*y and lam*y + 1. That leaves the base lam*y + 1
+        # at u(1 + eta) with |eta| <= (2 + 3|u - 1|/u) eps, and raising it to
+        # 1/lam scales x by (1 + eta)**(1/lam), so ln x moves by eta/|lam|.
+        # Rounding 1/lam (relative eps on an exponent of size |ln x|) and the
+        # final power add (1 + |ln x|) eps. Near lam = 0 the eps/|lam| term is
+        # the cancellation in (x**lam - 1)/lam: once |lam ln x| < eps/2, x**lam
+        # rounds to 1 and the inverse returns 1 whatever x was, so the bound
+        # grows without limit there. At u << 1 (lam = 5, x = 0.001) the
+        # |u - 1|/u term is the digits of u lost in u - 1. lam = 0 is
+        # exp(log x) with no cancellation, so only the second term applies.
+        # Allowed: twice the first-order bound.
+        eps = np.finfo(np.float64).eps
+        u = math.pow(x, lam)
+        cancel = 0.0 if lam == 0.0 else (2.0 + 3.0 * abs(u - 1.0) / u) / abs(lam)
+        bound = 2.0 * eps * (cancel + 1.0 + abs(math.log(x)))
+        back = boxcox_inverse(boxcox_apply(x, lam), lam)
+        assert abs(math.log(back) - math.log(x)) <= bound
 
     def test_inverse_domain_violation_raises(self):
         # lam=2 maps (0, inf) to (-0.5, inf); -1 is outside the image
@@ -182,7 +211,8 @@ class TestFeatureTransformer:
 
     def test_json_round_trip(self):
         t = fit_feature_transformer(self._training_matrix(seed=7))
-        back = FeatureTransformer.from_dict(t.to_dict())
-        assert np.array_equal(back.lambdas, t.lambdas)
-        assert np.array_equal(back.means, t.means)
-        assert np.array_equal(back.stds, t.stds)
+        back = FeatureTransformer.from_dict(json.loads(json.dumps(t.to_dict(), default=pack)))
+        for name in ("lambdas", "means", "stds"):
+            a, b = getattr(t, name), getattr(back, name)
+            assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a), name
+        assert back.epsilon == t.epsilon

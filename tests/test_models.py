@@ -193,9 +193,7 @@ class TestSerialization:
         save_model(model, path)
         back = load_model(path)
         X = synth_small.feature_matrix()
-        assert np.allclose(
-            model.predict_proba_matrix(X), back.predict_proba_matrix(X), atol=1e-12
-        )
+        assert np.array_equal(model.predict_proba_matrix(X), back.predict_proba_matrix(X))
         assert back.spec == model.spec
         assert back.metadata == model.metadata
         # files from before the class count became a constant carry it

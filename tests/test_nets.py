@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from placescan.classifiers import ModelSpec, train
 from placescan.classifiers.nets import (
     Adam,
     Dropout,
@@ -13,6 +14,8 @@ from placescan.classifiers.nets import (
     softmax_cross_entropy,
     train_network,
 )
+from placescan.core import pack
+from placescan.simulate import SimConfig, generate_dataset
 
 
 def check_gradients(net, x, onehot, h=1e-6, tol=1e-5):
@@ -181,6 +184,22 @@ class TestNetworkBehaviour:
         assert histories[0] == histories[1]
 
 
+class TestTrainingArguments:
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_dataset(SimConfig.uniform(2, seed=1))
+
+    @pytest.mark.parametrize("variant", ["mlp", "cnn"])
+    @pytest.mark.parametrize("name, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.5), ("lr", 0.0),
+        ("lr", "0.01"), ("epochs", -3), ("epochs", 0), ("epochs", 1.5),
+        ("batch_size", -4), ("batch_size", 0),
+    ])
+    def test_bad_training_argument_is_named(self, data, variant, name, value):
+        with pytest.raises(ValueError, match=name):
+            train(ModelSpec(variant, params={name: value}), data)
+
+
 class TestFlatLayout:
     def test_params_are_views_of_theta_in_layer_order(self):
         net = build_cnn(np.random.default_rng([13, 1]), length=16, filters=(2, 3),
@@ -225,6 +244,7 @@ class TestSerialization:
             net = build_cnn(rng, length=16, filters=(2, 2), kernel=3, pool=2,
                             dense_widths=(5, 4))
             probe = np.random.default_rng(11).normal(size=(3, 1, 16))
-        back = Network.from_dict(json.loads(json.dumps(net.to_dict())))
+        back = Network.from_dict(json.loads(json.dumps(net.to_dict(), default=pack)))
+        assert (back.theta.dtype, back.theta.shape) == (net.theta.dtype, net.theta.shape)
         assert np.array_equal(back.theta, net.theta)
         assert np.array_equal(net.predict_proba(probe), back.predict_proba(probe))

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from placescan.classifiers.svm import (
     smo_solve,
     train_svm,
 )
-from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel
+from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, pack
 from placescan.features import fit_feature_transformer
 from placescan.simulate import SimConfig, generate_dataset
 
@@ -203,9 +204,12 @@ class TestTrainSvm:
         X = rng.normal(size=(24, 3))
         y = rng.integers(0, 4, size=24)
         model = train_svm(X, y)
-        back = SvmModel.from_dict(model.to_dict())
+        back = SvmModel.from_dict(json.loads(json.dumps(model.to_dict(), default=pack)))
+        for a, b in zip(model.support_vectors + model.coefficients,
+                        back.support_vectors + back.coefficients):
+            assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a)
         probe = rng.normal(size=(10, 3))
-        assert np.allclose(model.predict_proba(probe), back.predict_proba(probe))
+        assert np.array_equal(model.predict_proba(probe), back.predict_proba(probe))
 
     def test_missing_class_model_file_round_trip(self):
         # the absent class's machine keeps no support vectors

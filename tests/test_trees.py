@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from placescan.classifiers.trees import (
     gini_impurity,
     train_random_forest,
 )
-from placescan.core import NUM_CLASSES
+from placescan.core import NUM_CLASSES, pack
 
 
 def walk(trees, root, x):
@@ -240,7 +242,10 @@ class TestRandomForest:
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 4, size=30)
         forest = train_random_forest(X, y, trees=3, seed=2, features_per_split=None)
-        back = RandomForest.from_dict(forest.to_dict())
+        back = RandomForest.from_dict(json.loads(json.dumps(forest.to_dict(), default=pack)))
+        for name in ("roots", "feature", "threshold", "left", "right", "value"):
+            a, b = getattr(forest.trees, name), getattr(back.trees, name)
+            assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a), name
         probe = rng.normal(size=(10, 4))
         assert np.array_equal(forest.predict_proba(probe), back.predict_proba(probe))
 
