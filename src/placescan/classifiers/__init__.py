@@ -15,6 +15,7 @@ import hashlib
 import inspect
 import io
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,10 +149,19 @@ def predict_label(model: TrainedModel, scan: Scan) -> ClassLabel:
     return ClassLabel(int(np.argmax(predict_proba(model, scan))))
 
 
+# a Dataset's columns are read-only, so its digest is computed once
+_FINGERPRINTS: weakref.WeakKeyDictionary[Dataset, str] = weakref.WeakKeyDictionary()
+
+
 def dataset_fingerprint(data: Dataset) -> str:
-    buf = io.StringIO()
-    write_dataset(data, buf)
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    """sha256 hex digest of the dataset's canonical CSV (`write_dataset`)."""
+    digest = _FINGERPRINTS.get(data)
+    if digest is None:
+        buf = io.StringIO()
+        write_dataset(data, buf)
+        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        _FINGERPRINTS[data] = digest
+    return digest
 
 
 # --- model files -------------------------------------------------------------

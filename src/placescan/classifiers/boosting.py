@@ -73,7 +73,8 @@ class AdaBoostModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "AdaBoostModel":
         return cls(
-            stumps=TreeArrays.from_dict(payload["stumps"]), alphas=unpack(payload, "alphas")
+            stumps=TreeArrays.from_dict(payload["stumps"]),
+            alphas=unpack(payload, "alphas", np.float64),
         )
 
 

@@ -59,8 +59,8 @@ class LogRegModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "LogRegModel":
         return cls(
-            W=unpack(payload, "W"),
-            b=unpack(payload, "b"),
+            W=unpack(payload, "W", np.float64),
+            b=unpack(payload, "b", np.float64),
             converged=bool(payload["converged"]),
         )
 

@@ -272,7 +272,7 @@ class Network:
         expected = set(inspect.signature(_LAYERS[builder]).parameters)
         if not isinstance(args, dict) or set(args) != expected:
             raise ValueError(f"{builder} network args must be exactly {sorted(expected)}")
-        return cls(builder, args, unpack(payload, "theta"))
+        return cls(builder, args, unpack(payload, "theta", np.float64))
 
 
 class Adam:

@@ -39,6 +39,11 @@ def poly_kernel(
     return np.power(gamma * (X @ Z.T) + coef0, degree)
 
 
+def _check_degree(degree) -> None:
+    if not (isinstance(degree, int) and not isinstance(degree, bool) and degree >= 1):
+        raise ValueError(f"svm degree must be an integer >= 1, got {degree!r}")
+
+
 def default_gamma(X: np.ndarray) -> float:
     """1 / (n_features * overall variance), the 'scale' convention."""
     X = np.asarray(X, dtype=np.float64)
@@ -128,6 +133,7 @@ class SvmModel:
             raise ValueError("svm support vectors must all have the same width")
         if not np.all(np.isfinite([*self.biases, self.gamma, self.coef0])):
             raise ValueError("svm model values must be finite")
+        _check_degree(self.degree)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -164,12 +170,12 @@ class SvmModel:
     def from_dict(cls, payload: dict) -> "SvmModel":
         machines = payload["machines"]
         return cls(
-            support_vectors=[unpack(m, "support_vectors") for m in machines],
-            coefficients=[unpack(m, "coefficients") for m in machines],
+            support_vectors=[unpack(m, "support_vectors", np.float64) for m in machines],
+            coefficients=[unpack(m, "coefficients", np.float64) for m in machines],
             biases=[float(m["bias"]) for m in machines],
             gamma=float(payload["gamma"]),
             coef0=float(payload["coef0"]),
-            degree=int(payload["degree"]),
+            degree=payload["degree"],
             converged=[bool(v) for v in payload["converged"]],
         )
 
@@ -184,6 +190,7 @@ def train_svm(
     gamma: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> SvmModel:
+    _check_degree(degree)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if gamma is None:

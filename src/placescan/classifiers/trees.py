@@ -40,7 +40,11 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-_NODE_FIELDS = ("roots", "feature", "threshold", "left", "right", "value")
+# node array -> dtype; split thresholds and class weights are float64
+_NODE_FIELDS = {
+    "roots": np.int64, "feature": np.int64, "threshold": np.float64,
+    "left": np.int64, "right": np.int64, "value": np.float64,
+}
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,7 @@ class TreeArrays:
     value: np.ndarray
 
     def __post_init__(self):
-        for name in _NODE_FIELDS:
-            dtype = np.float64 if name in ("threshold", "value") else np.int64
+        for name, dtype in _NODE_FIELDS.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = self.feature.size
         per_node = (self.feature, self.threshold, self.left, self.right)
@@ -115,7 +118,8 @@ class TreeArrays:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TreeArrays":
-        return cls(**{name: unpack(payload, name) for name in _NODE_FIELDS})
+        return cls(**{name: unpack(payload, name, dtype)
+                      for name, dtype in _NODE_FIELDS.items()})
 
 
 def _best_split(X, y, w, feature_indices):

@@ -177,17 +177,22 @@ def pack(arr: np.ndarray) -> dict:
     return {"dtype": dtype.str, "shape": list(arr.shape), "data": data}
 
 
-def unpack(section: dict, key: str) -> np.ndarray:
-    """The read-only array that `pack` stored at `section[key]`.
+def unpack(section: dict, key: str, dtype) -> np.ndarray:
+    """The read-only `dtype` (float64 or int64) array that `pack` stored at
+    `section[key]`.
 
-    Anything else, and any NaN or infinity, raises ValueError naming `key`.
+    Anything else, an array of the other dtype included, and any NaN or
+    infinity, raises ValueError naming `key`.
     """
+    expected = np.dtype(dtype).newbyteorder("<").str
     packed = section[key]
     if not isinstance(packed, dict) or set(packed) != {"dtype", "shape", "data"}:
         raise ValueError(f"model file array {key!r} is not a packed array")
-    dtype, shape, data = packed["dtype"], packed["shape"], packed["data"]
-    if dtype not in ("<f8", "<i8"):
-        raise ValueError(f"model file array {key!r} has dtype {dtype!r}, not '<f8' or '<i8'")
+    shape, data = packed["shape"], packed["data"]
+    if packed["dtype"] != expected:
+        raise ValueError(
+            f"model file array {key!r} has dtype {packed['dtype']!r}, not {expected!r}"
+        )
     if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
         raise ValueError(f"model file array {key!r} has shape {shape!r}, not a list of sizes")
     try:
@@ -197,7 +202,7 @@ def unpack(section: dict, key: str) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise ValueError(f"model file array {key!r} holds {len(raw)} bytes, "
                          f"not the {8 * math.prod(shape)} of shape {shape}")
-    arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    arr = np.frombuffer(raw, dtype=expected).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"model file array {key!r} must be finite")
     return arr

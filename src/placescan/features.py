@@ -6,6 +6,16 @@ LL(lam) = -(n/2) ln var(t(x; lam)) + (lam - 1) sum(ln x), then centered and
 scaled to unit variance using statistics of the transformed training
 column. Constant columns get lam = 1 and a guarded scale so no division by
 zero can occur.
+
+The fit is a coarse grid over [-5, 5], evaluated on the whole matrix at
+once, then a golden-section search (Kiefer 1953) inside each column's
+bracket. The golden sections run in lockstep over blocks of columns, each
+transposed to a C-contiguous `(cols, n)` array of at most `_BLOCK_ELEMENTS`
+values, so a block never outweighs the grid's own temporaries. Every column
+keeps its own bracket and stops when it is narrower than the tolerance; its
+log-likelihoods are reduced along its contiguous row, in the order
+`boxcox_loglik` reduces a 1-D column, so each exponent is bit-for-bit the
+one a search on that column alone finds.
 """
 from __future__ import annotations
 
@@ -22,6 +32,9 @@ LAMBDA_MAX = 5.0
 LAMBDA_TOL = 1e-4
 STD_FLOOR = 1e-12
 _COARSE_STEP = 0.1
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# elements of one (cols, n) block of the lockstep golden section: 1 MiB
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def boxcox_apply(x, lam: float):
@@ -75,8 +88,14 @@ def _fit_lambdas(X: np.ndarray, tol: float = LAMBDA_TOL) -> np.ndarray:
     """Maximum-likelihood exponent of every column of a positive matrix.
 
     A coarse grid over [-5, 5], evaluated on the whole matrix at once,
-    brackets each column's optimum; golden-section search then refines it
-    column by column. Constant columns get 1.
+    brackets each column's optimum. Golden-section search then refines the
+    non-constant columns in lockstep (`_golden_sections`), over blocks of
+    whole columns holding at most `_BLOCK_ELEMENTS` values (a 96-row matrix
+    is one block), each transposed to a C-contiguous `(cols, n)` array.
+    Constant columns get 1.
+
+    The grid's `log_sums` are axis-0 sums, which round differently from the
+    1-D sum over one column, so the refinement sums each block row again.
     """
     n, width = X.shape
     logX = np.log(X)
@@ -93,31 +112,70 @@ def _fit_lambdas(X: np.ndarray, tol: float = LAMBDA_TOL) -> np.ndarray:
         better = ll > best_ll
         best_ll = np.where(better, ll, best_ll)
         best_idx[better] = i
+    del logX, t  # the blocks below take their place
 
     lambdas = np.ones(width)
-    for j in np.flatnonzero(np.ptp(X, axis=0) >= STD_FLOOR):
-        col = X[:, j]
-        lo = grid[max(best_idx[j] - 1, 0)]
-        hi = grid[min(best_idx[j] + 1, len(grid) - 1)]
-        lambdas[j] = _golden_section(lambda lam: boxcox_loglik(col, lam), lo, hi, tol)
+    lo = grid[np.maximum(best_idx - 1, 0)]
+    hi = grid[np.minimum(best_idx + 1, len(grid) - 1)]
+    columns = np.flatnonzero(np.ptp(X, axis=0) >= STD_FLOOR)
+    per_block = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, columns.size, per_block):
+        block = columns[start:start + per_block]
+        rows = np.ascontiguousarray(X.T[block])
+        lambdas[block] = _golden_sections(rows, lo[block], hi[block], tol)
     return lambdas
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
+def _golden_sections(rows: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section maximum of `boxcox_loglik` for every row, in lockstep.
+
+    Row j of the C-contiguous `(cols, n)` block is one column's samples,
+    bracketed by [a[j], b[j]]. Each row keeps its own points c, d and their
+    log-likelihoods; every step moves each row whose bracket is still wider
+    than `tol` and evaluates one new point for it. The reductions run along
+    contiguous rows, as they do for a 1-D column, so the exponents are
+    exactly those of the scalar search on each column.
+    """
+    k, n = rows.shape
+    work = np.empty_like(rows)
+    log_sums = np.log(rows, out=work).sum(axis=1)
+
+    def loglik(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """boxcox_loglik(rows[live[i]], lam[i]) for every i."""
+        x = rows if live.size == k else rows[live]
+        t = work[:live.size]
+        zero = lam == 0.0
+        np.power(x, lam[:, None], out=t)
+        t -= 1.0
+        t /= np.where(zero, 1.0, lam)[:, None]
+        if zero.any():
+            t[zero] = np.log(x[zero])
+        # np.var's own steps, in place
+        mean = t.sum(axis=1, keepdims=True)
+        mean /= n
+        t -= mean
+        np.square(t, out=t)
+        var = t.sum(axis=1) / n
+        # math.log, as boxcox_loglik takes it: np.log may differ in the last bit
+        log_var = np.array([0.0 if v <= 0.0 else math.log(v) for v in var.tolist()])
+        ll = -(n / 2.0) * log_var + (lam - 1.0) * log_sums[live]
+        ll[var <= 0.0] = -math.inf
+        return ll
+
+    a, b = a.copy(), b.copy()
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    every = np.arange(k)
+    fc, fd = loglik(c, every), loglik(d, every)
+    while (live := np.flatnonzero(b - a > tol)).size:
+        left = fc[live] >= fd[live]  # the optimum lies in [a, d]
+        lft, rgt = live[left], live[~left]
+        b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
+        a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
+        c[lft] = b[lft] - _INV_PHI * (b[lft] - a[lft])
+        d[rgt] = a[rgt] + _INV_PHI * (b[rgt] - a[rgt])
+        f = loglik(np.where(left, c[live], d[live]), live)
+        fc[lft], fd[rgt] = f[left], f[~left]
     return (a + b) / 2.0
 
 
@@ -160,9 +218,9 @@ class FeatureTransformer:
     @classmethod
     def from_dict(cls, payload: dict) -> "FeatureTransformer":
         return cls(
-            lambdas=unpack(payload, "lambdas"),
-            means=unpack(payload, "means"),
-            stds=unpack(payload, "stds"),
+            lambdas=unpack(payload, "lambdas", np.float64),
+            means=unpack(payload, "means", np.float64),
+            stds=unpack(payload, "stds", np.float64),
             epsilon=float(payload["epsilon"]),
         )
 

@@ -21,7 +21,7 @@ def tiny_csv(tmp_path_factory):
 
 def stored(packed) -> np.ndarray:
     """The array that a packed field of a sound model file holds."""
-    return unpack({"field": packed}, "field")
+    return unpack({"field": packed}, "field", packed["dtype"])
 
 
 def packed_array(values, dtype=np.float64):
@@ -188,6 +188,8 @@ class TestTrainPredict:
             ("finite", with_first_machine(
                 coefficients=[float("inf"), *coefficients[1:]])),
             ("finite", with_payload(svm, gamma=float("nan"))),
+            *(("degree", with_payload(svm, degree=bad_degree))
+              for bad_degree in (0, -3, 2.5, True)),
             # a number past float range: _decode's OverflowError path
             ("payload", with_payload(svm, gamma=10**400)),
             ("weight matrix", with_payload(document, W=packed_array([[0.0]] * 271))),
@@ -222,6 +224,12 @@ class TestTrainPredict:
             ("'roots'", {**forest, "payload": {"trees": no_roots}}),
             ("'threshold' must be finite", with_nodes(
                 forest, threshold=[float("nan"), *nodes["threshold"][1:]])),
+            # an index array packed as float64, a float array packed as int64
+            ("'left' has dtype '<f8', not '<i8'", with_payload(forest, trees={
+                **forest["payload"]["trees"], "left": packed_array(nodes["left"] + 0.75)})),
+            ("'threshold' has dtype '<i8', not '<f8'", with_payload(forest, trees={
+                **forest["payload"]["trees"],
+                "threshold": packed_array(np.round(nodes["threshold"]), np.int64)})),
             ("'value' must be finite", with_nodes(
                 forest, value=[[float("nan")] * 4, *nodes["value"][1:]])),
             ("one alpha per stump", with_payload(boost, alphas=packed_array(alphas[:-1]))),

@@ -189,7 +189,7 @@ class TestPackedArrays:
     @settings(max_examples=200, deadline=None)
     @given(_PACKABLE)
     def test_round_trip_is_byte_identical(self, arr):
-        back = unpack(_through_file(arr), "a")
+        back = unpack(_through_file(arr), "a", arr.dtype)
         assert (back.dtype, back.shape) == (arr.dtype, arr.shape)
         assert back.tobytes() == arr.tobytes()
         assert not back.flags.writeable
@@ -206,7 +206,14 @@ class TestPackedArrays:
         arr.flat[index] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         key = data.draw(st.from_regex(r"[a-z_]{1,8}", fullmatch=True))
         with pytest.raises(ValueError, match=re.escape(repr(key))):
-            unpack(_through_file(arr, key), key)
+            unpack(_through_file(arr, key), key, np.float64)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_PACKABLE)
+    def test_the_other_dtype_is_refused_by_name(self, arr):
+        other = np.int64 if arr.dtype == np.float64 else np.float64
+        with pytest.raises(ValueError, match=f"'a' has dtype '{arr.dtype.str}'"):
+            unpack(_through_file(arr), "a", other)
 
     def test_only_float64_and_int64_arrays_pack(self):
         for value in (np.zeros(3, np.float32), np.zeros(3, bool), [1.0], np.int64(1)):

@@ -1,14 +1,18 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from placescan import features
 from placescan.core import MAX_RANGE_M, MIN_RANGE_M, NUM_BEAMS, pack
 from placescan.errors import DegenerateFeatureError, InsufficientDataError
 from placescan.features import (
+    LAMBDA_TOL,
     FeatureTransformer,
     boxcox_apply,
     boxcox_inverse,
@@ -16,6 +20,7 @@ from placescan.features import (
     fit_boxcox_lambda,
     fit_feature_transformer,
 )
+from placescan.simulate import SimConfig, generate_dataset
 
 
 def grid_search_lambda(samples, step=1e-3):
@@ -40,6 +45,145 @@ def grid_search_lambda(samples, step=1e-3):
         if ll[i] > best_ll:
             best_ll, best_lam = float(ll[i]), float(chunk[i])
     return best_lam
+
+
+def golden_section(f, lo, hi, tol):
+    """The scalar golden-section maximum of f over [lo, hi]."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
+def per_column_lambdas(X, tol=LAMBDA_TOL):
+    """Oracle for the lockstep search: the per-column search it replaced,
+    kept as it was. The same coarse grid brackets each column's optimum;
+    then one scalar golden section per non-constant column calls
+    `boxcox_loglik` on that column alone."""
+    n, width = X.shape
+    logX = np.log(X)
+    log_sums = np.sum(logX, axis=0)
+    grid = np.arange(-5.0, 5.0 + 0.1 / 2, 0.1)
+    best_ll = np.full(width, -np.inf)
+    best_idx = np.zeros(width, dtype=np.int64)
+    for i, lam in enumerate(grid):
+        t = logX if lam == 0.0 else (np.power(X, lam) - 1.0) / lam
+        var = np.var(t, axis=0)
+        with np.errstate(divide="ignore"):
+            ll = -(n / 2.0) * np.log(var) + (lam - 1.0) * log_sums
+        ll = np.where(var > 0.0, ll, -np.inf)
+        better = ll > best_ll
+        best_ll = np.where(better, ll, best_ll)
+        best_idx[better] = i
+
+    lambdas = np.ones(width)
+    for j in np.flatnonzero(np.ptp(X, axis=0) >= 1e-12):
+        col = X[:, j]
+        lo = grid[max(best_idx[j] - 1, 0)]
+        hi = grid[min(best_idx[j] + 1, len(grid) - 1)]
+        lambdas[j] = golden_section(lambda lam: boxcox_loglik(col, lam), lo, hi, tol)
+    return lambdas
+
+
+# column generators for the lockstep oracle property
+COLUMN_KINDS = {
+    "spread": lambda n, rng: rng.uniform(MIN_RANGE_M, MAX_RANGE_M, n),
+    "lognormal": lambda n, rng: np.exp(rng.normal(0.0, rng.uniform(0.1, 2.0), n)),
+    # a narrow skewed spread, which no exponent in [-5, 5] can straighten:
+    # the optimum mostly sits at a grid end, in a bracket of width 0.1
+    "low_end": lambda n, rng: rng.uniform(0.2, 5.0) * (1.0 + 1e-3 * rng.exponential(1.0, n)),
+    "high_end": lambda n, rng: rng.uniform(0.2, 5.0) * (
+        1.0 - 1e-3 * np.minimum(rng.exponential(1.0, n), 5.0)),
+    "ties": lambda n, rng: 0.5 * rng.integers(1, 5, n),
+    "constant": lambda n, rng: np.full(n, rng.uniform(0.2, 5.0)),
+}
+
+
+@st.composite
+def positive_matrices(draw):
+    n = draw(st.integers(3, 160))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([COLUMN_KINDS[kind](n, rng) for kind in kinds], axis=1)
+
+
+def _mixed(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.stack([COLUMN_KINDS[kind](n, rng) for kind in sorted(COLUMN_KINDS)], axis=1)
+
+
+# tolerances: the default, and finer ones, where the search runs on until
+# c and d are so close that a last-bit change in a log-likelihood flips them
+TOLERANCES = st.sampled_from([LAMBDA_TOL, 1e-8, 1e-12])
+
+
+class TestLockstepSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(positive_matrices(), TOLERANCES, st.integers(1, 2000))
+    @example(_mixed(3, seed=3), LAMBDA_TOL, 1 << 17)  # optima at both grid ends
+    @example(_mixed(3, seed=3), 1e-12, 1)
+    @example(_mixed(120, seed=1), 1e-12, 4 * 120)
+    def test_equals_the_per_column_search(self, X, tol, block_elements):
+        # block widths from one column up to the whole matrix
+        with mock.patch.object(features, "_BLOCK_ELEMENTS", block_elements):
+            lockstep = features._fit_lambdas(X, tol)
+        assert lockstep.tolist() == per_column_lambdas(X, tol).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(positive_matrices(), TOLERANCES)
+    @example(_mixed(3, seed=3)[:, 1:2], 1e-12)
+    def test_single_column_through_fit_boxcox_lambda(self, X, tol):
+        col = X[:, 0]
+        if np.ptp(col) < 1e-12:
+            return
+        assert fit_boxcox_lambda(col, tol) == per_column_lambdas(X[:, :1], tol)[0]
+
+    def test_an_exponent_of_exactly_zero_takes_the_log(self):
+        X = _mixed(40, seed=1)
+        lo = -(math.sqrt(5.0) - 1.0) / 2.0 * 0.2
+        hi = lo + 0.2
+        assert lo + (math.sqrt(5.0) - 1.0) / 2.0 * (hi - lo) == 0.0  # the first d
+        width = X.shape[1]
+        lockstep = features._golden_sections(
+            np.ascontiguousarray(X.T), np.full(width, lo), np.full(width, hi), LAMBDA_TOL)
+        scalar = [golden_section(lambda lam: boxcox_loglik(X[:, j], lam), lo, hi, LAMBDA_TOL)
+                  for j in range(width)]
+        assert lockstep.tolist() == scalar
+
+    def test_narrow_skewed_columns_reach_both_grid_ends(self):
+        X = _mixed(40, seed=1)
+        kinds = sorted(COLUMN_KINDS)
+        lambdas = features._fit_lambdas(X)
+        assert lambdas[kinds.index("low_end")] < -4.9
+        assert lambdas[kinds.index("high_end")] > 4.9
+        assert lambdas[kinds.index("constant")] == 1.0
+
+    def test_simulated_folds_equal_the_per_column_search(self):
+        X = np.clip(generate_dataset(SimConfig.uniform(24, seed=3)).X, MIN_RANGE_M, None)
+        assert features._fit_lambdas(X).tolist() == per_column_lambdas(X).tolist()
+
+    def test_peak_memory_stays_under_the_coarse_grid(self):
+        # a 2,000-row simulated matrix: the coarse grid's temporaries set the
+        # peak (about 3x the matrix); the lockstep blocks must stay under it
+        X = np.clip(generate_dataset(SimConfig.uniform(500, seed=1)).X, MIN_RANGE_M, None)
+        tracemalloc.start()
+        try:
+            features._fit_lambdas(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * X.nbytes
 
 
 class TestBoxcoxApply:

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -21,6 +23,7 @@ from placescan.classifiers import (
     train,
 )
 from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
+from placescan.dataset_io import write_dataset
 from placescan.errors import DegenerateTrainingError, DimensionError
 from placescan.features import fit_feature_transformer
 
@@ -223,3 +226,23 @@ class TestFingerprint:
 
     def test_stable_across_calls(self, synth_small):
         assert dataset_fingerprint(synth_small) == dataset_fingerprint(synth_small)
+
+    @staticmethod
+    def _csv_digest(data):
+        buf = io.StringIO()
+        write_dataset(data, buf)
+        return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+    def test_digest_of_the_canonical_csv_once_per_dataset(self, synth_small, monkeypatch):
+        fresh = synth_small.subset(np.arange(len(synth_small)))
+        first = dataset_fingerprint(fresh)
+        assert first == self._csv_digest(fresh)
+        # the digest is kept: a second call writes no CSV
+        monkeypatch.setattr("placescan.classifiers.write_dataset", None)
+        assert dataset_fingerprint(fresh) == first
+
+    def test_subset_gets_its_own_digest(self, synth_small):
+        base = dataset_fingerprint(synth_small)
+        part = synth_small.subset(np.arange(0, len(synth_small), 2))
+        assert dataset_fingerprint(part) == self._csv_digest(part) != base
+        assert dataset_fingerprint(synth_small) == base

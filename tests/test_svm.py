@@ -211,6 +211,12 @@ class TestTrainSvm:
         probe = rng.normal(size=(10, 3))
         assert np.array_equal(model.predict_proba(probe), back.predict_proba(probe))
 
+    @pytest.mark.parametrize("degree", [0, -3, 2.5, True, np.int64(3)])
+    def test_degree_must_be_a_positive_int(self, degree):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="degree"):
+            train_svm(rng.normal(size=(8, 3)), np.arange(8) % 4, degree=degree)
+
     def test_missing_class_model_file_round_trip(self):
         # the absent class's machine keeps no support vectors
         data = generate_dataset(SimConfig.uniform(6, seed=3))
