@@ -3,11 +3,13 @@
 Every variant is one `_VARIANTS` row: a trainer and a payload class. The
 trainer is called as `fit(Xt, y, **params)` on Box-Cox standardised rows;
 its keyword-only arguments are the variant's hyperparameters and their
-defaults, plus `seed` if it draws random numbers. The payload it returns
-provides `predict_proba(Xt)`, `to_dict()` and the `from_dict(payload)`
-classmethod used by the model-file codec. `to_dict()` leaves its arrays as
-they are, for `core.pack` to encode; `from_dict` reads each through
-`core.unpack`, which also checks it.
+defaults, plus `seed` if it draws random numbers. Each argument declares
+its domain in the signature (see `hyperparams`), and both `ModelSpec` and a
+direct trainer call check values against it. The payload the trainer
+returns provides `predict_proba(Xt)`, `to_dict()` and the
+`from_dict(payload)` classmethod used by the model-file codec. `to_dict()`
+leaves its arrays as they are, for `core.pack` to encode; `from_dict` reads
+each through `core.unpack`, which also checks it.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_feature_transformer
 from . import boosting, linear, nets, svm, trees
+from .hyperparams import SEED, check_params
 
 MODEL_FORMAT_VERSION = 4
 
@@ -75,6 +78,8 @@ class ModelSpec:
             raise ValueError(
                 f"unknown hyperparameters for {self.variant}: {sorted(unknown)}"
             )
+        SEED.check(f"{self.variant} seed", self.seed)
+        check_params(self.variant, _trainer(self.variant), self.params)
 
     def resolved_params(self) -> dict:
         merged = default_params(self.variant)
@@ -198,7 +203,7 @@ def _decode(document: dict, key: str, decode):
 def _spec_from_dict(section: dict) -> ModelSpec:
     return ModelSpec(
         variant=section["variant"],
-        seed=int(section["seed"]),
+        seed=section["seed"],
         params=dict(section["params"]),
     )
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES, unpack
+from .hyperparams import Count, checked
 from .linear import softmax
 from .trees import TreeArrays, fit_tree
 
@@ -78,11 +79,12 @@ class AdaBoostModel:
         )
 
 
+@checked
 def train_adaboost(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    rounds: int = 200,
+    rounds: Count = 200,
 ) -> AdaBoostModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES, unpack
+from .hyperparams import Count, NonNegative, Positive, checked
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -65,13 +66,14 @@ class LogRegModel:
         )
 
 
+@checked
 def train_logreg(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    l2: float = 1e-4,
-    max_iter: int = 2000,
-    grad_tol: float = 1e-6,
+    l2: NonNegative = 1e-4,
+    max_iter: Count = 2000,
+    grad_tol: Positive = 1e-6,
 ) -> LogRegModel:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core import NUM_CLASSES, unpack
 from ..errors import DimensionError
+from .hyperparams import COUNT, RATE, Count, Positive, Rate, Seed, checked
 from .linear import softmax
 
 
@@ -158,22 +159,11 @@ def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
     return float(loss), (p - onehot) / n, p
 
 
-def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name}: {value!r} is not a positive integer")
-    return value
-
-
-def _check_rate(rate) -> None:
-    if not (isinstance(rate, (int, float)) and 0.0 <= rate < 1.0):
-        raise ValueError(f"dropout_rate must lie in [0, 1), got {rate!r}")
-
-
 def _dense_stack(n_in: int, name: str, widths, dropout_after, dropout_rate) -> list:
     """Dense layers from n_in through `widths`, which must end with the class
     outputs; ReLU behind each hidden layer, then dropout behind the hidden
     layers (0-based) that `dropout_after` indexes."""
-    dims = [n_in, *(_count(name, width) for width in widths)]
+    dims = [n_in, *(COUNT.check(name, width) for width in widths)]
     if len(dims) < 2 or dims[-1] != NUM_CLASSES:
         raise ValueError(f"{name} must end with {NUM_CLASSES} outputs, got {widths!r}")
     layers: list = []
@@ -187,18 +177,19 @@ def _dense_stack(n_in: int, name: str, widths, dropout_after, dropout_rate) -> l
 
 
 def _mlp_layers(n_in, widths, dropout_after, dropout_rate) -> list:
-    _check_rate(dropout_rate)
-    return _dense_stack(_count("n_in", n_in), "widths", widths, dropout_after, dropout_rate)
+    RATE.check("mlp dropout_rate", dropout_rate)
+    return _dense_stack(COUNT.check("mlp n_in", n_in), "mlp widths", widths, dropout_after,
+                        dropout_rate)
 
 
 def _cnn_layers(length, filters, kernel, pool, dense_widths, dropout_rate) -> list:
-    _check_rate(dropout_rate)
+    RATE.check("cnn dropout_rate", dropout_rate)
     if len(filters) != 2:
-        raise ValueError(f"filters must hold two filter counts, got {filters!r}")
-    c1, c2 = (_count("filters", f) for f in filters)
-    conv_len = _count("length", length) - 2 * (_count("kernel", kernel) - 1)
-    if conv_len < _count("pool", pool):
-        raise ValueError(f"the conv output ({conv_len} samples) is shorter than pool {pool}")
+        raise ValueError(f"cnn filters must hold two filter counts, got {filters!r}")
+    c1, c2 = (COUNT.check("cnn filters", f) for f in filters)
+    conv_len = COUNT.check("cnn length", length) - 2 * (COUNT.check("cnn kernel", kernel) - 1)
+    if conv_len < COUNT.check("cnn pool", pool):
+        raise ValueError(f"the conv output ({conv_len} samples) is shorter than cnn pool {pool}")
     return [
         Conv1D(1, c1, kernel),
         ReLU(),
@@ -207,7 +198,7 @@ def _cnn_layers(length, filters, kernel, pool, dense_widths, dropout_rate) -> li
         MaxPool1D(pool),
         Flatten(),
         Dropout(dropout_rate),
-        *_dense_stack(c2 * (conv_len // pool), "dense_widths", dense_widths, (), 0.0),
+        *_dense_stack(c2 * (conv_len // pool), "cnn dense_widths", dense_widths, (), 0.0),
     ]
 
 
@@ -335,24 +326,18 @@ def build_cnn(rng: np.random.Generator, length: int = 271,
     return _he_uniform(Network("cnn", args), rng)
 
 
+@checked
 def train_network(
     net: Network,
     X: np.ndarray,
     y: np.ndarray,
-    epochs: int = 30,
-    batch_size: int = 32,
-    lr: float = 0.01,
-    seed: int = 42,
+    *,
+    epochs: Count = 30,
+    batch_size: Count = 32,
+    lr: Positive = 0.01,
+    seed: Seed = 42,
 ) -> list[float]:
-    """Seeded mini-batch Adam training; returns per-epoch mean losses.
-
-    `epochs` and `batch_size` must be positive integers and `lr` a finite
-    positive number; anything else raises ValueError naming the argument.
-    """
-    _count("epochs", epochs)
-    _count("batch_size", batch_size)
-    if not (isinstance(lr, (int, float)) and math.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr: {lr!r} is not a finite positive number")
+    """Seeded mini-batch Adam training; returns per-epoch mean losses."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
@@ -372,16 +357,18 @@ def train_network(
     return history
 
 
-def train_mlp(X, y, *, epochs: int = 30, batch_size: int = 32, lr: float = 0.01,
-              dropout: float = 0.5, seed: int = 42) -> Network:
+@checked
+def train_mlp(X, y, *, epochs: Count = 30, batch_size: Count = 32, lr: Positive = 0.01,
+              dropout: Rate = 0.5, seed: Seed = 42) -> Network:
     """The dense variant: build_mlp weights drawn from (seed, 11), then Adam."""
     net = build_mlp(np.random.default_rng([seed, 11]), X.shape[1], dropout_rate=dropout)
     train_network(net, X, y, epochs=epochs, batch_size=batch_size, lr=lr, seed=seed)
     return net
 
 
-def train_cnn(X, y, *, epochs: int = 30, batch_size: int = 32, lr: float = 0.01,
-              dropout: float = 0.25, seed: int = 42) -> Network:
+@checked
+def train_cnn(X, y, *, epochs: Count = 30, batch_size: Count = 32, lr: Positive = 0.01,
+              dropout: Rate = 0.25, seed: Seed = 42) -> Network:
     """The convolutional variant: build_cnn weights drawn from (seed, 12),
     then Adam on the (batch, length) rows."""
     net = build_cnn(np.random.default_rng([seed, 12]), X.shape[1], dropout_rate=dropout)

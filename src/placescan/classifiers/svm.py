@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES, unpack
+from .hyperparams import Count, Positive, PositiveOrNone, Real, check_params, checked
 from .linear import softmax
 
 DEFAULT_C = 1.0
@@ -37,11 +38,6 @@ def poly_kernel(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     return np.power(gamma * (X @ Z.T) + coef0, degree)
-
-
-def _check_degree(degree) -> None:
-    if not (isinstance(degree, int) and not isinstance(degree, bool) and degree >= 1):
-        raise ValueError(f"svm degree must be an integer >= 1, got {degree!r}")
 
 
 def default_gamma(X: np.ndarray) -> float:
@@ -131,9 +127,10 @@ class SvmModel:
                 )
         if len({sv.shape[1] for sv in self.support_vectors if sv.shape[0]}) > 1:
             raise ValueError("svm support vectors must all have the same width")
-        if not np.all(np.isfinite([*self.biases, self.gamma, self.coef0])):
+        if not np.all(np.isfinite(self.biases)):
             raise ValueError("svm model values must be finite")
-        _check_degree(self.degree)
+        # gamma, coef0 and degree are train_svm's arguments, in its domains
+        check_params("svm model", train_svm, vars(self))
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -180,17 +177,17 @@ class SvmModel:
         )
 
 
+@checked
 def train_svm(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    C: float = DEFAULT_C,
-    degree: int = DEFAULT_DEGREE,
-    coef0: float = DEFAULT_COEF0,
-    gamma: float | None = None,
-    tol: float = DEFAULT_TOL,
+    C: Positive = DEFAULT_C,
+    degree: Count = DEFAULT_DEGREE,
+    coef0: Real = DEFAULT_COEF0,
+    gamma: PositiveOrNone = None,
+    tol: Positive = DEFAULT_TOL,
 ) -> SvmModel:
-    _check_degree(degree)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if gamma is None:

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import NUM_BEAMS, NUM_CLASSES, unpack
+from .hyperparams import Count, CountOrNone, Flag, Seed, checked
 
 _GAIN_EPS = 1e-12
 
@@ -285,15 +286,16 @@ class RandomForest:
         return cls(trees=TreeArrays.from_dict(payload["trees"]))
 
 
+@checked
 def train_random_forest(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    trees: int = 100,
-    max_depth: int = 100,
-    features_per_split: Optional[int] = 16,
-    bootstrap: bool = True,
-    seed: int = 42,
+    trees: Count = 100,
+    max_depth: Count = 100,
+    features_per_split: CountOrNone = 16,
+    bootstrap: Flag = True,
+    seed: Seed = 42,
 ) -> RandomForest:
     """Bagged CART forest; each tree owns a substream keyed by (seed, index).
 

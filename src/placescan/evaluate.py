@@ -221,8 +221,11 @@ def run_experiment(variants, dataset: Dataset, k: int = 5, seed: int = 42,
                    variant_params: dict | None = None) -> Report:
     """Cross-validate several variants against one shared fold assignment."""
     variants = list(variants)
-    folds = stratified_folds(dataset.y, k, seed)
     params = variant_params or {}
+    stray = sorted(set(params) - set(variants))
+    if stray:
+        raise ValueError(f"variant_params for variants not run: {stray}")
+    folds = stratified_folds(dataset.y, k, seed)
     specs = [ModelSpec(variant=v, seed=seed, params=params.get(v, {})) for v in variants]
     return Report(
         dataset_fingerprint=dataset_fingerprint(dataset), seed=seed, k=k,

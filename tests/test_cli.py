@@ -130,6 +130,12 @@ class TestTrainPredict:
             ("payload", {**document, "payload": list(document["payload"])}),
             ("'W'", {**document, "payload": without_w}),
             ("retrain", {**document, "format_version": 3}),
+            # the spec holds its seed and hyperparameters to the trainer's domains
+            *(("logreg seed must be an integer >= 0",
+               {**document, "spec": {**document["spec"], "seed": bad_seed}})
+              for bad_seed in (42.9, True, -5)),
+            ("logreg max_iter must be an integer >= 1",
+             {**document, "spec": {**document["spec"], "params": {"max_iter": 0}}}),
             # the array codec itself
             ("'W' is not a packed array", with_payload(document, W=[[0.0] * 4] * 271)),
             ("'b' has dtype", with_payload(document, b={**b, "dtype": "<f4"})),
@@ -188,6 +194,8 @@ class TestTrainPredict:
             ("finite", with_first_machine(
                 coefficients=[float("inf"), *coefficients[1:]])),
             ("finite", with_payload(svm, gamma=float("nan"))),
+            ("svm model gamma", with_payload(svm, gamma=-1.0)),
+            ("svm model coef0", with_payload(svm, coef0=float("inf"))),
             *(("degree", with_payload(svm, degree=bad_degree))
               for bad_degree in (0, -3, 2.5, True)),
             # a number past float range: _decode's OverflowError path

@@ -212,6 +212,20 @@ class TestCrossValidate:
         json.dumps(payload)  # must be JSON-serializable as-is
         assert payload["k"] == 3
 
+    @pytest.mark.parametrize("variant_params, stray", [
+        ({"svn": {"C": 2.0}}, "svn"),  # a typo of a variant that is run
+        ({"logreg": {"max_iter": 200}, "rf": {"trees": 5}}, "rf"),  # not run
+    ])
+    def test_run_experiment_rejects_stray_variant_params(
+        self, synth_small, monkeypatch, variant_params, stray
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a fold was trained")
+
+        monkeypatch.setattr(evaluate, "train", no_training)
+        with pytest.raises(ValueError, match=rf"variants not run: \['{stray}'\]"):
+            run_experiment(["logreg"], synth_small, k=3, variant_params=variant_params)
+
 
 class TestFoldMajor:
     PARAMS = {"logreg": {"max_iter": 200}, "rf": {"trees": 5}}

@@ -69,13 +69,16 @@ class TestLossGrad:
 
 
 class TestTrainLogreg:
-    def test_zero_iterations_predicts_uniform(self):
+    def test_zero_iterations_are_rejected(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(8, 3))
         y = rng.integers(0, 4, size=8)
-        model = train_logreg(X, y, max_iter=0)
-        assert np.allclose(model.predict_proba(X), 0.25)
+        with pytest.raises(ValueError, match=r"^train_logreg max_iter must be an integer >= 1"):
+            train_logreg(X, y, max_iter=0)
+        # the smallest budget takes one step away from the uniform start
+        model = train_logreg(X, y, max_iter=1)
         assert not model.converged
+        assert not np.allclose(model.predict_proba(X), 0.25)
 
     def test_fits_separable_clusters(self):
         rng = np.random.default_rng(6)

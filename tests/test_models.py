@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from placescan.classifiers import (
     model_to_json,
     predict_label,
     predict_proba,
+    _trainer,
     save_model,
     train,
 )
+from placescan.classifiers.hyperparams import Domain
 from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
 from placescan.dataset_io import write_dataset
 from placescan.errors import DegenerateTrainingError, DimensionError
@@ -72,6 +76,73 @@ class TestModelSpec:
         assert merged["max_depth"] == 100
 
 
+def _declared(variant: str) -> dict:
+    """name -> (declared domain or None, default) of each keyword-only
+    argument of the variant's trainer."""
+    return {
+        p.name: (getattr(p.annotation, "__metadata__", [None])[0], p.default)
+        for p in inspect.signature(_trainer(variant), eval_str=True).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    }
+
+
+_NUMBERS_OUTSIDE = st.one_of(  # refused by every numeric domain
+    st.booleans(), st.text(max_size=3), st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-9))
+_NON_INTEGRAL = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
+
+# values outside each domain, keyed by its description: the contract stated
+# a second time, independently of the code that enforces it
+_OUTSIDE = {
+    "an integer >= 1": st.one_of(_NUMBERS_OUTSIDE, st.none(), _NEGATIVE, _NON_INTEGRAL,
+                                 st.sampled_from([0, 0.0, 1.0, 2.0])),
+    "None or an integer >= 1": st.one_of(_NUMBERS_OUTSIDE, _NEGATIVE, _NON_INTEGRAL,
+                                         st.sampled_from([0, 0.0, 1.0, 2.0])),
+    "an integer >= 0": st.one_of(_NUMBERS_OUTSIDE, st.none(), _NEGATIVE, _NON_INTEGRAL,
+                                 st.sampled_from([0.0, 1.0])),
+    "a finite real > 0": st.one_of(_NUMBERS_OUTSIDE, st.none(), _NEGATIVE,
+                                   st.sampled_from([0, 0.0])),
+    "None or a finite real > 0": st.one_of(_NUMBERS_OUTSIDE, _NEGATIVE,
+                                           st.sampled_from([0, 0.0])),
+    "a finite real": st.one_of(_NUMBERS_OUTSIDE, st.none()),
+    "a finite real >= 0": st.one_of(_NUMBERS_OUTSIDE, st.none(), _NEGATIVE),
+    "a real in [0, 1)": st.one_of(_NUMBERS_OUTSIDE, st.none(), _NEGATIVE,
+                                  st.integers(min_value=1), st.floats(1.0, 1e6)),
+    "a bool": st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.none()),
+}
+_SEED = "an integer >= 0"
+_ARGUMENTS = [(v, name) for v in VARIANTS for name in ("seed", *default_params(v))]
+
+
+class TestHyperparameterContract:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_argument_declares_a_domain_holding_its_default(self, variant):
+        for name, (domain, default) in _declared(variant).items():
+            if name == "seed":
+                assert domain is None or domain.what == _SEED
+                continue
+            assert isinstance(domain, Domain), (variant, name)
+            assert domain.contains(default), (variant, name, default)
+            assert domain.what in _OUTSIDE, (variant, name, domain.what)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_out_of_domain_value_is_refused_naming_owner_and_argument(self, data):
+        variant, name = data.draw(st.sampled_from(_ARGUMENTS))
+        declared = _declared(variant)
+        what = _SEED if name == "seed" else declared[name][0].what
+        value = data.draw(_OUTSIDE[what], label=f"{variant} {name}")
+        spec_args = {"seed": value} if name == "seed" else {"params": {name: value}}
+        with pytest.raises(ValueError, match=rf"^{variant} {name} must be "):
+            ModelSpec(variant, **spec_args)
+        if name in declared:
+            # on no rows, a check that is missing fails fast instead of training
+            fit = _trainer(variant)
+            with pytest.raises(ValueError, match=rf"^{fit.__name__} {name} must be "):
+                fit(np.empty((0, NUM_BEAMS)), np.empty(0, dtype=np.int64), **{name: value})
+
+
 class TestTrain:
     def test_single_class_data_raises(self, synth_small):
         corridors = synth_small.subset(synth_small.y == ClassLabel.corridor)
@@ -98,7 +169,7 @@ class TestTrain:
     @pytest.mark.parametrize("variant", ["mlp", "cnn"])
     def test_dropout_of_one_is_rejected(self, synth_small, variant):
         # a rate of 1 would zero every unit and predict NaN
-        with pytest.raises(ValueError, match="dropout_rate"):
+        with pytest.raises(ValueError, match=rf"^{variant} dropout must be a real in \[0, 1\)"):
             train(ModelSpec(variant=variant, params={"dropout": 1.0}), synth_small)
 
     def test_unconverged_logreg_is_recorded(self, synth_small):
