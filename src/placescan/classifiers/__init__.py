@@ -27,7 +27,7 @@ from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_feature_transformer
 from . import boosting, linear, nets, svm, trees
-from .hyperparams import SEED, check_params
+from ..hyperparams import SEED, check_params
 
 MODEL_FORMAT_VERSION = 4
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES, unpack
-from .hyperparams import Count, checked
+from ..hyperparams import Count, checked
 from .linear import softmax
 from .trees import TreeArrays, fit_tree
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES, unpack
-from .hyperparams import Count, NonNegative, Positive, checked
+from ..hyperparams import FLAG, Count, NonNegative, Positive, checked
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -45,6 +45,7 @@ class LogRegModel:
                 f"logreg needs a (d, {NUM_CLASSES}) weight matrix and "
                 f"{NUM_CLASSES} intercepts"
             )
+        FLAG.check("logreg model converged", self.converged)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -62,7 +63,7 @@ class LogRegModel:
         return cls(
             W=unpack(payload, "W", np.float64),
             b=unpack(payload, "b", np.float64),
-            converged=bool(payload["converged"]),
+            converged=payload["converged"],
         )
 
 

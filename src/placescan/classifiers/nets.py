@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import NUM_CLASSES, unpack
 from ..errors import DimensionError
-from .hyperparams import COUNT, RATE, Count, Positive, Rate, Seed, checked
+from ..hyperparams import COUNT, RATE, Count, Positive, Rate, Seed, checked
 from .linear import softmax
 
 

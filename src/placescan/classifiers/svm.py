@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import NUM_CLASSES, unpack
-from .hyperparams import Count, Positive, PositiveOrNone, Real, check_params, checked
+from ..hyperparams import (
+    FLAG, REAL, Count, Positive, PositiveOrNone, Real, check_params, checked,
+)
 from .linear import softmax
 
 DEFAULT_C = 1.0
@@ -127,8 +129,9 @@ class SvmModel:
                 )
         if len({sv.shape[1] for sv in self.support_vectors if sv.shape[0]}) > 1:
             raise ValueError("svm support vectors must all have the same width")
-        if not np.all(np.isfinite(self.biases)):
-            raise ValueError("svm model values must be finite")
+        for bias, converged in zip(self.biases, self.converged):
+            REAL.check("svm model bias", bias)
+            FLAG.check("svm model converged", converged)
         # gamma, coef0 and degree are train_svm's arguments, in its domains
         check_params("svm model", train_svm, vars(self))
 
@@ -169,11 +172,11 @@ class SvmModel:
         return cls(
             support_vectors=[unpack(m, "support_vectors", np.float64) for m in machines],
             coefficients=[unpack(m, "coefficients", np.float64) for m in machines],
-            biases=[float(m["bias"]) for m in machines],
-            gamma=float(payload["gamma"]),
-            coef0=float(payload["coef0"]),
+            biases=[m["bias"] for m in machines],
+            gamma=payload["gamma"],
+            coef0=payload["coef0"],
             degree=payload["degree"],
-            converged=[bool(v) for v in payload["converged"]],
+            converged=payload["converged"],
         )
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import NUM_BEAMS, NUM_CLASSES, unpack
-from .hyperparams import Count, CountOrNone, Flag, Seed, checked
+from ..hyperparams import Count, CountOrNone, Flag, Seed, checked
 
 _GAIN_EPS = 1e-12
 

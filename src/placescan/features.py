@@ -7,15 +7,15 @@ scaled to unit variance using statistics of the transformed training
 column. Constant columns get lam = 1 and a guarded scale so no division by
 zero can occur.
 
-The fit is a coarse grid over [-5, 5], evaluated on the whole matrix at
-once, then a golden-section search (Kiefer 1953) inside each column's
-bracket. The golden sections run in lockstep over blocks of columns, each
-transposed to a C-contiguous `(cols, n)` array of at most `_BLOCK_ELEMENTS`
-values, so a block never outweighs the grid's own temporaries. Every column
-keeps its own bracket and stops when it is narrower than the tolerance; its
-log-likelihoods are reduced along its contiguous row, in the order
-`boxcox_loglik` reduces a 1-D column, so each exponent is bit-for-bit the
-one a search on that column alone finds.
+The fit runs over blocks of columns, each transposed to a C-contiguous
+`(cols, n)` array of at most `_BLOCK_ELEMENTS` values. In a block, the first
+maximum over a coarse grid on [-5, 5] brackets each column's optimum, and a
+golden-section search (Kiefer 1953) refines all columns in lockstep; every
+column keeps its own bracket and stops when it is narrower than the
+tolerance. Both stages call one log-likelihood kernel, which reduces each
+column along its contiguous row in the order `boxcox_loglik` reduces a 1-D
+column, so each exponent is bit-for-bit the one a search on that column
+alone finds.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import MIN_RANGE_M, NUM_BEAMS, unpack
 from .errors import DegenerateFeatureError, DimensionError, InsufficientDataError
+from .hyperparams import POSITIVE
 
 LAMBDA_MIN = -5.0
 LAMBDA_MAX = 5.0
@@ -66,7 +67,7 @@ def boxcox_loglik(samples: np.ndarray, lam: float) -> float:
     """Profile log-likelihood of the Box-Cox exponent for one sample set."""
     transformed = boxcox_apply(samples, lam)
     var = float(np.var(transformed))
-    if var <= 0.0:
+    if not var > 0.0:
         return -math.inf
     n = samples.shape[0]
     return -(n / 2.0) * math.log(var) + (lam - 1.0) * float(np.sum(np.log(samples)))
@@ -87,61 +88,57 @@ def fit_boxcox_lambda(samples, tol: float = LAMBDA_TOL) -> float:
 def _fit_lambdas(X: np.ndarray, tol: float = LAMBDA_TOL) -> np.ndarray:
     """Maximum-likelihood exponent of every column of a positive matrix.
 
-    A coarse grid over [-5, 5], evaluated on the whole matrix at once,
-    brackets each column's optimum. Golden-section search then refines the
-    non-constant columns in lockstep (`_golden_sections`), over blocks of
-    whole columns holding at most `_BLOCK_ELEMENTS` values (a 96-row matrix
-    is one block), each transposed to a C-contiguous `(cols, n)` array.
-    Constant columns get 1.
-
-    The grid's `log_sums` are axis-0 sums, which round differently from the
-    1-D sum over one column, so the refinement sums each block row again.
+    Constant columns get 1. The others are fitted over blocks of whole
+    columns holding at most `_BLOCK_ELEMENTS` values (a 96-row matrix is one
+    block), each transposed to a C-contiguous `(cols, n)` array whose rows
+    share one `_loglik_kernel`. The first maximum of a row's log-likelihood
+    over the coarse grid (the one a strict `>` scan keeps) brackets its
+    optimum between the grid points either side. Golden-section search then
+    runs for every row in lockstep: each row keeps its own points c, d and
+    their log-likelihoods, and every step moves each row whose bracket is
+    still wider than `tol` and evaluates one new point for it.
     """
     n, width = X.shape
-    logX = np.log(X)
-    log_sums = np.sum(logX, axis=0)
     grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
-    best_ll = np.full(width, -np.inf)
-    best_idx = np.zeros(width, dtype=np.int64)
-    for i, lam in enumerate(grid):
-        t = logX if lam == 0.0 else (np.power(X, lam) - 1.0) / lam
-        var = np.var(t, axis=0)
-        with np.errstate(divide="ignore"):
-            ll = -(n / 2.0) * np.log(var) + (lam - 1.0) * log_sums
-        ll = np.where(var > 0.0, ll, -np.inf)
-        better = ll > best_ll
-        best_ll = np.where(better, ll, best_ll)
-        best_idx[better] = i
-    del logX, t  # the blocks below take their place
-
     lambdas = np.ones(width)
-    lo = grid[np.maximum(best_idx - 1, 0)]
-    hi = grid[np.minimum(best_idx + 1, len(grid) - 1)]
     columns = np.flatnonzero(np.ptp(X, axis=0) >= STD_FLOOR)
     per_block = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, columns.size, per_block):
         block = columns[start:start + per_block]
-        rows = np.ascontiguousarray(X.T[block])
-        lambdas[block] = _golden_sections(rows, lo[block], hi[block], tol)
+        loglik = _loglik_kernel(np.ascontiguousarray(X.T[block]))
+        every = np.arange(block.size)
+        best = np.argmax([loglik(np.full(block.size, lam), every) for lam in grid], axis=0)
+        a = grid[np.maximum(best - 1, 0)]
+        b = grid[np.minimum(best + 1, grid.size - 1)]
+        c = b - _INV_PHI * (b - a)
+        d = a + _INV_PHI * (b - a)
+        fc, fd = loglik(c, every), loglik(d, every)
+        while (live := np.flatnonzero(b - a > tol)).size:
+            left = fc[live] >= fd[live]  # the optimum lies in [a, d]
+            lft, rgt = live[left], live[~left]
+            b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
+            a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
+            c[lft] = b[lft] - _INV_PHI * (b[lft] - a[lft])
+            d[rgt] = a[rgt] + _INV_PHI * (b[rgt] - a[rgt])
+            f = loglik(np.where(left, c[live], d[live]), live)
+            fc[lft], fd[rgt] = f[left], f[~left]
+        lambdas[block] = (a + b) / 2.0
+        del loglik  # free this block's rows and buffer before the next is built
     return lambdas
 
 
-def _golden_sections(rows: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Golden-section maximum of `boxcox_loglik` for every row, in lockstep.
+def _loglik_kernel(rows: np.ndarray):
+    """The log-likelihood kernel of a C-contiguous `(cols, n)` block.
 
-    Row j of the C-contiguous `(cols, n)` block is one column's samples,
-    bracketed by [a[j], b[j]]. Each row keeps its own points c, d and their
-    log-likelihoods; every step moves each row whose bracket is still wider
-    than `tol` and evaluates one new point for it. The reductions run along
-    contiguous rows, as they do for a 1-D column, so the exponents are
-    exactly those of the scalar search on each column.
+    `loglik(lam, live)` is `boxcox_loglik(rows[live[i]], lam[i])` for every
+    i, bit for bit: the reductions run along contiguous rows, as they do
+    for a 1-D column, in one `(cols, n)` buffer reused by every call.
     """
     k, n = rows.shape
     work = np.empty_like(rows)
     log_sums = np.log(rows, out=work).sum(axis=1)
 
     def loglik(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """boxcox_loglik(rows[live[i]], lam[i]) for every i."""
         x = rows if live.size == k else rows[live]
         t = work[:live.size]
         zero = lam == 0.0
@@ -157,26 +154,12 @@ def _golden_sections(rows: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float)
         np.square(t, out=t)
         var = t.sum(axis=1) / n
         # math.log, as boxcox_loglik takes it: np.log may differ in the last bit
-        log_var = np.array([0.0 if v <= 0.0 else math.log(v) for v in var.tolist()])
+        log_var = np.array(list(map(math.log, np.where(var > 0.0, var, 1.0).tolist())))
         ll = -(n / 2.0) * log_var + (lam - 1.0) * log_sums[live]
-        ll[var <= 0.0] = -math.inf
+        ll[~(var > 0.0)] = -math.inf  # NaN too: a strict `>` scan never keeps it
         return ll
 
-    a, b = a.copy(), b.copy()
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    every = np.arange(k)
-    fc, fd = loglik(c, every), loglik(d, every)
-    while (live := np.flatnonzero(b - a > tol)).size:
-        left = fc[live] >= fd[live]  # the optimum lies in [a, d]
-        lft, rgt = live[left], live[~left]
-        b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
-        a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
-        c[lft] = b[lft] - _INV_PHI * (b[lft] - a[lft])
-        d[rgt] = a[rgt] + _INV_PHI * (b[rgt] - a[rgt])
-        f = loglik(np.where(left, c[live], d[live]), live)
-        fc[lft], fd[rgt] = f[left], f[~left]
-    return (a + b) / 2.0
+    return loglik
 
 
 @dataclass(frozen=True)
@@ -197,8 +180,7 @@ class FeatureTransformer:
             arr.setflags(write=False)
         if not np.all(self.stds > 0.0):
             raise ValueError("transformer stds must be positive")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("transformer epsilon must be finite and positive")
+        POSITIVE.check("transformer epsilon", self.epsilon)
 
     def transform_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.clip(np.asarray(X, dtype=np.float64), self.epsilon, None)
@@ -221,16 +203,18 @@ class FeatureTransformer:
             lambdas=unpack(payload, "lambdas", np.float64),
             means=unpack(payload, "means", np.float64),
             stds=unpack(payload, "stds", np.float64),
-            epsilon=float(payload["epsilon"]),
+            epsilon=payload["epsilon"],
         )
 
 
 def _boxcox_columns(X: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """boxcox_apply of every column of X with its own exponent."""
-    out = np.empty_like(X)
     zero = lambdas == 0.0
+    lam = np.where(zero, 1.0, lambdas)
+    out = np.power(X, lam)
+    out -= 1.0
+    out /= lam
     out[:, zero] = np.log(X[:, zero])
-    out[:, ~zero] = (np.power(X[:, ~zero], lambdas[~zero]) - 1.0) / lambdas[~zero]
     return out
 
 

@@ -3,7 +3,8 @@
 A trainer declares the domain of each keyword-only argument in its own
 signature, as in `rounds: Count = 200`. `check_params` reads those
 declarations back, so `ModelSpec` and a direct call through `checked` hold
-a value to the same contract.
+a value to the same contract. Model files hold their other scalars (svm
+biases, `converged` flags, the transformer's `epsilon`) to the same domains.
 """
 from __future__ import annotations
 
@@ -34,17 +35,19 @@ def _real(v) -> bool:
 
 
 COUNT = Domain("an integer >= 1", lambda v: type(v) is int and v >= 1)
+FLAG = Domain("a bool", lambda v: isinstance(v, bool))
 POSITIVE = Domain("a finite real > 0", lambda v: _real(v) and v > 0)
 RATE = Domain("a real in [0, 1)", lambda v: _real(v) and 0 <= v < 1)
+REAL = Domain("a finite real", _real)
 SEED = Domain("an integer >= 0", lambda v: type(v) is int and v >= 0)
 Count = Annotated[int, COUNT]
 CountOrNone = Annotated[Optional[int], COUNT.or_none()]
-Flag = Annotated[bool, Domain("a bool", lambda v: isinstance(v, bool))]
+Flag = Annotated[bool, FLAG]
 NonNegative = Annotated[float, Domain("a finite real >= 0", lambda v: _real(v) and v >= 0)]
 Positive = Annotated[float, POSITIVE]
 PositiveOrNone = Annotated[Optional[float], POSITIVE.or_none()]
 Rate = Annotated[float, RATE]
-Real = Annotated[float, Domain("a finite real", _real)]
+Real = Annotated[float, REAL]
 Seed = Annotated[int, SEED]
 
 
@@ -57,11 +60,15 @@ def check_params(owner: str, fit, params: dict) -> None:
 
 
 def checked(fit):
-    """`fit`, with `check_params` run on its keyword arguments first."""
+    """`fit`, with `check_params` run on its keyword arguments first, then
+    a ValueError naming it if its training matrix `X` has no rows."""
+    signature = inspect.signature(fit)
 
     @functools.wraps(fit)
     def checked_fit(*args, **kwargs):
         check_params(fit.__name__, fit, kwargs)
+        if len(signature.bind(*args, **kwargs).arguments["X"]) == 0:
+            raise ValueError(f"{fit.__name__} needs at least one training row")
         return fit(*args, **kwargs)
 
     return checked_fit

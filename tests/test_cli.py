@@ -136,6 +136,8 @@ class TestTrainPredict:
               for bad_seed in (42.9, True, -5)),
             ("logreg max_iter must be an integer >= 1",
              {**document, "spec": {**document["spec"], "params": {"max_iter": 0}}}),
+            # scalars are held to their domains, not coerced
+            ("logreg model converged must be a bool", with_payload(document, converged="false")),
             # the array codec itself
             ("'W' is not a packed array", with_payload(document, W=[[0.0] * 4] * 271)),
             ("'b' has dtype", with_payload(document, b={**b, "dtype": "<f4"})),
@@ -195,11 +197,16 @@ class TestTrainPredict:
                 coefficients=[float("inf"), *coefficients[1:]])),
             ("finite", with_payload(svm, gamma=float("nan"))),
             ("svm model gamma", with_payload(svm, gamma=-1.0)),
+            ("svm model gamma", with_payload(svm, gamma=True)),
             ("svm model coef0", with_payload(svm, coef0=float("inf"))),
+            ("svm model coef0", with_payload(svm, coef0="0.5")),
+            ("svm model bias", with_payload(svm, machines=[
+                {**first, "bias": "1e3"}, *machines[1:]])),
+            ("svm model converged", with_payload(svm, converged=["no", 0, "", 1])),
             *(("degree", with_payload(svm, degree=bad_degree))
               for bad_degree in (0, -3, 2.5, True)),
-            # a number past float range: _decode's OverflowError path
-            ("payload", with_payload(svm, gamma=10**400)),
+            # a number past float range
+            ("svm model gamma", with_payload(svm, gamma=10**400)),
             ("weight matrix", with_payload(document, W=packed_array([[0.0]] * 271))),
             ("weight matrix", with_payload(document, b=packed_array([0.0]))),
         ]
@@ -216,6 +223,7 @@ class TestTrainPredict:
                 lambdas=[float("inf"), *lambdas[1:]])),
             ("stds", with_transformer(stds=[0.0, *stds[1:]])),
             ("epsilon", with_transformer(epsilon=float("nan"))),
+            ("transformer epsilon", with_transformer(epsilon="0.5")),
         ]
         corruptions += [
             ("equal length", with_nodes(forest, threshold=nodes["threshold"][:-1])),

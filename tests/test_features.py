@@ -67,31 +67,17 @@ def golden_section(f, lo, hi, tol):
 
 
 def per_column_lambdas(X, tol=LAMBDA_TOL):
-    """Oracle for the lockstep search: the per-column search it replaced,
-    kept as it was. The same coarse grid brackets each column's optimum;
-    then one scalar golden section per non-constant column calls
-    `boxcox_loglik` on that column alone."""
-    n, width = X.shape
-    logX = np.log(X)
-    log_sums = np.sum(logX, axis=0)
+    """Oracle for the matrix fit: the scalar search on each column alone.
+    The first maximum of `boxcox_loglik` over the coarse grid brackets the
+    column's optimum; one scalar golden section per non-constant column
+    then calls `boxcox_loglik` on that column alone."""
     grid = np.arange(-5.0, 5.0 + 0.1 / 2, 0.1)
-    best_ll = np.full(width, -np.inf)
-    best_idx = np.zeros(width, dtype=np.int64)
-    for i, lam in enumerate(grid):
-        t = logX if lam == 0.0 else (np.power(X, lam) - 1.0) / lam
-        var = np.var(t, axis=0)
-        with np.errstate(divide="ignore"):
-            ll = -(n / 2.0) * np.log(var) + (lam - 1.0) * log_sums
-        ll = np.where(var > 0.0, ll, -np.inf)
-        better = ll > best_ll
-        best_ll = np.where(better, ll, best_ll)
-        best_idx[better] = i
-
-    lambdas = np.ones(width)
+    lambdas = np.ones(X.shape[1])
     for j in np.flatnonzero(np.ptp(X, axis=0) >= 1e-12):
         col = X[:, j]
-        lo = grid[max(best_idx[j] - 1, 0)]
-        hi = grid[min(best_idx[j] + 1, len(grid) - 1)]
+        best = int(np.argmax([boxcox_loglik(col, lam) for lam in grid]))
+        lo = grid[max(best - 1, 0)]
+        hi = grid[min(best + 1, len(grid) - 1)]
         lambdas[j] = golden_section(lambda lam: boxcox_loglik(col, lam), lo, hi, tol)
     return lambdas
 
@@ -149,17 +135,30 @@ class TestLockstepSearch:
             return
         assert fit_boxcox_lambda(col, tol) == per_column_lambdas(X[:, :1], tol)[0]
 
-    def test_an_exponent_of_exactly_zero_takes_the_log(self):
+    def test_kernel_is_boxcox_loglik_at_zero_and_every_grid_point(self):
+        # the grid never evaluates exactly 0 (its middle point is about
+        # -1.8e-14), but a golden-section point may
         X = _mixed(40, seed=1)
-        lo = -(math.sqrt(5.0) - 1.0) / 2.0 * 0.2
-        hi = lo + 0.2
-        assert lo + (math.sqrt(5.0) - 1.0) / 2.0 * (hi - lo) == 0.0  # the first d
-        width = X.shape[1]
-        lockstep = features._golden_sections(
-            np.ascontiguousarray(X.T), np.full(width, lo), np.full(width, hi), LAMBDA_TOL)
-        scalar = [golden_section(lambda lam: boxcox_loglik(X[:, j], lam), lo, hi, LAMBDA_TOL)
-                  for j in range(width)]
-        assert lockstep.tolist() == scalar
+        rows = np.ascontiguousarray(X.T)
+        loglik = features._loglik_kernel(rows)
+        every = np.arange(rows.shape[0])
+        for lam in [0.0, *np.arange(-5.0, 5.0 + 0.1 / 2, 0.1)]:
+            scalar = [boxcox_loglik(X[:, j], lam) for j in every]
+            assert loglik(np.full(every.size, lam), every).tolist() == scalar, lam
+        # and on a subset of rows, each with its own exponent
+        live = np.array([4, 0, 2])
+        lams = np.array([0.0, -1.25, 3.5])
+        scalar = [boxcox_loglik(X[:, j], lam) for j, lam in zip(live, lams)]
+        assert loglik(lams, live).tolist() == scalar
+
+    def test_matrix_fit_is_the_scalar_fit_on_a_grid_near_tie(self):
+        # two grid points' log-likelihoods nearly tie here, so an axis-0
+        # grid, rounding differently from the 1-D column sums, picks the
+        # other bracket
+        z = np.random.default_rng(0).standard_normal(96)
+        x = np.exp(0.2803290429080087 * z) + 0.3
+        lambdas = fit_feature_transformer(np.tile(x[:, None], (1, NUM_BEAMS))).lambdas
+        assert lambdas.tolist() == [fit_boxcox_lambda(x)] * NUM_BEAMS
 
     def test_narrow_skewed_columns_reach_both_grid_ends(self):
         X = _mixed(40, seed=1)
@@ -173,17 +172,23 @@ class TestLockstepSearch:
         X = np.clip(generate_dataset(SimConfig.uniform(24, seed=3)).X, MIN_RANGE_M, None)
         assert features._fit_lambdas(X).tolist() == per_column_lambdas(X).tolist()
 
-    def test_peak_memory_stays_under_the_coarse_grid(self):
-        # a 2,000-row simulated matrix: the coarse grid's temporaries set the
-        # peak (about 3x the matrix); the lockstep blocks must stay under it
+    def test_peak_memory_stays_under_the_matrix(self):
+        # a 2,000-row simulated matrix: the fit works in blocks of about a
+        # megabyte, and the transform writes one matrix in place
         X = np.clip(generate_dataset(SimConfig.uniform(500, seed=1)).X, MIN_RANGE_M, None)
-        tracemalloc.start()
-        try:
-            features._fit_lambdas(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.1 * X.nbytes
+        lambdas = features._fit_lambdas(X)
+        lambdas[::50] = 0.0
+
+        def peak(f, *args):
+            tracemalloc.start()
+            try:
+                f(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(features._fit_lambdas, X) <= 1.0 * X.nbytes
+        assert peak(features._boxcox_columns, X, lambdas) <= 1.1 * X.nbytes
 
 
 class TestBoxcoxApply:
@@ -318,6 +323,13 @@ class TestFeatureTransformer:
         )
         assert np.array_equal(t.means, transformed.mean(axis=0))
         assert np.array_equal(t.stds, np.maximum(transformed.std(axis=0), 1e-12))
+
+    def test_columns_transform_is_boxcox_apply_per_column(self):
+        X = self._training_matrix(seed=5)
+        lambdas = np.random.default_rng(5).uniform(-5.0, 5.0, NUM_BEAMS)
+        lambdas[::7] = 0.0
+        expected = np.stack([boxcox_apply(X[:, j], lam) for j, lam in enumerate(lambdas)], axis=1)
+        assert np.array_equal(features._boxcox_columns(X, lambdas), expected)
 
     def test_deterministic(self):
         X = self._training_matrix(seed=2)

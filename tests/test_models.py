@@ -25,11 +25,11 @@ from placescan.classifiers import (
     save_model,
     train,
 )
-from placescan.classifiers.hyperparams import Domain
 from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
 from placescan.dataset_io import write_dataset
 from placescan.errors import DegenerateTrainingError, DimensionError
 from placescan.features import fit_feature_transformer
+from placescan.hyperparams import Domain
 
 FAST_PARAMS = {
     "rf": {"trees": 10},
@@ -148,6 +148,12 @@ class TestTrain:
         corridors = synth_small.subset(synth_small.y == ClassLabel.corridor)
         with pytest.raises(DegenerateTrainingError):
             train(ModelSpec(variant="logreg"), corridors)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_trainer_refuses_zero_rows(self, variant):
+        fit = _trainer(variant)
+        with pytest.raises(ValueError, match=rf"^{fit.__name__} needs at least one training row"):
+            fit(np.empty((0, NUM_BEAMS)), np.empty(0, dtype=np.int64))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_each_variant_beats_chance_on_train(self, synth_small, variant):
