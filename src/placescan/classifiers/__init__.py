@@ -17,11 +17,13 @@ import hashlib
 import inspect
 import io
 import json
+import threading
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import blas
 from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges, pack
 from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
@@ -108,6 +110,7 @@ class TrainedModel:
         return self.payload.predict_proba(Xt)
 
 
+@blas.one_thread()
 def train(
     spec: ModelSpec, data: Dataset, transformer: FeatureTransformer | None = None
 ) -> TrainedModel:
@@ -119,7 +122,8 @@ def train(
     fits it here.
 
     Deterministic given (spec, data): every stochastic component draws from
-    substreams of spec.seed.
+    substreams of spec.seed, and OpenBLAS runs on one thread (`blas`), so
+    the model's bits do not depend on the machine's core count.
     """
     X_raw, y = data.X, data.y
     if np.unique(y).shape[0] < 2:
@@ -154,18 +158,21 @@ def predict_label(model: TrainedModel, scan: Scan) -> ClassLabel:
     return ClassLabel(int(np.argmax(predict_proba(model, scan))))
 
 
-# a Dataset's columns are read-only, so its digest is computed once
+# a Dataset's columns are read-only, so its digest is computed once; the lock
+# makes a second thread wait for the first one's digest instead of redoing it
 _FINGERPRINTS: weakref.WeakKeyDictionary[Dataset, str] = weakref.WeakKeyDictionary()
+_FINGERPRINTS_LOCK = threading.Lock()
 
 
 def dataset_fingerprint(data: Dataset) -> str:
     """sha256 hex digest of the dataset's canonical CSV (`write_dataset`)."""
-    digest = _FINGERPRINTS.get(data)
-    if digest is None:
-        buf = io.StringIO()
-        write_dataset(data, buf)
-        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-        _FINGERPRINTS[data] = digest
+    with _FINGERPRINTS_LOCK:
+        digest = _FINGERPRINTS.get(data)
+        if digest is None:
+            buf = io.StringIO()
+            write_dataset(data, buf)
+            digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+            _FINGERPRINTS[data] = digest
     return digest
 
 

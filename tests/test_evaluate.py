@@ -1,6 +1,9 @@
 import csv
+import functools
 import io
 import json
+import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from placescan import classifiers, evaluate
-from placescan.classifiers import ModelSpec
+from placescan import blas, classifiers, evaluate
+from placescan.classifiers import VARIANTS, ModelSpec, nets, trees
 from placescan.core import ClassLabel
+from placescan.dataset_io import write_dataset
 from placescan.errors import StratificationError, UndefinedCurveError
 from placescan.evaluate import (
     FoldAssignment,
@@ -227,8 +231,44 @@ class TestCrossValidate:
             run_experiment(["logreg"], synth_small, k=3, variant_params=variant_params)
 
 
+class _Boom(RuntimeError):
+    pass
+
+
+def _spy_trainers(monkeypatch, record=None, fail=None):
+    """Wrap every variant's trainer: `record[variant]` collects the threads it
+    ran on, and the `fail` variant raises a `_Boom` instead of training."""
+    boom = _Boom("trainer failed")
+    for variant, (module, name, _) in classifiers._VARIANTS.items():
+        original = getattr(module, name)
+
+        def fit(*args, _variant=variant, _original=original, **kwargs):
+            if record is not None:
+                record.setdefault(_variant, set()).add(threading.current_thread())
+            if _variant == fail:
+                raise boom
+            return _original(*args, **kwargs)
+
+        functools.update_wrapper(fit, original)
+        monkeypatch.setattr(module, name, fit)
+    return boom
+
+
+def _blas_threads():
+    functions = blas._library()
+    return None if functions is None else functions[0]()
+
+
 class TestFoldMajor:
-    PARAMS = {"logreg": {"max_iter": 200}, "rf": {"trees": 5}}
+    # cut budgets: every variant trains, in well under a second per fold
+    PARAMS = {
+        "rf": {"trees": 5}, "adaboost": {"rounds": 5}, "logreg": {"max_iter": 200},
+        "mlp": {"epochs": 1}, "cnn": {"epochs": 1},
+    }
+
+    def run(self, variants, dataset):
+        params = {v: self.PARAMS[v] for v in variants if v in self.PARAMS}
+        return run_experiment(variants, dataset, k=3, seed=13, variant_params=params)
 
     def test_one_transformer_per_fold_same_results(self, synth_small, monkeypatch):
         fitted = []
@@ -240,15 +280,15 @@ class TestFoldMajor:
         # both bindings: a fit inside train would be counted too
         for module in (evaluate, classifiers):
             monkeypatch.setattr(module, "fit_feature_transformer", spy)
-        report = run_experiment(
-            ["logreg", "rf"], synth_small, k=3, seed=13, variant_params=self.PARAMS
-        )
+        report = self.run(list(VARIANTS), synth_small)
         assert fitted == [40, 40, 40]
         monkeypatch.undo()
 
+        # a single-spec run trains every fold on the calling thread
         folds = stratified_folds(synth_small.y, 3, 13)
+        assert [result.name for result in report.variants] == list(VARIANTS)
         for result in report.variants:
-            spec = ModelSpec(result.name, seed=13, params=self.PARAMS[result.name])
+            spec = ModelSpec(result.name, seed=13, params=self.PARAMS.get(result.name, {}))
             alone = cross_validate(spec, synth_small, folds=folds)
             assert result.fold_accuracies == alone.fold_accuracies
             assert (result.mean, result.std) == (alone.mean, alone.std)
@@ -264,6 +304,68 @@ class TestFoldMajor:
             assert [(c.label, c.ap, c.curve) for c in result.per_class] == [
                 (c.label, c.ap, c.curve) for c in alone.per_class
             ]
+
+    @pytest.mark.parametrize("variants", [
+        list(VARIANTS),
+        ["cnn", "rf", "mlp", "svm"],  # networks first in the spec list
+        ["mlp", "cnn"],  # no spec for the helper lane
+    ])
+    def test_networks_train_on_the_calling_thread(self, synth_small, monkeypatch, variants):
+        lanes = {}
+        _spy_trainers(monkeypatch, record=lanes)
+        threads = threading.active_count()
+        report = self.run(variants, synth_small)
+        assert threading.active_count() == threads
+        assert [v.name for v in report.variants] == variants
+        assert lanes["mlp"] == lanes["cnn"] == {threading.current_thread()}
+        if "rf" in variants:  # the front of the queue, taken by the helper
+            assert threading.current_thread() not in lanes["rf"]
+
+    def test_folds_train_and_score_on_one_blas_thread(self, synth_small, monkeypatch):
+        seen = []
+        targets = [(trees, "train_random_forest"), (nets, "train_mlp"),
+                   (classifiers.TrainedModel, "predict_proba_matrix")]
+        for owner, name in targets:
+            original = getattr(owner, name)
+
+            def spy(*args, _original=original, **kwargs):
+                seen.append(_blas_threads())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, functools.update_wrapper(spy, original))
+        before = _blas_threads()
+        self.run(["rf", "mlp"], synth_small)
+        assert _blas_threads() == before
+        assert seen == [None if before is None else 1] * 12
+
+    def test_each_fold_is_fingerprinted_once(self, synth_small, monkeypatch):
+        written = []
+
+        def slow_write(data, stream):
+            # long enough for the other lane to ask for the same digest
+            written.append(len(data))
+            time.sleep(0.05)
+            write_dataset(data, stream)
+
+        monkeypatch.setattr(classifiers, "write_dataset", slow_write)
+        fresh = synth_small.subset(np.arange(len(synth_small)))
+        self.run(["rf", "logreg", "mlp"], fresh)
+        assert sorted(written) == [40, 40, 40, 60]
+
+    @pytest.mark.parametrize("fail", ["rf", "cnn"])  # helper lane, calling lane
+    def test_a_failing_trainer_leaves_no_thread_and_no_pin(self, synth_small, monkeypatch, fail):
+        boom = _spy_trainers(monkeypatch, fail=fail)
+        threads, before = threading.active_count(), _blas_threads()
+        with pytest.raises(_Boom) as raised:
+            self.run(list(VARIANTS), synth_small)
+        assert raised.value is boom
+        assert threading.active_count() == threads
+        assert _blas_threads() == before
+
+    def test_same_report_without_a_blas_library(self, synth_small, monkeypatch):
+        pinned = self.run(["rf", "svm", "mlp"], synth_small).to_dict()
+        monkeypatch.setattr(blas, "_library", lambda: None)
+        assert self.run(["rf", "svm", "mlp"], synth_small).to_dict() == pinned
 
 
 @pytest.fixture(scope="module")
