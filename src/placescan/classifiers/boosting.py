@@ -5,6 +5,10 @@ reaches the multiclass chance bound 1 - 1/K are rejected and training
 halts with the model built so far; a zero-error round gets a capped weight
 and also halts training.
 
+Every round fits its stump to the same rows under new weights, so the
+feature columns are sorted once per fit (`trees._sort_columns`) and each
+round's root split reuses that sort, gathering only the weights into it.
+
 The stumps are one `trees.TreeArrays` ensemble (depth-1 trees: a root and
 its two leaves, or a lone leaf). A stump votes its leaf's argmax class, and
 a class's score is the sum of the alphas of the stumps voting for it, added
@@ -19,20 +23,20 @@ import numpy as np
 from ..core import NUM_CLASSES, unpack
 from ..hyperparams import Count, checked
 from .linear import softmax
-from .trees import TreeArrays, fit_tree
+from .trees import TreeArrays, _sort_columns, fit_tree
 
 ALPHA_CAP = np.log(1e10)
 _ZERO_ERR = 1e-12
 
 
-def adaboost_round(X: np.ndarray, y: np.ndarray, weights: np.ndarray):
+def adaboost_round(X: np.ndarray, y: np.ndarray, weights: np.ndarray, presorted=None):
     """One boosting round: weighted stump, its weight, updated sample weights.
 
     Returns (stump, alpha, new_weights, status) with status one of
     'ok', 'perfect' (err = 0, keep stump, stop) or 'rejected' (err at or
-    above chance, discard stump, stop).
+    above chance, discard stump, stop). `presorted` is `fit_tree`'s.
     """
-    stump = fit_tree(X, y, sample_weight=weights, max_depth=1)
+    stump = fit_tree(X, y, sample_weight=weights, max_depth=1, presorted=presorted)
     miss = stump.leaf_classes(X)[:, 0] != y
     err = float(weights[miss].sum())
     if err < _ZERO_ERR:
@@ -89,10 +93,11 @@ def train_adaboost(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     weights = np.full(X.shape[0], 1.0 / X.shape[0])
+    presorted = _sort_columns(X, y)
     stumps: list[TreeArrays] = []
     alphas: list[float] = []
     for _ in range(rounds):
-        stump, alpha, weights, status = adaboost_round(X, y, weights)
+        stump, alpha, weights, status = adaboost_round(X, y, weights, presorted)
         if status == "rejected":
             break
         stumps.append(stump)

@@ -1,10 +1,15 @@
 """CART decision trees and a bootstrap-aggregated forest.
 
 Splits minimize weighted Gini impurity over candidate thresholds at the
-midpoints of sorted unique feature values. A node searches all of its
-candidate features in one numpy pass (`_best_split`), sorting the
-attribute columns together as SLIQ does. A later feature wins only when
-its gain beats the best so far by more than `_GAIN_EPS`, and within a
+midpoints of sorted unique feature values. The search is split in two,
+as SLIQ splits presorted attribute lists from the scan over them:
+`_sort_columns` sorts a node's candidate columns together, and
+`_best_split` scans every cut of every column in one numpy pass, holding
+the weighted class sums left of the cuts class-major, as one `(n - 1, F)`
+plane per class. A tree node sorts its own rows; boosting, whose every
+round searches the same rows, sorts them once per fit and hands the sort to
+each round's root (`fit_tree(presorted=...)`). A later feature wins only
+when its gain beats the best so far by more than `_GAIN_EPS`, and within a
 feature the lowest of equally good thresholds wins, so training is fully
 deterministic given the rng passed in.
 
@@ -19,12 +24,12 @@ per step. Model files hold the same arrays, packed by `core.pack`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..core import NUM_BEAMS, NUM_CLASSES, unpack
-from ..hyperparams import Count, CountOrNone, Flag, Seed, checked
+from ..hyperparams import COUNT, Count, CountOrNone, Flag, Seed, checked
 
 _GAIN_EPS = 1e-12
 
@@ -123,41 +128,76 @@ class TreeArrays:
                       for name, dtype in _NODE_FIELDS.items()})
 
 
-def _best_split(X, y, w, feature_indices):
+class _SortedColumns(NamedTuple):
+    """A node's candidate columns in sorted row order (`_sort_columns`)."""
+
+    order: np.ndarray  # (n, F) stable argsort of each column
+    values: np.ndarray  # (n, F) the sorted values
+    distinct: np.ndarray  # (n - 1, F) a cut between two different values
+    class_rows: np.ndarray  # (NUM_CLASSES, n, F) the sorted rows of class k
+
+
+def _sort_columns(Xf: np.ndarray, y: np.ndarray) -> _SortedColumns:
+    """Sort every column of `Xf` once, for any number of `_best_split` calls."""
+    order = np.argsort(Xf, axis=0, kind="stable")
+    values = Xf[order, np.arange(Xf.shape[1])]
+    class_rows = y[order] == np.arange(NUM_CLASSES)[:, None, None]
+    return _SortedColumns(order, values, values[1:] > values[:-1], class_rows)
+
+
+def _plane_sum(planes):
+    """((p0 + p1) + p2) + ... over an iterable of class planes, in that order."""
+    planes = iter(planes)
+    total = next(planes).copy()
+    for plane in planes:
+        total += plane
+    return total
+
+
+def _best_split(columns, y, w, feature_indices):
     """Best (gain, feature, threshold) over the candidate features.
 
     Candidate thresholds are midpoints of consecutive distinct sorted
     values; gain is the weighted Gini decrease. Returns None when no split
     strictly improves impurity.
 
-    All candidate columns are searched in one pass: one stable argsort
-    along rows, one cumsum of the sorted weighted one-hot labels into the
-    `(n - 1, F, K)` class weights left of every cut, and the Gini terms of
-    every cut of every column at once. A column's best cut is its first
-    maximum. Over the column maxima, in feature order, the first gain above
-    `_GAIN_EPS` leads, and a later column takes the lead only by beating
-    the leader by more than `_GAIN_EPS`.
+    All candidate columns are searched in one pass. `columns` is the
+    `_sort_columns(X[:, feature_indices], y)` of the node's rows, so the
+    sort is the caller's: a tree node sorts its own rows, and boosting,
+    which searches the same rows under new weights every round, sorts them
+    once per fit and passes the same sort each time. The weighted class sums
+    left of every cut are class-major, one contiguous `(n - 1, F)` plane
+    per class: the sorted weights masked to the class's rows, cumsummed
+    along rows. Every per-cut sum over classes (the left weight and the two
+    Gini sums of squares) is then plane adds in class order. A column's
+    best cut is its first maximum. Over the column maxima, in feature
+    order, the first gain above `_GAIN_EPS` leads, and a later column takes
+    the lead only by beating the leader by more than `_GAIN_EPS`.
 
-    This is bit-identical to searching one column at a time: a cumsum
-    along rows adds each column's weights in the order a one-column cumsum
-    does, and each cut's class sums reduce over the same contiguous axis.
+    This is bit-identical to searching one column at a time with a class
+    axis, `(n - 1, K)`: a cumsum along rows adds each column's weights in
+    the order a one-column cumsum does, and numpy's `sum(axis=-1)` over a
+    last axis of K = 4 adds strictly left to right, ((p0 + p1) + p2) + p3,
+    which is the order of `_plane_sum`. Classes with no weight at the node
+    get no plane: their sums are exact zeros, and adding them changes no
+    usable cut's bits.
     """
     total_w = w.sum()
     parent_counts = np.bincount(y, weights=w, minlength=NUM_CLASSES)
     parent_gini = gini_impurity(parent_counts)
-    Xf = X[:, feature_indices]
-    order = np.argsort(Xf, axis=0, kind="stable")
-    xs = np.take_along_axis(Xf, order, axis=0)
-    weighted_onehot = w[:, None] * np.eye(NUM_CLASSES)[y]
-    left = np.cumsum(weighted_onehot[order], axis=0)[:-1]
-    right = parent_counts - left
-    lw = left.sum(axis=-1)
+    classes = np.flatnonzero(parent_counts > 0)
+    left = columns.class_rows[classes] * w[columns.order]  # a row's weight or +0.0
+    np.cumsum(left, axis=1, out=left)
+    left = left[:, :-1]
+    lw = _plane_sum(left)
     rw = total_w - lw
+    q = np.empty_like(lw)  # the plane each Gini term is computed in
     with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - np.sum((left / lw[..., None]) ** 2, axis=-1)
-        gr = 1.0 - np.sum((right / rw[..., None]) ** 2, axis=-1)
+        gl = 1.0 - _plane_sum(np.square(np.divide(p, lw, out=q), out=q) for p in left)
+        right = (np.subtract(parent_counts[k], p, out=q) for k, p in zip(classes, left))
+        gr = 1.0 - _plane_sum(np.square(np.divide(r, rw, out=q), out=q) for r in right)
         child = (lw * gl + rw * gr) / total_w
-    usable = (np.diff(xs, axis=0) > 0) & (lw > 0) & (rw > 0)
+    usable = columns.distinct & (lw > 0) & (rw > 0)
     gain = np.where(usable, parent_gini - child, -np.inf)
     cut = np.argmax(gain, axis=0)
     column_gain = gain[cut, np.arange(gain.shape[1])]
@@ -172,6 +212,7 @@ def _best_split(X, y, w, feature_indices):
             break
         lead += 1 + beats[0]
     i = cut[lead]
+    xs = columns.values
     threshold = (xs[i, lead] + xs[i + 1, lead]) / 2.0
     return float(column_gain[lead]), int(feature_indices[lead]), float(threshold)
 
@@ -183,6 +224,7 @@ def fit_tree(
     max_depth: Optional[int] = None,
     features_per_split: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
+    presorted: Optional[_SortedColumns] = None,
 ) -> TreeArrays:
     """Grow one CART tree; `features_per_split=None` evaluates all features.
 
@@ -192,13 +234,25 @@ def fit_tree(
     node is impure and splittable, the first splittable feature is forced
     at its median midpoint so conflict-free data can always be separated.
     `sample_weight` must be 1-D of one weight per row, finite and
-    non-negative, with a positive sum.
+    non-negative, with a positive sum. `y` holds one label in
+    0..NUM_CLASSES-1 per row, and a `features_per_split` below the feature
+    count draws from `rng`. `presorted`, the `_sort_columns(X, y)` of these
+    rows, spares a root that searches all features its sort: boosting fits
+    every round's tree on the same rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
+    n, n_features = X.shape
     if n == 0:
         raise ValueError("cannot fit a tree on zero rows")
+    if y.shape != (n,) or np.any((y < 0) | (y >= NUM_CLASSES)):
+        raise ValueError(f"y must hold one class label in 0..{NUM_CLASSES - 1} per row")
+    COUNT.or_none().check("features_per_split", features_per_split)
+    all_features = features_per_split is None or features_per_split >= n_features
+    if not all_features and rng is None:
+        raise ValueError("rng is required when features_per_split is below the feature count")
+    if presorted is not None and presorted.order.shape != X.shape:
+        raise ValueError("presorted must be the _sort_columns of X")
     if sample_weight is None:
         sample_weight = np.full(n, 1.0 / n)
     else:
@@ -211,7 +265,6 @@ def fit_tree(
             raise ValueError("sample_weight must be finite and non-negative")
         if sample_weight.sum() <= 0:
             raise ValueError("sample_weight must have a positive sum")
-    n_features = X.shape[1]
 
     nodes = {name: [] for name in _NODE_FIELDS if name != "roots"}
 
@@ -231,14 +284,18 @@ def fit_tree(
             weightless
             or idx.shape[0] < 2
             or (max_depth is not None and depth >= max_depth)
-            or np.unique(yi).shape[0] == 1
+            or yi.min() == yi.max()
         ):
             return node
-        if features_per_split is None or features_per_split >= n_features:
+        if all_features:
             feats = np.arange(n_features)
         else:
             feats = np.sort(rng.choice(n_features, features_per_split, replace=False))
-        split = _best_split(X[idx], yi, wi, feats)
+        if depth == 0 and all_features and presorted is not None:
+            columns = presorted
+        else:
+            columns = _sort_columns(X[np.ix_(idx, feats)], yi)
+        split = _best_split(columns, yi, wi, feats)
         if split is None:
             split = _forced_split(X[idx], feats)
             if split is None:

@@ -3,13 +3,68 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placescan.classifiers.boosting import (
+    _ZERO_ERR,
+    ALPHA_CAP,
     AdaBoostModel,
     adaboost_round,
     train_adaboost,
 )
-from placescan.core import pack
+from placescan.classifiers.trees import TreeArrays, fit_tree
+from placescan.core import NUM_CLASSES, pack
+
+NODE_ARRAYS = ("roots", "feature", "threshold", "left", "right", "value")
+
+
+def reference_adaboost(X, y, rounds):
+    """SAMME with a stump fitted from scratch every round: no shared sort."""
+    w = np.full(len(y), 1.0 / len(y))
+    stumps, alphas = [], []
+    for _ in range(rounds):
+        stump = fit_tree(X, y, sample_weight=w, max_depth=1)
+        miss = stump.leaf_classes(X)[:, 0] != y
+        err = float(w[miss].sum())
+        if err >= 1.0 - 1.0 / NUM_CLASSES:
+            break
+        stumps.append(stump)
+        if err < _ZERO_ERR:
+            alphas.append(float(ALPHA_CAP))
+            break
+        alphas.append(float(np.log((1.0 - err) / err) + np.log(NUM_CLASSES - 1.0)))
+        w = w * np.exp(alphas[-1] * miss)
+        w = w / w.sum()
+    return TreeArrays.concatenate(stumps), alphas
+
+
+@st.composite
+def _boosting_sets(draw):
+    """Rows with tied and constant columns, 2-4 classes, and a round budget."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 50))
+    n_features = draw(st.integers(1, 10))
+    levels = draw(st.integers(1, 6))
+    X = rng.integers(0, levels, size=(n, n_features)) / draw(st.sampled_from([1.0, 3.0]))
+    constant = rng.random(n_features) < draw(st.sampled_from([0.0, 0.3]))
+    X[:, constant] = rng.normal()
+    y = rng.integers(0, draw(st.integers(2, NUM_CLASSES)), size=n)
+    return X, y, draw(st.integers(1, 60))
+
+
+class TestPresortedRounds:
+    @settings(max_examples=120, deadline=None)
+    @given(_boosting_sets())
+    def test_matches_a_fresh_sort_every_round(self, case):
+        X, y, rounds = case
+        model = train_adaboost(X, y, rounds=rounds)
+        stumps, alphas = reference_adaboost(X, y, rounds)
+        assert len(model.stumps) == len(stumps)  # the same stop point
+        assert model.alphas.tolist() == alphas
+        for name in NODE_ARRAYS:
+            a, b = getattr(model.stumps, name), getattr(stumps, name)
+            assert a.shape == b.shape and np.all(a == b), name
 
 
 class TestAdaboostRound:
@@ -95,8 +150,7 @@ class TestAdaboostModel:
         model = train_adaboost(X, y, rounds=8)
         back = AdaBoostModel.from_dict(json.loads(json.dumps(model.to_dict(), default=pack)))
         pairs = [(model.alphas, back.alphas)] + [
-            (getattr(model.stumps, name), getattr(back.stumps, name))
-            for name in ("roots", "feature", "threshold", "left", "right", "value")
+            (getattr(model.stumps, name), getattr(back.stumps, name)) for name in NODE_ARRAYS
         ]
         for a, b in pairs:
             assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a)

@@ -10,6 +10,7 @@ from placescan.classifiers.trees import (
     _GAIN_EPS,
     RandomForest,
     _best_split,
+    _sort_columns,
     fit_tree,
     gini_impurity,
     train_random_forest,
@@ -68,7 +69,7 @@ def per_feature_best_split(X, y, w, feature_indices):
 
 @st.composite
 def _split_nodes(draw):
-    """One node's rows: tied and constant columns, positive weights, a feature subset."""
+    """One node's rows: tied and constant columns, weights with exact zeros, a feature subset."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(2, 60))
@@ -79,13 +80,25 @@ def _split_nodes(draw):
     X[:, constant] = rng.normal()
     y = rng.integers(0, draw(st.integers(1, NUM_CLASSES)), size=n)
     if draw(st.booleans()):
+        y[: min(n, NUM_CLASSES)] = np.arange(min(n, NUM_CLASSES))  # every class present
+    if draw(st.booleans()):
         w = rng.uniform(1e-3, 1.0, size=n)
     else:
         w = np.full(n, 1.0 / n)  # equal weights give exactly equal gains
+    # zero-weight rows leave cuts with no weight on one side, and classes
+    # present at the node with no weight
+    w[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    if w.sum() == 0.0:
+        w[rng.integers(n)] = 1.0
     feats = draw(
         st.lists(st.integers(0, n_features - 1), min_size=1, max_size=n_features, unique=True)
     )
     return X, y, w, np.array(sorted(feats))
+
+
+def best_split(X, y, w, feats):
+    """`_best_split` on the node's own sort of its candidate columns."""
+    return _best_split(_sort_columns(X[:, feats], y), y, w, feats)
 
 
 class TestBestSplit:
@@ -93,7 +106,7 @@ class TestBestSplit:
     @given(_split_nodes())
     def test_matches_per_feature_search(self, node):
         X, y, w, feats = node
-        assert _best_split(X, y, w, feats) == per_feature_best_split(X, y, w, feats)
+        assert best_split(X, y, w, feats) == per_feature_best_split(X, y, w, feats)
 
     def test_gain_within_eps_keeps_the_earlier_feature(self):
         # feature 1 separates the classes perfectly; feature 0 does too but
@@ -105,12 +118,12 @@ class TestBestSplit:
         g0 = per_feature_best_split(X, y, w, [0])[0]
         g1 = per_feature_best_split(X, y, w, [1])[0]
         assert 0.0 < g1 - g0 < _GAIN_EPS
-        split = _best_split(X, y, w, np.array([0, 1]))
+        split = best_split(X, y, w, np.array([0, 1]))
         assert split == per_feature_best_split(X, y, w, [0, 1])
         assert split[1] == 0
         # beaten by more than eps, the earlier feature gives way
         w[4] = 1e-6
-        assert _best_split(X, y, w, np.array([0, 1]))[1] == 1
+        assert best_split(X, y, w, np.array([0, 1]))[1] == 1
 
 
 class TestGini:
@@ -202,6 +215,29 @@ class TestFitTree:
         y = np.array([0, 1, 0, 1])
         with pytest.raises(ValueError, match="sample_weight"):
             fit_tree(X, y, sample_weight=np.array(w))
+
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, 0, 4], [0, -1, 0, 1], [0, 1, 0], [0, 1, 0, 1, 1]],
+        ids=["high", "negative", "short", "long"],
+    )
+    def test_label_outside_the_classes_rejected(self, labels):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="^y "):
+            fit_tree(X, np.array(labels))
+
+    def test_zero_features_per_split_rejected(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+        with pytest.raises(ValueError, match="features_per_split"):
+            fit_tree(X, np.array([0, 1, 0, 1]), features_per_split=0, rng=np.random.default_rng(0))
+
+    def test_feature_subset_without_rng_rejected(self):
+        X = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="rng"):
+            fit_tree(X, y, features_per_split=2)
+        # a subset as large as the feature set draws nothing
+        assert np.array_equal(fit_tree(X, y, features_per_split=3).feature, fit_tree(X, y).feature)
 
 
 class TestRandomForest:
