@@ -164,15 +164,31 @@ _FINGERPRINTS: weakref.WeakKeyDictionary[Dataset, str] = weakref.WeakKeyDictiona
 _FINGERPRINTS_LOCK = threading.Lock()
 
 
+class _Sha256Stream(io.TextIOBase):
+    """A write-only text stream that hashes the UTF-8 of what it is given, so
+    a digest never holds the whole text."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode("utf-8"))
+        self.written += len(text)
+        return len(text)
+
+    def tell(self) -> int:
+        return self.written
+
+
 def dataset_fingerprint(data: Dataset) -> str:
     """sha256 hex digest of the dataset's canonical CSV (`write_dataset`)."""
     with _FINGERPRINTS_LOCK:
         digest = _FINGERPRINTS.get(data)
         if digest is None:
-            buf = io.StringIO()
-            write_dataset(data, buf)
-            digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-            _FINGERPRINTS[data] = digest
+            stream = _Sha256Stream()
+            write_dataset(data, stream)
+            digest = _FINGERPRINTS[data] = stream.sha256.hexdigest()
     return digest
 
 

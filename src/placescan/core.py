@@ -84,8 +84,13 @@ def impute_ranges(ranges: np.ndarray) -> np.ndarray:
     Non-finite readings become 30.0 (no-return); everything else is clipped
     to [0.001, 30.0].
     """
-    ranges = np.where(np.isfinite(ranges), ranges, MAX_RANGE_M)
-    return np.clip(ranges, MIN_RANGE_M, MAX_RANGE_M, out=ranges)
+    return _impute_in_place(np.array(ranges, dtype=np.float64))
+
+
+def _impute_in_place(X: np.ndarray) -> np.ndarray:
+    """impute_ranges, written over the writable float64 array X."""
+    np.copyto(X, MAX_RANGE_M, where=~np.isfinite(X))
+    return np.clip(X, MIN_RANGE_M, MAX_RANGE_M, out=X)
 
 
 def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Scan:
@@ -123,7 +128,22 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
+        # a copy, so the caller's array is neither imputed nor frozen
+        self._take(np.array(self.X, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, X: np.ndarray, y, heights, provenance: str) -> "Dataset":
+        """Dataset(X, y, heights, provenance) without the copy of X: for a
+        caller that built the float64 matrix X itself and keeps no other
+        reference to it, since X is imputed in place and made read-only."""
+        dataset = cls.__new__(cls)
+        for name, value in (("y", y), ("heights", heights), ("provenance", provenance)):
+            object.__setattr__(dataset, name, value)
+        dataset._take(X)
+        return dataset
+
+    def _take(self, X: np.ndarray) -> None:
+        """Check the columns, then impute X in place and freeze every column."""
         if X.shape[:1] == (0,):
             raise EmptyDatasetError("a dataset must contain at least one row")
         if X.ndim != 2 or X.shape[1] != NUM_BEAMS:
@@ -139,7 +159,7 @@ class Dataset:
             raise UnknownLabelError(f"labels must be class indices 0..{NUM_CLASSES - 1}")
         if np.any((heights < 0) | np.isinf(heights)):
             raise ValueError("heights must be finite and non-negative, or NaN for none")
-        X, y = impute_ranges(X), y.astype(np.int64)
+        X, y = _impute_in_place(X), y.astype(np.int64)
         for name, value in (("X", X), ("y", y), ("heights", heights)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

@@ -89,9 +89,10 @@ def parse_dataset(stream: IO[str], provenance: str = "") -> Dataset:
         except ValueError as exc:
             raise RowError(line_number, f"unparseable distance: {exc}") from exc
 
-    return Dataset(
-        X=np.frombuffer(distances).reshape(-1, NUM_BEAMS),
-        y=np.array(labels, dtype=np.int64),
+    # the Dataset imputes the packed buffer in place rather than copying it
+    return Dataset._adopt(
+        np.frombuffer(distances).reshape(-1, NUM_BEAMS),
+        np.array(labels, dtype=np.int64),
         heights=np.array(heights),
         provenance=provenance,
     )

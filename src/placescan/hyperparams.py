@@ -36,14 +36,16 @@ def _real(v) -> bool:
 
 COUNT = Domain("an integer >= 1", lambda v: type(v) is int and v >= 1)
 FLAG = Domain("a bool", lambda v: isinstance(v, bool))
+NATURAL = Domain("an integer >= 0", lambda v: type(v) is int and v >= 0)
+NON_NEGATIVE = Domain("a finite real >= 0", lambda v: _real(v) and v >= 0)
 POSITIVE = Domain("a finite real > 0", lambda v: _real(v) and v > 0)
 RATE = Domain("a real in [0, 1)", lambda v: _real(v) and 0 <= v < 1)
 REAL = Domain("a finite real", _real)
-SEED = Domain("an integer >= 0", lambda v: type(v) is int and v >= 0)
+SEED = NATURAL
 Count = Annotated[int, COUNT]
 CountOrNone = Annotated[Optional[int], COUNT.or_none()]
 Flag = Annotated[bool, FLAG]
-NonNegative = Annotated[float, Domain("a finite real >= 0", lambda v: _real(v) and v >= 0)]
+NonNegative = Annotated[float, NON_NEGATIVE]
 Positive = Annotated[float, POSITIVE]
 PositiveOrNone = Annotated[Optional[float], POSITIVE.or_none()]
 Rate = Annotated[float, RATE]

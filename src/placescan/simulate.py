@@ -4,6 +4,13 @@ Each place category gets a parametric scene grammar: a closed rectangular
 shell plus class-specific clutter segments. Scenes are immutable segment
 soups; scans are produced by intersecting 271 beams with every segment and
 keeping the nearest hit, clipped to the sensor envelope.
+
+`cast_rays` takes segments (..., S, 4), origins (..., 2) and directions
+(..., R, 2) and returns ranges (..., R), over any shared leading batch axes;
+a plain scene is the case with none. A segment row of NaN hits nothing, so
+scenes with fewer segments are NaN-padded to share a block.
+`generate_dataset` casts its rows in such blocks, and each row gets the same
+bits as `simulate_scan` would give it.
 """
 from __future__ import annotations
 
@@ -18,14 +25,21 @@ from .core import (
     MAX_RANGE_M,
     MIN_RANGE_M,
     NUM_BEAMS,
+    NUM_CLASSES,
     ClassLabel,
     Dataset,
     Scan,
     validate_scan,
 )
 from .errors import InvalidPoseError
+from .hyperparams import FLAG, NATURAL, NON_NEGATIVE, SEED
 
 HEIGHT_STEPS_M = (0.0, 1.0, 2.0, 3.0)
+_BEAM_ANGLES_RAD = np.radians(np.asarray(BEAM_ANGLES_DEG))
+# generate_dataset casts rows in blocks of at most this many (row, beam,
+# segment) elements, so each of cast_rays' few full-size temporaries stays
+# at 512 KiB whatever the dataset's size
+CAST_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -66,10 +80,15 @@ class SimConfig:
     noise: bool = True
 
     def __post_init__(self):
-        if any(count < 0 for count in self.per_class.values()):
-            raise ValueError("per-class counts must be non-negative")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not isinstance(self.per_class, dict):
+            raise ValueError(f"per_class must be a dict, got {self.per_class!r}")
+        for label, count in self.per_class.items():
+            if not isinstance(label, ClassLabel):
+                raise ValueError(f"per_class keys must be ClassLabel members, got {label!r}")
+            NATURAL.check(f"per_class[{label.name}]", count)
+        SEED.check("seed", self.seed)
+        NON_NEGATIVE.check("noise_sigma", self.noise_sigma)
+        FLAG.check("noise", self.noise)
 
     @classmethod
     def uniform(cls, count: int, **kwargs) -> "SimConfig":
@@ -228,25 +247,36 @@ def cast_rays(
     segments: np.ndarray, origin: np.ndarray, directions: np.ndarray
 ) -> np.ndarray:
     """Nearest ray-segment hit distance per direction, clipped to the sensor
-    envelope; 30.0 where nothing is hit."""
-    if segments.shape[0] == 0:
-        return np.full(directions.shape[0], MAX_RANGE_M)
-    p = segments[:, 0:2]
-    e = segments[:, 2:4] - p
-    rel = p - origin[None, :]
-    # cross products; beams on axis 0, segments on axis 1
-    denom = directions[:, 0:1] * e[None, :, 1] - directions[:, 1:2] * e[None, :, 0]
-    num_t = rel[None, :, 0] * e[None, :, 1] - rel[None, :, 1] * e[None, :, 0]
-    num_u = (
-        rel[None, :, 0] * directions[:, 1:2]
-        - rel[None, :, 1] * directions[:, 0:1]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num_t / denom
-        u = num_u / denom
-    hit = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
-    t = np.where(hit, t, np.inf)
-    nearest = t.min(axis=1)
+    envelope; 30.0 where nothing is hit.
+
+    Shapes (..., S, 4), (..., 2) and (..., R, 2) give (..., R); a NaN
+    segment row is a miss for every beam.
+    """
+    if segments.shape[-2] == 0:
+        return np.full(directions.shape[:-1], MAX_RANGE_M)
+    p = segments[..., 0:2]
+    e = segments[..., 2:4] - p
+    rel = p - origin[..., None, :]
+    # cross products; beams on axis -2, segments on axis -1
+    ex, ey = e[..., None, :, 0], e[..., None, :, 1]
+    rx, ry = rel[..., None, :, 0], rel[..., None, :, 1]
+    dx, dy = directions[..., 0:1], directions[..., 1:2]
+    num_t = rx * ey - ry * ex  # (..., 1, S): depends on the segment only
+    denom = dx * ey
+    scratch = dy * ex
+    np.subtract(denom, scratch, out=denom)
+    u = np.multiply(rx, dy)
+    np.multiply(ry, dx, out=scratch)
+    np.subtract(u, scratch, out=u)
+    hit = np.abs(denom, out=scratch) > 1e-12
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(u, denom, out=u)
+        t = np.divide(num_t, denom, out=denom)
+    hit &= t > 1e-9
+    hit &= u >= 0.0
+    hit &= u <= 1.0
+    np.copyto(t, np.inf, where=~hit)
+    nearest = t.min(axis=-1)
     nearest = np.where(np.isfinite(nearest), nearest, MAX_RANGE_M)
     return np.clip(nearest, MIN_RANGE_M, MAX_RANGE_M)
 
@@ -284,20 +314,28 @@ def simulate_scan(
 ) -> Scan:
     """Cast all 271 beams from the pose; optional additive Gaussian range
     noise, re-clipped to the sensor envelope."""
-    if not pose_in_free_space(scene, pose.x, pose.y):
-        raise InvalidPoseError(
-            f"pose ({pose.x:.3f}, {pose.y:.3f}) lies outside the scene's free space"
-        )
-    angles = pose.heading + np.radians(np.asarray(BEAM_ANGLES_DEG))
-    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    _check_pose(scene, pose)
     ranges = cast_rays(
-        scene.segments, np.array([pose.x, pose.y]), directions
+        scene.segments, np.array([pose.x, pose.y]), _beam_directions(pose.heading)
     )
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
         ranges = ranges + rng.normal(0.0, noise_sigma, size=NUM_BEAMS)
     return validate_scan(ranges, height_m=pose.height_m)
+
+
+def _check_pose(scene: Scene, pose: SensorPose) -> None:
+    if not pose_in_free_space(scene, pose.x, pose.y):
+        raise InvalidPoseError(
+            f"pose ({pose.x:.3f}, {pose.y:.3f}) lies outside the scene's free space"
+        )
+
+
+def _beam_directions(heading: float) -> np.ndarray:
+    """(271, 2) unit vectors of a pose's beams."""
+    angles = heading + _BEAM_ANGLES_RAD
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
 def sample_pose(scene: Scene, rng: np.random.Generator) -> SensorPose:
@@ -324,23 +362,49 @@ def generate_dataset(config: SimConfig) -> Dataset:
 
     Every row draws from an independent substream keyed by (seed, row
     index), so the output is reproducible regardless of generation order.
+    Row i equals `simulate_scan` of that substream's scene and pose, bit
+    for bit; the rays are cast in blocks of rows of similar segment count.
     """
-    total = sum(config.per_class.values())
+    counts = [config.per_class.get(label, 0) for label in ClassLabel]
+    total = sum(counts)
     if total < 1:
         raise ValueError("total row count must be at least 1")
     sigma = config.noise_sigma if config.noise else 0.0
-    scans: list[Scan] = []
-    labels: list[ClassLabel] = []
-    for label in ClassLabel:
-        for _ in range(config.per_class.get(label, 0)):
-            rng = np.random.default_rng([config.seed, len(scans)])
-            scene = generate_scene(label, rng)
-            pose = sample_pose(scene, rng)
-            scans.append(simulate_scan(scene, pose, noise_sigma=sigma, rng=rng))
-            labels.append(label)
-    return Dataset(
-        X=np.stack([scan.ranges for scan in scans]),
-        y=np.array(labels, dtype=np.int64),
-        heights=np.array([scan.height_m for scan in scans]),
-        provenance=f"synthetic seed={config.seed}",
+    y = np.repeat(np.arange(NUM_CLASSES), counts)
+    X = np.zeros((total, NUM_BEAMS))  # each row's noise, later plus its hits
+    heights = np.empty(total)
+    segments_of: list[np.ndarray] = []
+    poses = np.empty((total, 3))  # x, y, heading
+    for i, label in enumerate(y.tolist()):
+        rng = np.random.default_rng([config.seed, i])
+        scene = generate_scene(ClassLabel(label), rng)
+        pose = sample_pose(scene, rng)
+        _check_pose(scene, pose)
+        if sigma > 0.0:
+            X[i] = rng.normal(0.0, sigma, size=NUM_BEAMS)
+        segments_of.append(scene.segments)
+        poses[i] = pose.x, pose.y, pose.heading
+        heights[i] = pose.height_m
+
+    sizes = np.array([len(segments) for segments in segments_of])
+    order = np.argsort(sizes, kind="stable")
+    start = 0
+    while start < total:
+        # rows are in size order, so the block's last row sets its width
+        stop = start + 1
+        while (
+            stop < total
+            and (stop + 1 - start) * NUM_BEAMS * sizes[order[stop]] <= CAST_BLOCK_ELEMENTS
+        ):
+            stop += 1
+        rows = order[start:stop]
+        segments = np.full((len(rows), sizes[rows[-1]], 4), np.nan)
+        directions = np.empty((len(rows), NUM_BEAMS, 2))
+        for j, i in enumerate(rows.tolist()):
+            segments[j, : sizes[i]] = segments_of[i]
+            directions[j] = _beam_directions(poses[i, 2])
+        X[rows] += cast_rays(segments, poses[rows, :2], directions)  # noise + hits == hits + noise
+        start = stop
+    return Dataset._adopt(
+        X, y, heights=heights, provenance=f"synthetic seed={config.seed}"
     )

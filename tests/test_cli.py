@@ -46,6 +46,13 @@ class TestSimulate:
         run(["simulate", "--per-class", "2", "--seed", "6", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
+    def test_bad_noise_sigma_is_data_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--per-class", "1", "--noise-sigma", sigma, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "noise_sigma" in capsys.readouterr().err
+
     def test_bad_per_class_is_data_error(self, tmp_path):
         code = run(["simulate", "--per-class", "0", "--seed", "5",
                     "--out", str(tmp_path / "x.csv")])

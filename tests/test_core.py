@@ -139,6 +139,28 @@ class TestDataset:
         labels[0] = 3
         assert ds.X[0, 0] == 5.0 and ds.y[0] == 0
 
+    def test_constructor_leaves_the_callers_matrix_alone(self):
+        X = np.full((2, NUM_BEAMS), 5.0)
+        X[0, 0], X[1, 1] = np.nan, 99.0
+        ds = Dataset(X=X, y=[0, 1])
+        assert not np.shares_memory(ds.X, X)
+        assert np.isnan(X[0, 0]) and X[1, 1] == 99.0 and X.flags.writeable
+        assert ds.X[0, 0] == ds.X[1, 1] == MAX_RANGE_M
+
+    def test_adopt_imputes_in_place_without_a_copy(self):
+        X = np.full((2, NUM_BEAMS), 5.0)
+        X[0, 0], X[1, 1], X[1, 2] = np.nan, 99.0, -1.0
+        expected = Dataset(X=X, y=[0, 1], heights=[2.0, np.nan])
+        ds = Dataset._adopt(X, np.array([0, 1]), heights=np.array([2.0, np.nan]),
+                            provenance="adopted")
+        assert np.shares_memory(ds.X, X) and not X.flags.writeable
+        assert ds.X.tobytes() == expected.X.tobytes()
+        assert ds.y.tobytes() == expected.y.tobytes()
+        assert ds.heights.tobytes() == expected.heights.tobytes()
+        assert ds.provenance == "adopted" and len(ds) == 2
+        with pytest.raises(DimensionError):
+            Dataset._adopt(np.ones((2, NUM_BEAMS)), np.array([0]), None, "")
+
     @pytest.mark.parametrize(
         "X, y, heights, error",
         [

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ def _csv(dataset):
 
 
 class TestParse:
+    def test_parse_holds_one_matrix_not_two(self):
+        # the Dataset imputes the parsed buffer in place instead of copying it
+        text = io.StringIO()
+        write_dataset(_random_dataset(4, 1000), text)
+        source = io.StringIO(text.getvalue())
+        tracemalloc.start()
+        try:
+            ds = parse_dataset(source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.X.nbytes
+
     def test_single_row(self):
         ds = parse_dataset(io.StringIO(HEADER + "\n" + _row() + "\n"))
         assert len(ds) == 1

@@ -318,6 +318,13 @@ class TestFingerprint:
         monkeypatch.setattr("placescan.classifiers.write_dataset", None)
         assert dataset_fingerprint(fresh) == first
 
+    @pytest.mark.parametrize("heights", ["all", "none", "some"])
+    def test_streamed_digest_is_the_csv_digest(self, synth_small, heights):
+        kept = {"all": synth_small.heights, "none": None,
+                "some": np.where(synth_small.y == 1, np.nan, synth_small.heights)}[heights]
+        data = Dataset(X=synth_small.X, y=synth_small.y, heights=kept)
+        assert dataset_fingerprint(data) == self._csv_digest(data)
+
     def test_subset_gets_its_own_digest(self, synth_small):
         base = dataset_fingerprint(synth_small)
         part = synth_small.subset(np.arange(0, len(synth_small), 2))

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from placescan import simulate
 from placescan.core import ClassLabel, NUM_BEAMS
 from placescan.dataset_io import summarize, write_dataset
 from placescan.errors import InvalidPoseError
 from placescan.simulate import (
+    CAST_BLOCK_ELEMENTS,
     Scene,
     SensorPose,
     SimConfig,
@@ -15,6 +19,7 @@ from placescan.simulate import (
     cast_rays,
     generate_dataset,
     generate_scene,
+    sample_pose,
     simulate_scan,
 )
 
@@ -98,6 +103,67 @@ class TestCastRay:
             fast = cast_rays(scene.segments, origin, direction[None, :])[0]
             slow = brute_force_cast(scene.segments, origin, direction)
             assert fast == pytest.approx(slow, abs=1e-6)
+
+
+# whole numbers make parallel, collinear and endpoint-grazing cases common
+_COORDINATES = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False),
+)
+_ANGLES = st.one_of(
+    st.integers(-4, 4).map(lambda k: k * math.pi / 4.0),
+    st.floats(-math.pi, math.pi, allow_nan=False),
+)
+
+
+@st.composite
+def _ray_batches(draw):
+    """Scenes of 0-6 segments, one origin each and the same number of beams
+    per scene: (list of (S, 4) arrays, (B, 2) origins, (B, R, 2) directions)."""
+    rows = draw(st.integers(1, 4))
+    beams = draw(st.integers(1, 5))
+    scenes = [
+        np.array(
+            draw(st.lists(st.tuples(*[_COORDINATES] * 4), max_size=6)), dtype=np.float64
+        ).reshape(-1, 4)
+        for _ in range(rows)
+    ]
+    origins = np.array(draw(st.lists(st.tuples(_COORDINATES, _COORDINATES),
+                                     min_size=rows, max_size=rows)))
+    angles = np.array(draw(st.lists(st.lists(_ANGLES, min_size=beams, max_size=beams),
+                                    min_size=rows, max_size=rows)))
+    return scenes, origins, np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+def nan_padded(scenes):
+    """(B, max S, 4): each scene's segments, then rows of NaN."""
+    padded = np.full((len(scenes), max(len(s) for s in scenes), 4), np.nan)
+    for j, segments in enumerate(scenes):
+        padded[j, : len(segments)] = segments
+    return padded
+
+
+class TestBatchedCast:
+    @settings(max_examples=300, deadline=None)
+    @given(_ray_batches())
+    def test_batch_equals_each_row_and_the_oracle(self, batch):
+        scenes, origins, directions = batch
+        batched = cast_rays(nan_padded(scenes), origins, directions)
+        assert batched.shape == directions.shape[:2]
+        for j, segments in enumerate(scenes):
+            alone = cast_rays(segments, origins[j], directions[j])
+            assert batched[j].tobytes() == alone.tobytes()
+            for k, direction in enumerate(directions[j]):
+                assert batched[j, k] == brute_force_cast(segments, origins[j], direction)
+
+    def test_empty_scene_in_a_batch_and_alone(self):
+        room = _square_room(10.0).segments
+        origins = np.zeros((2, 2))
+        directions = np.tile([[1.0, 0.0], [0.0, -1.0]], (2, 1, 1))
+        batched = cast_rays(nan_padded([room, np.empty((0, 4))]), origins, directions)
+        assert batched.tolist() == [[5.0, 5.0], [30.0, 30.0]]
+        assert cast_rays(np.empty((2, 0, 4)), origins, directions).tolist() == [[30.0] * 2] * 2
+        assert cast_rays(np.empty((0, 4)), origins[0], directions[0]).tolist() == [30.0] * 2
 
 
 class TestGenerateScene:
@@ -202,3 +268,97 @@ class TestGenerateDataset:
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
             generate_dataset(SimConfig.uniform(0, seed=1))
+
+    def test_every_row_pose_checked(self, monkeypatch):
+        def outside(scene, rng):
+            return SensorPose(x=scene.extent[2] + 1.0, y=0.0, heading=0.0)
+
+        monkeypatch.setattr(simulate, "sample_pose", outside)
+        with pytest.raises(InvalidPoseError):
+            generate_dataset(SimConfig.uniform(1, seed=2))
+
+    def test_total_counts_only_class_labels(self):
+        config = SimConfig(per_class={ClassLabel.restroom: 2, ClassLabel.corridor: 1}, seed=4)
+        assert generate_dataset(config).y.tolist() == [0, 2, 2]
+
+
+def scalar_dataset(config):
+    """The per-row composition generate_dataset must reproduce: substream
+    (seed, i), then generate_scene, sample_pose and simulate_scan."""
+    sigma = config.noise_sigma if config.noise else 0.0
+    scans, labels = [], []
+    for label in ClassLabel:
+        for _ in range(config.per_class.get(label, 0)):
+            rng = np.random.default_rng([config.seed, len(scans)])
+            scene = generate_scene(label, rng)
+            pose = sample_pose(scene, rng)
+            scans.append(simulate_scan(scene, pose, noise_sigma=sigma, rng=rng))
+            labels.append(label)
+    X = np.stack([scan.ranges for scan in scans])
+    return X, np.array(labels, dtype=np.int64), np.array([scan.height_m for scan in scans])
+
+
+def assert_same_bytes(dataset, expected):
+    X, y, heights = expected
+    assert dataset.X.tobytes() == X.tobytes()
+    assert dataset.y.tobytes() == y.tobytes()
+    assert dataset.heights.tobytes() == heights.tobytes()
+
+
+class TestBlockCasting:
+    @pytest.mark.parametrize("per_class", [1, 7, 100])
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_equals_row_by_row_simulation(self, per_class, noise):
+        config = SimConfig.uniform(per_class, seed=per_class + 30, noise=noise)
+        assert_same_bytes(generate_dataset(config), scalar_dataset(config))
+
+    @pytest.mark.parametrize("budget", [1, NUM_BEAMS * 60, CAST_BLOCK_ELEMENTS, 2**20])
+    def test_blocks_are_bounded_and_do_not_change_bits(self, budget, monkeypatch):
+        config = SimConfig.uniform(7, seed=8)
+        expected = scalar_dataset(config)
+        blocks = []
+
+        def spy(segments, origin, directions):
+            blocks.append(segments.shape)
+            return cast_rays(segments, origin, directions)
+
+        monkeypatch.setattr(simulate, "cast_rays", spy)
+        monkeypatch.setattr(simulate, "CAST_BLOCK_ELEMENTS", budget)
+        assert_same_bytes(generate_dataset(config), expected)
+        assert sum(rows for rows, _, _ in blocks) == 28
+        for rows, width, _ in blocks:
+            assert rows == 1 or rows * NUM_BEAMS * width <= budget
+        if budget == 1:
+            assert len(blocks) == 28
+        if budget == 2**20:
+            assert len(blocks) == 1
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"per_class": {"corridor": 3}}, "per_class keys"),
+            ({"per_class": {0: 3}}, "per_class keys"),
+            ({"per_class": [3, 3, 3, 3]}, "per_class"),
+            ({"per_class": {ClassLabel.corridor: 2.0}}, r"per_class\[corridor\]"),
+            ({"per_class": {ClassLabel.staircase: True}}, r"per_class\[staircase\]"),
+            ({"per_class": {ClassLabel.restroom: -1}}, r"per_class\[restroom\]"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.0}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"noise_sigma": math.nan}, "noise_sigma"),
+            ({"noise_sigma": math.inf}, "noise_sigma"),
+            ({"noise_sigma": -0.01}, "noise_sigma"),
+            ({"noise_sigma": "0.01"}, "noise_sigma"),
+            ({"noise": 1}, "noise"),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            SimConfig(**{"per_class": {ClassLabel.corridor: 1}, **fields})
+
+    def test_valid_fields_accepted(self):
+        config = SimConfig({ClassLabel.corridor: 0, ClassLabel.restroom: 2}, seed=0,
+                           noise_sigma=0, noise=False)
+        assert config.per_class[ClassLabel.restroom] == 2
