@@ -14,7 +14,7 @@ from .core import (
 )
 from .classifiers import ModelSpec, TrainedModel, predict_label, predict_proba, train
 from .dataset_io import parse_dataset, summarize, write_dataset
-from .evaluate import cross_validate, run_experiment, stratified_folds
+from .evaluate import run_experiment, stratified_folds
 from .features import FeatureTransformer, fit_feature_transformer
 from .simulate import SimConfig, generate_dataset, generate_scene, simulate_scan
 
@@ -28,7 +28,6 @@ __all__ = [
     "Scan",
     "SimConfig",
     "TrainedModel",
-    "cross_validate",
     "fit_feature_transformer",
     "generate_dataset",
     "generate_scene",

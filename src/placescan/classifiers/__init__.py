@@ -245,10 +245,14 @@ def model_from_json(text: str) -> TrainedModel:
         )
     spec = _decode(document, "spec", _spec_from_dict)
     _, _, payload_class = _VARIANTS[spec.variant]
+    transformer = _decode(document, "transformer", FeatureTransformer.from_dict)
+    payload = _decode(document, "payload", payload_class.from_dict)
+    # mlp and cnn share the Network payload, which names its own builder
+    if isinstance(payload, nets.Network) and payload.builder != spec.variant:
+        raise ValueError(f"model file payload builder {payload.builder!r} "
+                         f"does not match spec variant {spec.variant!r}")
     return TrainedModel(
-        spec=spec,
-        transformer=_decode(document, "transformer", FeatureTransformer.from_dict),
-        payload=_decode(document, "payload", payload_class.from_dict),
+        spec=spec, transformer=transformer, payload=payload,
         metadata=_decode(document, "metadata", dict),
     )
 

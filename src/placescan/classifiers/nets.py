@@ -266,17 +266,20 @@ class Network:
         return cls(builder, args, unpack(payload, "theta", np.float64))
 
 
+# Adam's moment decays and denominator guard, Kingma & Ba's defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
     """Kingma & Ba (2015), Algorithm 1, on one flat parameter vector: `step`
     works in place, in the order and so with the rounding of
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     theta = theta - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)."""
 
-    def __init__(self, theta, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, theta, lr=0.01):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
@@ -286,14 +289,14 @@ class Adam:
     def step(self, theta, grad):
         self.t += 1
         m, v, step, denom = self.m, self.v, self._step, self._denom
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=step)
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=step)
+        m *= BETA1
+        m += np.multiply(grad, 1.0 - BETA1, out=step)
+        v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, out=step)
         v += np.multiply(step, grad, out=step)
-        np.sqrt(np.divide(v, 1.0 - self.beta2**self.t, out=denom), out=denom)
-        denom += self.eps
-        np.multiply(np.divide(m, 1.0 - self.beta1**self.t, out=step), self.lr, out=step)
+        np.sqrt(np.divide(v, 1.0 - BETA2**self.t, out=denom), out=denom)
+        denom += EPS
+        np.multiply(np.divide(m, 1.0 - BETA1**self.t, out=step), self.lr, out=step)
         theta -= np.divide(step, denom, out=step)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core import NUM_CLASSES, unpack
 from ..hyperparams import (
-    FLAG, REAL, Count, Positive, PositiveOrNone, Real, check_params, checked,
+    FLAG, POSITIVE, REAL, Count, Positive, PositiveOrNone, Real, check_params, checked,
 )
 from .linear import softmax
 
@@ -132,7 +132,9 @@ class SvmModel:
         for bias, converged in zip(self.biases, self.converged):
             REAL.check("svm model bias", bias)
             FLAG.check("svm model converged", converged)
-        # gamma, coef0 and degree are train_svm's arguments, in its domains
+        # a fitted gamma is a number: None is train_svm's "pick a default"
+        POSITIVE.check("svm model gamma", self.gamma)
+        # coef0 and degree are train_svm's arguments, in its domains
         check_params("svm model", train_svm, vars(self))
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:

@@ -82,7 +82,7 @@ def _load_dataset(path: str):
     if not p.is_file():
         raise FileNotFoundError(f"dataset file not found: {p}")
     with open(p, "r", encoding="utf-8") as fh:
-        return parse_dataset(fh, provenance=str(p))
+        return parse_dataset(fh)
 
 
 def _cmd_simulate(args) -> int:
@@ -91,8 +91,7 @@ def _cmd_simulate(args) -> int:
     config = SimConfig.uniform(
         args.per_class,
         seed=args.seed,
-        noise_sigma=args.noise_sigma,
-        noise=not args.no_noise,
+        noise_sigma=0.0 if args.no_noise else args.noise_sigma,
     )
     dataset = generate_dataset(config)
     buf = io.StringIO()
@@ -131,7 +130,7 @@ def _read_scan(path: str):
                 head += line
                 if line.rstrip("\r\n"):
                     break
-            return validate_scan(parse_dataset(io.StringIO(head), provenance=str(p)).X[0])
+            return validate_scan(parse_dataset(io.StringIO(head)).X[0])
     values = [float(v) for v in first.strip().split(",") if v != ""]
     return validate_scan(values)
 

@@ -125,20 +125,19 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     heights: Optional[np.ndarray] = None
-    provenance: str = ""
 
     def __post_init__(self):
         # a copy, so the caller's array is neither imputed nor frozen
         self._take(np.array(self.X, dtype=np.float64))
 
     @classmethod
-    def _adopt(cls, X: np.ndarray, y, heights, provenance: str) -> "Dataset":
-        """Dataset(X, y, heights, provenance) without the copy of X: for a
-        caller that built the float64 matrix X itself and keeps no other
-        reference to it, since X is imputed in place and made read-only."""
+    def _adopt(cls, X: np.ndarray, y, heights) -> "Dataset":
+        """Dataset(X, y, heights) without the copy of X: for a caller that
+        built the float64 matrix X itself and keeps no other reference to
+        it, since X is imputed in place and made read-only."""
         dataset = cls.__new__(cls)
-        for name, value in (("y", y), ("heights", heights), ("provenance", provenance)):
-            object.__setattr__(dataset, name, value)
+        object.__setattr__(dataset, "y", y)
+        object.__setattr__(dataset, "heights", heights)
         dataset._take(X)
         return dataset
 
@@ -175,13 +174,10 @@ class Dataset:
         """A writable copy of y."""
         return self.y.copy()
 
-    def subset(self, indices, provenance: str = "") -> "Dataset":
-        return Dataset(
-            X=self.X[indices],
-            y=self.y[indices],
-            heights=self.heights[indices],
-            provenance=provenance or self.provenance,
-        )
+    def subset(self, indices) -> "Dataset":
+        """The rows at `indices` (positions, a slice or a boolean mask)."""
+        rows = np.arange(len(self))[indices]
+        return Dataset._adopt(self.X[rows], self.y[rows], self.heights[rows])
 
 
 def pack(arr: np.ndarray) -> dict:

@@ -45,7 +45,7 @@ class DatasetSummary:
         return json.dumps(payload, indent=2)
 
 
-def parse_dataset(stream: IO[str], provenance: str = "") -> Dataset:
+def parse_dataset(stream: IO[str]) -> Dataset:
     """Parse the canonical CSV into a Dataset; row order is preserved.
 
     Out-of-range or non-finite distances are imputed per the clipping rule.
@@ -94,7 +94,6 @@ def parse_dataset(stream: IO[str], provenance: str = "") -> Dataset:
         np.frombuffer(distances).reshape(-1, NUM_BEAMS),
         np.array(labels, dtype=np.int64),
         heights=np.array(heights),
-        provenance=provenance,
     )
 
 

@@ -29,25 +29,10 @@ from .features import fit_feature_transformer
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Test fold of each row: ids in [0, k), no fold empty, a read-only int64 copy."""
+    """Test fold of each row as `stratified_folds` deals it: read-only int64, no fold empty."""
 
     fold_of_row: np.ndarray
     k: int
-
-    def __post_init__(self):
-        raw = np.asarray(self.fold_of_row)
-        if raw.ndim != 1 or (raw.size and not np.issubdtype(raw.dtype, np.integer)):
-            raise ValueError("fold_of_row must be a 1-D vector of integer fold ids")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        fold_of_row = raw.astype(np.int64)  # always a copy
-        if np.any((fold_of_row < 0) | (fold_of_row >= self.k)):
-            raise ValueError(f"fold ids must lie in [0, {self.k})")
-        empty = np.flatnonzero(np.bincount(fold_of_row, minlength=self.k) == 0)
-        if empty.size:
-            raise ValueError(f"fold {empty[0]} has no rows")
-        fold_of_row.setflags(write=False)
-        object.__setattr__(self, "fold_of_row", fold_of_row)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of_row == fold)
@@ -75,6 +60,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
                 f"class {name} has {idx.shape[0]} rows, fewer than k={k}"
             )
         fold_of_row[rng.permutation(idx)] = np.arange(idx.shape[0]) % k
+    fold_of_row.setflags(write=False)
     return FoldAssignment(fold_of_row=fold_of_row, k=k)
 
 
@@ -113,7 +99,11 @@ def pr_curve(scores, truths) -> list[tuple[float, float]]:
 
 def average_precision(scores, truths) -> float:
     """Step-wise AP over descending thresholds (no interpolation)."""
-    points = pr_curve(scores, truths)
+    return _area(pr_curve(scores, truths))
+
+
+def _area(points: list[tuple[float, float]]) -> float:
+    """The step-wise area under a `pr_curve`."""
     ap = 0.0
     prev_recall = 0.0
     for recall, precision in points[1:]:
@@ -238,8 +228,6 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
     Models are scored on the calling thread once both lanes are done, in
     spec order, and released before the next fold trains."""
     X_raw, y = dataset.X, dataset.y
-    if folds.fold_of_row.shape != y.shape:
-        raise ValueError("the fold assignment must give every dataset row one fold")
     tests = [folds.test_indices(fold) for fold in range(folds.k)]
     oof = np.zeros((len(specs), len(dataset), NUM_CLASSES))
     with blas.one_thread():
@@ -257,25 +245,14 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
         # every row is in exactly one test fold, so one count over the pooled
         # argmax is the sum of the per-fold confusion matrices
         confusion = np.bincount(y * NUM_CLASSES + predicted, minlength=NUM_CLASSES**2)
-        per_class = [
-            ClassCurve(label, average_precision(scores[:, label], y == label),
-                       pr_curve(scores[:, label], y == label))
-            for label in ClassLabel
-        ]
+        curves = [pr_curve(scores[:, label], y == label) for label in ClassLabel]
+        per_class = [ClassCurve(label, _area(curve), curve)
+                     for label, curve in zip(ClassLabel, curves)]
         results.append(VariantResult(
             spec.variant, accuracies, *summarize_folds(accuracies), per_class,
             confusion.reshape(NUM_CLASSES, NUM_CLASSES),
         ))
     return results
-
-
-def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 42,
-                   folds: FoldAssignment | None = None) -> VariantResult:
-    """Train/score the variant across stratified folds; pool out-of-fold
-    probabilities for the per-class curves and the confusion matrix."""
-    if folds is None:
-        folds = stratified_folds(dataset.y, k, seed)
-    return _cross_validate([spec], dataset, folds)[0]
 
 
 def run_experiment(variants, dataset: Dataset, k: int = 5, seed: int = 42,

@@ -73,8 +73,8 @@ def boxcox_loglik(samples: np.ndarray, lam: float) -> float:
     return -(n / 2.0) * math.log(var) + (lam - 1.0) * float(np.sum(np.log(samples)))
 
 
-def fit_boxcox_lambda(samples, tol: float = LAMBDA_TOL) -> float:
-    """Maximum-likelihood Box-Cox exponent over [-5, 5], to absolute `tol`."""
+def fit_boxcox_lambda(samples) -> float:
+    """Maximum-likelihood Box-Cox exponent over [-5, 5], to absolute `LAMBDA_TOL`."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] < 3:
         raise InsufficientDataError("need at least 3 samples to fit the exponent")
@@ -82,10 +82,10 @@ def fit_boxcox_lambda(samples, tol: float = LAMBDA_TOL) -> float:
         raise ValueError("samples must be strictly positive")
     if float(np.ptp(samples)) < STD_FLOOR:
         raise DegenerateFeatureError("all samples are equal; exponent is undefined")
-    return float(_fit_lambdas(samples[:, None], tol)[0])
+    return float(_fit_lambdas(samples[:, None])[0])
 
 
-def _fit_lambdas(X: np.ndarray, tol: float = LAMBDA_TOL) -> np.ndarray:
+def _fit_lambdas(X: np.ndarray) -> np.ndarray:
     """Maximum-likelihood exponent of every column of a positive matrix.
 
     Constant columns get 1. The others are fitted over blocks of whole
@@ -96,7 +96,7 @@ def _fit_lambdas(X: np.ndarray, tol: float = LAMBDA_TOL) -> np.ndarray:
     optimum between the grid points either side. Golden-section search then
     runs for every row in lockstep: each row keeps its own points c, d and
     their log-likelihoods, and every step moves each row whose bracket is
-    still wider than `tol` and evaluates one new point for it.
+    still wider than `LAMBDA_TOL` and evaluates one new point for it.
     """
     n, width = X.shape
     grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
@@ -113,7 +113,7 @@ def _fit_lambdas(X: np.ndarray, tol: float = LAMBDA_TOL) -> np.ndarray:
         c = b - _INV_PHI * (b - a)
         d = a + _INV_PHI * (b - a)
         fc, fd = loglik(c, every), loglik(d, every)
-        while (live := np.flatnonzero(b - a > tol)).size:
+        while (live := np.flatnonzero(b - a > LAMBDA_TOL)).size:
             left = fc[live] >= fd[live]  # the optimum lies in [a, d]
             lft, rgt = live[left], live[~left]
             b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]

@@ -32,7 +32,7 @@ from .core import (
     validate_scan,
 )
 from .errors import InvalidPoseError
-from .hyperparams import FLAG, NATURAL, NON_NEGATIVE, SEED
+from .hyperparams import NATURAL, NON_NEGATIVE, SEED
 
 HEIGHT_STEPS_M = (0.0, 1.0, 2.0, 3.0)
 _BEAM_ANGLES_RAD = np.radians(np.asarray(BEAM_ANGLES_DEG))
@@ -72,12 +72,11 @@ class SensorPose:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Per-class row counts and noise settings for dataset synthesis."""
+    """Per-class row counts, seed and range-noise sigma (0: none) for dataset synthesis."""
 
     per_class: dict[ClassLabel, int]
     seed: int = 42
     noise_sigma: float = 0.01
-    noise: bool = True
 
     def __post_init__(self):
         if not isinstance(self.per_class, dict):
@@ -88,7 +87,6 @@ class SimConfig:
             NATURAL.check(f"per_class[{label.name}]", count)
         SEED.check("seed", self.seed)
         NON_NEGATIVE.check("noise_sigma", self.noise_sigma)
-        FLAG.check("noise", self.noise)
 
     @classmethod
     def uniform(cls, count: int, **kwargs) -> "SimConfig":
@@ -369,7 +367,6 @@ def generate_dataset(config: SimConfig) -> Dataset:
     total = sum(counts)
     if total < 1:
         raise ValueError("total row count must be at least 1")
-    sigma = config.noise_sigma if config.noise else 0.0
     y = np.repeat(np.arange(NUM_CLASSES), counts)
     X = np.zeros((total, NUM_BEAMS))  # each row's noise, later plus its hits
     heights = np.empty(total)
@@ -380,8 +377,8 @@ def generate_dataset(config: SimConfig) -> Dataset:
         scene = generate_scene(ClassLabel(label), rng)
         pose = sample_pose(scene, rng)
         _check_pose(scene, pose)
-        if sigma > 0.0:
-            X[i] = rng.normal(0.0, sigma, size=NUM_BEAMS)
+        if config.noise_sigma > 0.0:
+            X[i] = rng.normal(0.0, config.noise_sigma, size=NUM_BEAMS)
         segments_of.append(scene.segments)
         poses[i] = pose.x, pose.y, pose.heading
         heights[i] = pose.height_m
@@ -405,6 +402,4 @@ def generate_dataset(config: SimConfig) -> Dataset:
             directions[j] = _beam_directions(poses[i, 2])
         X[rows] += cast_rays(segments, poses[rows, :2], directions)  # noise + hits == hits + noise
         start = stop
-    return Dataset._adopt(
-        X, y, heights=heights, provenance=f"synthetic seed={config.seed}"
-    )
+    return Dataset._adopt(X, y, heights)

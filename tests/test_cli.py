@@ -1,10 +1,11 @@
+import functools
 import json
 import signal
 
 import numpy as np
 import pytest
 
-from placescan.classifiers import ModelSpec, model_to_json, train
+from placescan.classifiers import VARIANTS, ModelSpec, model_to_json, nets, train
 from placescan.cli import run
 from placescan.core import LABEL_NAMES, pack, unpack
 from placescan.dataset_io import parse_dataset
@@ -52,6 +53,12 @@ class TestSimulate:
         code = run(["simulate", "--per-class", "1", "--noise-sigma", sigma, "--out", str(out)])
         assert code == 2 and not out.exists()
         assert "noise_sigma" in capsys.readouterr().err
+
+    def test_no_noise_is_zero_sigma(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["simulate", "--per-class", "2", "--no-noise", "--out", str(a)]) == 0
+        assert run(["simulate", "--per-class", "2", "--noise-sigma", "0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_bad_per_class_is_data_error(self, tmp_path):
         code = run(["simulate", "--per-class", "0", "--seed", "5",
@@ -205,6 +212,8 @@ class TestTrainPredict:
             ("finite", with_payload(svm, gamma=float("nan"))),
             ("svm model gamma", with_payload(svm, gamma=-1.0)),
             ("svm model gamma", with_payload(svm, gamma=True)),
+            # None is train_svm's "pick a default", never a fitted gamma
+            ("svm model gamma", with_payload(svm, gamma=None)),
             ("svm model coef0", with_payload(svm, coef0=float("inf"))),
             ("svm model coef0", with_payload(svm, coef0="0.5")),
             ("svm model bias", with_payload(svm, machines=[
@@ -292,6 +301,11 @@ class TestTrainPredict:
                 ("retrain", {**net, "format_version": 3}),
             ]
         corruptions += [
+            # mlp and cnn payloads are both networks: the builder must match
+            ("builder 'cnn' does not match spec variant 'mlp'",
+             {**mlp, "payload": cnn["payload"]}),
+            ("builder 'mlp' does not match spec variant 'cnn'",
+             {**cnn, "payload": mlp["payload"]}),
             ("kernel", with_args(cnn, kernel=0)),
             ("pool", with_args(cnn, pool=0)),
             ("parameters", with_args(cnn, filters=[10**8, 10**8])),
@@ -314,6 +328,60 @@ class TestTrainPredict:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+# Each leaf and each packed array of a sound model file is set to each of
+# these in turn, and `predict` must then exit 0 or 2, never 3.
+ODD_VALUES = [None, "odd", 1e308, -1e308, True, [], {}, 10**30]
+# cut budgets, so that every variant trains on the tiny set in well under a second
+CUT_BUDGETS = {"rf": {"trees": 3}, "adaboost": {"rounds": 4}, "svm": {},
+               "logreg": {"max_iter": 50}, "mlp": {"epochs": 1}, "cnn": {"epochs": 1}}
+
+
+def model_fields(node, path=()):
+    """The path of every leaf and every packed array in a model file."""
+    if isinstance(node, (dict, list)) and node and not (
+        isinstance(node, dict) and set(node) == {"dtype", "shape", "data"}
+    ):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from model_fields(node[key], (*path, key))
+    else:
+        yield path
+
+
+def replaced(node, path, value):
+    """A copy of `node` with the field at `path` set to `value`."""
+    if not path:
+        return value
+    copy = node.copy()
+    copy[path[0]] = replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+class TestModelFileFuzz:
+    def test_odd_values_exit_0_or_2(self, tiny_csv, tmp_path, capsys, monkeypatch):
+        # narrow networks: their files have the fields of full-width ones,
+        # but each predict reads kilobytes instead of megabytes
+        monkeypatch.setattr(nets, "build_mlp", functools.partial(
+            nets.build_mlp, widths=(8, 8, 8, 8, 8, 4)))
+        monkeypatch.setattr(nets, "build_cnn", functools.partial(
+            nets.build_cnn, filters=(2, 2), dense_widths=(4, 4, 4)))
+        with open(tiny_csv) as fh:
+            data = parse_dataset(fh)
+        path = tmp_path / "model.json"
+        failures = []
+        for variant in VARIANTS:
+            model = train(ModelSpec(variant, params=CUT_BUDGETS[variant]), data)
+            document = json.loads(model_to_json(model))
+            for field in model_fields(document):
+                for value in ODD_VALUES:
+                    path.write_text(json.dumps(replaced(document, field, value)))
+                    code = run(["predict", "--model", str(path), "--scan", str(tiny_csv)])
+                    err = capsys.readouterr().err
+                    if code not in (0, 2):
+                        failures.append((variant, field, value, code, err))
+        assert not failures
 
 
 class TestCrossval:

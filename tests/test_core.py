@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,15 +152,14 @@ class TestDataset:
         X = np.full((2, NUM_BEAMS), 5.0)
         X[0, 0], X[1, 1], X[1, 2] = np.nan, 99.0, -1.0
         expected = Dataset(X=X, y=[0, 1], heights=[2.0, np.nan])
-        ds = Dataset._adopt(X, np.array([0, 1]), heights=np.array([2.0, np.nan]),
-                            provenance="adopted")
+        ds = Dataset._adopt(X, np.array([0, 1]), heights=np.array([2.0, np.nan]))
         assert np.shares_memory(ds.X, X) and not X.flags.writeable
         assert ds.X.tobytes() == expected.X.tobytes()
         assert ds.y.tobytes() == expected.y.tobytes()
         assert ds.heights.tobytes() == expected.heights.tobytes()
-        assert ds.provenance == "adopted" and len(ds) == 2
+        assert len(ds) == 2
         with pytest.raises(DimensionError):
-            Dataset._adopt(np.ones((2, NUM_BEAMS)), np.array([0]), None, "")
+            Dataset._adopt(np.ones((2, NUM_BEAMS)), np.array([0]), None)
 
     @pytest.mark.parametrize(
         "X, y, heights, error",
@@ -181,14 +181,29 @@ class TestDataset:
 
     def test_subset_is_fancy_indexing(self):
         X = np.repeat(np.arange(1.0, 5.0)[:, None], NUM_BEAMS, axis=1)
-        ds = Dataset(X=X, y=np.arange(4), heights=[0.0, 1.0, np.nan, 3.0], provenance="p")
+        ds = Dataset(X=X, y=np.arange(4), heights=[0.0, 1.0, np.nan, 3.0])
         part = ds.subset([2, 0])
         assert part.y.tolist() == [2, 0]
         assert np.array_equal(part.X, X[[2, 0]])
         assert np.array_equal(part.heights, [np.nan, 0.0], equal_nan=True)
-        assert part.provenance == "p"
+        # a slice and a boolean mask pick the same rows as their positions
+        assert ds.subset(slice(1, 3)).y.tolist() == [1, 2]
+        assert ds.subset(ds.y % 2 == 1).y.tolist() == [1, 3]
+        assert ds.subset([True, False, True, False]).y.tolist() == [0, 2]
         with pytest.raises(EmptyDatasetError):
             ds.subset([])
+
+    def test_subset_copies_its_rows_once(self):
+        ds = Dataset(X=np.random.default_rng(0).uniform(1.0, 9.0, (2000, NUM_BEAMS)),
+                     y=np.arange(2000) % 4)
+        tracemalloc.start()
+        try:
+            part = ds.subset(np.arange(400, 2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(part) == 1600
+        assert peak <= 1.25 * part.X.nbytes
 
 
 _INT64 = np.iinfo(np.int64)

@@ -29,7 +29,6 @@ def _random_dataset(seed, n_rows):
         X=np.round(rng.uniform(0.001, 30.0, (n_rows, NUM_BEAMS)), 4),
         y=rng.integers(0, NUM_CLASSES, n_rows),
         heights=heights,
-        provenance=f"test seed={seed}",
     )
 
 

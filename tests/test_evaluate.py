@@ -12,15 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placescan import blas, classifiers, evaluate
-from placescan.classifiers import VARIANTS, ModelSpec, nets, trees
+from placescan.classifiers import VARIANTS, nets, trees
 from placescan.core import ClassLabel
 from placescan.dataset_io import write_dataset
 from placescan.errors import StratificationError, UndefinedCurveError
 from placescan.evaluate import (
-    FoldAssignment,
     accuracy,
     average_precision,
-    cross_validate,
     pr_curve,
     run_experiment,
     stratified_folds,
@@ -85,6 +83,8 @@ class TestStratifiedFolds:
         labels = np.array([0] * 10 + [1] * 10 + [2] * 2 + [3] * 10)
         with pytest.raises(StratificationError, match="restroom"):
             stratified_folds(labels, k=5, seed=0)
+        with pytest.raises(ValueError, match="at least 2"):
+            stratified_folds(labels, k=1, seed=0)
 
     def test_train_and_test_partition_rows(self):
         labels = np.random.default_rng(3).integers(0, 4, size=57)
@@ -99,29 +99,13 @@ class TestStratifiedFolds:
 
 class TestFoldAssignment:
     def test_holds_a_read_only_int64_copy(self):
-        fold_of_row = np.array([0, 1, 0, 1], dtype=np.int32)
-        folds = FoldAssignment(fold_of_row, 2)
-        fold_of_row[0] = 1  # the caller's array stays writable and separate
+        labels = np.array([0, 1, 0, 1], dtype=np.int32)
+        folds = stratified_folds(labels, k=2, seed=0)
+        assert not np.shares_memory(folds.fold_of_row, labels)
         assert folds.fold_of_row.dtype == np.int64
-        assert folds.fold_of_row.tolist() == [0, 1, 0, 1]
+        assert sorted(folds.fold_of_row.tolist()) == [0, 0, 1, 1]
         with pytest.raises(ValueError, match="read-only"):
             folds.fold_of_row[0] = 1
-
-    @pytest.mark.parametrize(
-        "fold_of_row, k, message",
-        [
-            (np.zeros((2, 2), dtype=np.int64), 2, "1-D"),
-            (np.array([0.0, 1.0]), 2, "integer"),
-            (np.array([0, 0]), 1, "at least 2"),
-            (np.array([0, 1, 2]), 2, r"\[0, 2\)"),
-            (np.array([-1, 0, 1]), 2, r"\[0, 2\)"),
-            (np.array([0, 0, 1, 1]), 3, "fold 2 has no rows"),
-            (np.array([], dtype=np.int64), 2, "fold 0 has no rows"),
-        ],
-    )
-    def test_invalid_assignment_rejected(self, fold_of_row, k, message):
-        with pytest.raises(ValueError, match=message):
-            FoldAssignment(fold_of_row, k)
 
 
 class TestAccuracy:
@@ -188,20 +172,15 @@ class TestSummarizeFolds:
 
 class TestCrossValidate:
     def test_result_shape_and_determinism(self, synth_small):
-        spec = ModelSpec(variant="logreg", seed=13, params={"max_iter": 200})
-        a = cross_validate(spec, synth_small, k=3, seed=13)
-        b = cross_validate(spec, synth_small, k=3, seed=13)
+        a, b = (run_experiment(["logreg"], synth_small, k=3, seed=13,
+                               variant_params={"logreg": {"max_iter": 200}}).variants[0]
+                for _ in range(2))
         assert a.fold_accuracies == b.fold_accuracies
         assert len(a.fold_accuracies) == 3
         assert len(a.per_class) == 4
         assert int(a.confusion.sum()) == len(synth_small)
         mean, std = summarize_folds(a.fold_accuracies)
         assert (a.mean, a.std) == (mean, std)
-
-    def test_folds_must_cover_the_dataset(self, synth_small):
-        folds = stratified_folds(synth_small.y[:-4], k=3, seed=13)
-        with pytest.raises(ValueError, match="every dataset row"):
-            cross_validate(ModelSpec(variant="logreg"), synth_small, folds=folds)
 
     def test_run_experiment_shares_folds(self, synth_small):
         report = run_experiment(
@@ -288,8 +267,7 @@ class TestFoldMajor:
         folds = stratified_folds(synth_small.y, 3, 13)
         assert [result.name for result in report.variants] == list(VARIANTS)
         for result in report.variants:
-            spec = ModelSpec(result.name, seed=13, params=self.PARAMS.get(result.name, {}))
-            alone = cross_validate(spec, synth_small, folds=folds)
+            alone = self.run([result.name], synth_small).variants[0]
             assert result.fold_accuracies == alone.fold_accuracies
             assert (result.mean, result.std) == (alone.mean, alone.std)
             assert np.array_equal(result.confusion, alone.confusion)

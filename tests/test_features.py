@@ -122,8 +122,9 @@ class TestLockstepSearch:
     @example(_mixed(120, seed=1), 1e-12, 4 * 120)
     def test_equals_the_per_column_search(self, X, tol, block_elements):
         # block widths from one column up to the whole matrix
-        with mock.patch.object(features, "_BLOCK_ELEMENTS", block_elements):
-            lockstep = features._fit_lambdas(X, tol)
+        with (mock.patch.object(features, "_BLOCK_ELEMENTS", block_elements),
+              mock.patch.object(features, "LAMBDA_TOL", tol)):
+            lockstep = features._fit_lambdas(X)
         assert lockstep.tolist() == per_column_lambdas(X, tol).tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -133,7 +134,9 @@ class TestLockstepSearch:
         col = X[:, 0]
         if np.ptp(col) < 1e-12:
             return
-        assert fit_boxcox_lambda(col, tol) == per_column_lambdas(X[:, :1], tol)[0]
+        with mock.patch.object(features, "LAMBDA_TOL", tol):
+            fitted = fit_boxcox_lambda(col)
+        assert fitted == per_column_lambdas(X[:, :1], tol)[0]
 
     def test_kernel_is_boxcox_loglik_at_zero_and_every_grid_point(self):
         # the grid never evaluates exactly 0 (its middle point is about

@@ -285,14 +285,13 @@ class TestGenerateDataset:
 def scalar_dataset(config):
     """The per-row composition generate_dataset must reproduce: substream
     (seed, i), then generate_scene, sample_pose and simulate_scan."""
-    sigma = config.noise_sigma if config.noise else 0.0
     scans, labels = [], []
     for label in ClassLabel:
         for _ in range(config.per_class.get(label, 0)):
             rng = np.random.default_rng([config.seed, len(scans)])
             scene = generate_scene(label, rng)
             pose = sample_pose(scene, rng)
-            scans.append(simulate_scan(scene, pose, noise_sigma=sigma, rng=rng))
+            scans.append(simulate_scan(scene, pose, config.noise_sigma, rng))
             labels.append(label)
     X = np.stack([scan.ranges for scan in scans])
     return X, np.array(labels, dtype=np.int64), np.array([scan.height_m for scan in scans])
@@ -309,7 +308,8 @@ class TestBlockCasting:
     @pytest.mark.parametrize("per_class", [1, 7, 100])
     @pytest.mark.parametrize("noise", [True, False])
     def test_equals_row_by_row_simulation(self, per_class, noise):
-        config = SimConfig.uniform(per_class, seed=per_class + 30, noise=noise)
+        config = SimConfig.uniform(per_class, seed=per_class + 30,
+                                   noise_sigma=0.01 if noise else 0.0)
         assert_same_bytes(generate_dataset(config), scalar_dataset(config))
 
     @pytest.mark.parametrize("budget", [1, NUM_BEAMS * 60, CAST_BLOCK_ELEMENTS, 2**20])
@@ -351,7 +351,6 @@ class TestSimConfig:
             ({"noise_sigma": math.inf}, "noise_sigma"),
             ({"noise_sigma": -0.01}, "noise_sigma"),
             ({"noise_sigma": "0.01"}, "noise_sigma"),
-            ({"noise": 1}, "noise"),
         ],
     )
     def test_bad_field_rejected_by_name(self, fields, named):
@@ -360,5 +359,5 @@ class TestSimConfig:
 
     def test_valid_fields_accepted(self):
         config = SimConfig({ClassLabel.corridor: 0, ClassLabel.restroom: 2}, seed=0,
-                           noise_sigma=0, noise=False)
+                           noise_sigma=0)
         assert config.per_class[ClassLabel.restroom] == 2
