@@ -6,9 +6,12 @@ in layer order. `W` and `b` are views of `theta`, and `gW` and `gb` the
 matching views of `grad`, which backward passes write in place
 (`self.gW[...] = ...`); so one `Adam.step(theta, grad)` updates every layer.
 Layers cache what they need during forward and return input gradients
-during backward. Dropout is inverted (masks scaled by 1/(1-rate)) and drawn
-from the rng passed to the forward call, so training is fully seeded. A
-model file holds the builder name, its keyword arguments and `theta`.
+during backward; `loss_and_grads` skips the first layer's, which nothing
+uses. Conv activations are channels-last, (batch, length, channels), but
+`theta` keeps conv `W` as (out, in, kernel) and the dense rows behind
+`Flatten` in (channels, length) order. Dropout is inverted (masks scaled by
+1/(1-rate)) and drawn from the rng passed to the forward call, so training
+is fully seeded. A model file holds the builder name, its arguments and `theta`.
 """
 from __future__ import annotations
 
@@ -36,10 +39,10 @@ class Dense:
         self._x = x
         return x @ self.W + self.b
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         self.gW[...] = self._x.T @ dy
         self.gb[...] = dy.sum(axis=0)
-        return dy @ self.W.T
+        return dy @ self.W.T if input_grad else None
 
 
 class ReLU:
@@ -67,86 +70,103 @@ class Dropout:
         return dy if self._mask is None else dy * self._mask
 
 
-class Conv1D:
-    """Valid cross-correlation over (batch, channels, length) signals.
+_BLOCK = 1024  # output rows per block of shifted GEMMs; its partial sums stay in cache
 
-    A one-channel layer also takes (batch, length) signals and returns input
-    gradients in that same shape.
-    """
+
+def _correlate(signal, taps, out):
+    """out[r] = sum_j signal[r + j] @ taps[j] over the rows r of `out`."""
+    for r in range(0, len(out), _BLOCK):
+        block = out[r : r + _BLOCK]
+        n = len(block)
+        np.matmul(signal[r : r + n], taps[0], out=block)
+        for j in range(1, len(taps)):
+            block += signal[r + j : r + j + n] @ taps[j]
+    return out
+
+
+class Conv1D:
+    """Valid cross-correlation over (batch, length, channels) signals as k
+    shifted GEMMs (kn2row; Vasudevan, Anderson & Gregg 2017): with the batch
+    one contiguous (B*L, C) signal x and N = B*L - k + 1, out[:N] =
+    sum_j x[j:j+N] @ W[:, :, j].T + b on row slices, and the B*(k-1) rows
+    that straddle two samples dropped. One channel also comes as (B, L) or
+    (B, 1, L) rows, whose sliding windows are a view: one GEMM. dx, in the
+    input's shape, is the same correlation with the taps reversed over dy
+    zero-padded by k-1 rows; `input_grad=False` skips it."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int):
         self.shapes = ((c_out, c_in, kernel), (c_out,))
         self.fan_in = c_in * kernel
-        self.kernel = kernel
 
     def forward(self, x, train, rng):
-        self._flat = x.ndim == 2 and self.W.shape[1] == 1
-        if self._flat:
-            x = x[:, None, :]
-        if x.ndim != 3 or x.shape[1] != self.W.shape[1]:
-            raise DimensionError(
-                f"conv layer expects (batch, {self.W.shape[1]}, length) input"
-            )
-        if x.shape[2] < self.kernel:
-            raise DimensionError("input shorter than the convolution kernel")
-        B, C, L = x.shape
-        k = self.kernel
-        L_out = L - k + 1
-        xw = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
-        # im2col: (B*L_out, C*k) rows against a (C*k, O) weight matrix
-        self._cols = xw.transpose(0, 2, 1, 3).reshape(B * L_out, C * k)
-        self._dims = (B, C, L, L_out)
-        O = self.W.shape[0]
-        out = self._cols @ self.W.reshape(O, C * k).T + self.b
-        return out.reshape(B, L_out, O).transpose(0, 2, 1)
+        O, C, k = self.W.shape
+        self._in_shape = x.shape
+        if C == 1 and (x.ndim == 2 or x.ndim == 3 and x.shape[1] == 1):
+            x = x.reshape(len(x), -1, 1)
+        if x.ndim != 3 or x.shape[2] != C or x.shape[1] < k:
+            raise DimensionError(f"conv layer expects (batch, length >= {k}, {C}) input")
+        B, L, _ = x.shape
+        self._x = x = x.reshape(B * L, C)
+        out = np.empty((B * L, O))
+        if C == 1:
+            windows = np.lib.stride_tricks.sliding_window_view(x[:, 0], k)
+            np.matmul(windows, self.W[:, 0].T, out=out[: len(windows)])
+        else:
+            _correlate(x, np.ascontiguousarray(self.W.transpose(2, 1, 0)), out[: B * L - k + 1])
+        out[: B * L - k + 1] += self.b
+        return out.reshape(B, L, O)[:, : L - k + 1]
 
-    def backward(self, dy):
-        B, C, L, L_out = self._dims
-        k = self.kernel
-        O = self.W.shape[0]
-        dym = dy.transpose(0, 2, 1).reshape(B * L_out, O)
-        self.gW[...] = (dym.T @ self._cols).reshape(O, C, k)
-        self.gb[...] = dy.sum(axis=(0, 2))
-        dy_pad = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1)))
-        dyw = np.lib.stride_tricks.sliding_window_view(dy_pad, k, axis=2)
-        cols = dyw.transpose(0, 2, 1, 3).reshape(B * L, O * k)
-        w_flip = self.W[:, :, ::-1].transpose(0, 2, 1).reshape(O * k, C)
-        dx = (cols @ w_flip).reshape(B, L, C).transpose(0, 2, 1)
-        return dx[:, 0, :] if self._flat else dx
+    def backward(self, dy, input_grad=True):
+        O, _, k = self.W.shape
+        B, L_out, _ = dy.shape
+        x = self._x
+        padded = np.zeros((k - 1 + len(x), O))
+        padded[k - 1 :].reshape(B, L_out + k - 1, O)[:, :L_out] = dy
+        d = padded[k - 1 : len(padded) - k + 1]
+        for j in range(k):
+            self.gW[:, :, j] = d.T @ x[j : j + len(d)]
+        self.gb[...] = dy.sum(axis=(0, 1))
+        if input_grad:
+            taps = np.ascontiguousarray(self.W.transpose(2, 0, 1)[::-1])
+            return _correlate(padded, taps, np.empty(x.shape)).reshape(self._in_shape)
 
 
 class MaxPool1D:
-    """Non-overlapping max pooling; ties route the gradient to the first index."""
+    """Non-overlapping max pooling over (batch, length, channels) signals, the
+    max of `size` strided slices; ties route the gradient to the first index."""
 
     def __init__(self, size: int = 2):
         self.size = size
 
     def forward(self, x, train, rng):
-        B, C, L = x.shape
-        Lp = L // self.size
-        self._in_shape = x.shape
-        windows = x[:, :, : Lp * self.size].reshape(B, C, Lp, self.size)
-        self._argmax = windows.argmax(axis=3)
-        return windows.max(axis=3)
+        p = self.size
+        self._x, self._out = x, x[:, 0 : x.shape[1] // p * p : p]
+        for i in range(1, p):
+            self._out = np.maximum(self._out, x[:, i : x.shape[1] // p * p : p])
+        return self._out
 
     def backward(self, dy):
-        B, C, L = self._in_shape
-        Lp = dy.shape[2]
-        dx = np.zeros((B, C, Lp, self.size))
-        idx = np.indices((B, C, Lp))
-        dx[idx[0], idx[1], idx[2], self._argmax] = dy
-        out = np.zeros(self._in_shape)
-        out[:, :, : Lp * self.size] = dx.reshape(B, C, Lp * self.size)
-        return out
+        p, x, out = self.size, self._x, self._out
+        dx = np.zeros(x.shape)
+        unrouted = np.ones(out.shape, dtype=bool)
+        for i in range(p):
+            hit = unrouted & (x[:, i : out.shape[1] * p : p] == out)
+            np.copyto(dx[:, i : out.shape[1] * p : p], dy, where=hit)
+            unrouted &= ~hit
+        return dx
 
 
 class Flatten:
+    """(batch, length, channels) to channel-major rows: the (channels,
+    length) order of the next dense layer's rows in `theta`."""
+
     def forward(self, x, train, rng):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.transpose(0, 2, 1).reshape(len(x), -1)
 
     def backward(self, dy):
-        return dy.reshape(self._shape)
+        B, L, C = self._shape
+        return dy.reshape(B, C, L).transpose(0, 2, 1)
 
 
 def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
@@ -190,16 +210,9 @@ def _cnn_layers(length, filters, kernel, pool, dense_widths, dropout_rate) -> li
     conv_len = COUNT.check("cnn length", length) - 2 * (COUNT.check("cnn kernel", kernel) - 1)
     if conv_len < COUNT.check("cnn pool", pool):
         raise ValueError(f"the conv output ({conv_len} samples) is shorter than cnn pool {pool}")
-    return [
-        Conv1D(1, c1, kernel),
-        ReLU(),
-        Conv1D(c1, c2, kernel),
-        ReLU(),
-        MaxPool1D(pool),
-        Flatten(),
-        Dropout(dropout_rate),
-        *_dense_stack(c2 * (conv_len // pool), "cnn dense_widths", dense_widths, (), 0.0),
-    ]
+    return [Conv1D(1, c1, kernel), ReLU(), Conv1D(c1, c2, kernel), ReLU(), MaxPool1D(pool),
+            Flatten(), Dropout(dropout_rate),
+            *_dense_stack(c2 * (conv_len // pool), "cnn dense_widths", dense_widths, (), 0.0)]
 
 
 # builder name -> checked layer list from its keyword arguments; no arrays yet
@@ -244,8 +257,9 @@ class Network:
         logits = self.forward(x, train=train, rng=rng)
         loss, dlogits, _ = softmax_cross_entropy(logits, onehot)
         grad = dlogits
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
+        self.layers[0].backward(grad, input_grad=False)
         return loss, [g for layer in self._weighted for g in (layer.gW, layer.gb)]
 
     def params(self):
@@ -267,9 +281,7 @@ class Network:
 
 
 # Adam's moment decays and denominator guard, Kingma & Ba's defaults
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -279,12 +291,9 @@ class Adam:
     theta = theta - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)."""
 
     def __init__(self, theta, lr=0.01):
-        self.lr = lr
-        self.t = 0
-        self.m = np.zeros_like(theta)
-        self.v = np.zeros_like(theta)
-        self._step = np.empty_like(theta)
-        self._denom = np.empty_like(theta)
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+        self._step, self._denom = np.empty_like(theta), np.empty_like(theta)
 
     def step(self, theta, grad):
         self.t += 1
@@ -320,9 +329,8 @@ def build_mlp(rng: np.random.Generator, n_in: int = 271, widths=(481, 364, 256, 
     return _he_uniform(Network("mlp", args), rng)
 
 
-def build_cnn(rng: np.random.Generator, length: int = 271,
-              filters=(16, 32), kernel: int = 5, pool: int = 2,
-              dense_widths=(125, 50, 4), dropout_rate: float = 0.25) -> Network:
+def build_cnn(rng: np.random.Generator, length: int = 271, filters=(16, 32), kernel: int = 5,
+              pool: int = 2, dense_widths=(125, 50, 4), dropout_rate: float = 0.25) -> Network:
     """Two conv layers, one max-pool, flatten, dropout, three dense layers."""
     args = {"length": length, "filters": list(filters), "kernel": kernel, "pool": pool,
             "dense_widths": list(dense_widths), "dropout_rate": dropout_rate}
@@ -330,16 +338,8 @@ def build_cnn(rng: np.random.Generator, length: int = 271,
 
 
 @checked
-def train_network(
-    net: Network,
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    epochs: Count = 30,
-    batch_size: Count = 32,
-    lr: Positive = 0.01,
-    seed: Seed = 42,
-) -> list[float]:
+def train_network(net: Network, X: np.ndarray, y: np.ndarray, *, epochs: Count = 30,
+                  batch_size: Count = 32, lr: Positive = 0.01, seed: Seed = 42) -> list[float]:
     """Seeded mini-batch Adam training; returns per-epoch mean losses."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

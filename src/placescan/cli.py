@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -142,6 +143,9 @@ def _cmd_predict(args) -> int:
     model = load_model(model_path)
     scan = _read_scan(args.scan)
     proba = predict_proba(model, scan)
+    if not all(map(math.isfinite, proba)):
+        raise ValueError(f"the {model.spec.variant} model gives non-finite probabilities "
+                         f"{proba.tolist()}; its model file is unusable")
     label = ClassLabel(int(proba.argmax()))
     print(
         json.dumps(

@@ -126,6 +126,19 @@ class TestTrainPredict:
                     "--scan", str(broken_path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_finite_probabilities_are_data_error(self, tiny_csv, tmp_path, capsys):
+        # a finite but huge gamma overflows the svm kernel to inf, and the
+        # decision values to NaN
+        with open(tiny_csv) as fh:
+            svm = json.loads(model_to_json(train(ModelSpec("svm"), parse_dataset(fh))))
+        path = tmp_path / "svm.json"
+        path.write_text(json.dumps(with_payload(svm, gamma=1e308)))
+        capsys.readouterr()
+        assert run(["predict", "--model", str(path), "--scan", str(tiny_csv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "svm model gives non-finite probabilities" in err
+
     def test_corrupt_model_file_is_data_error(self, tiny_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from placescan.classifiers import ModelSpec, train
+from placescan.classifiers.linear import softmax
 from placescan.classifiers.nets import (
     Adam,
+    Conv1D,
     Dropout,
+    Flatten,
     MaxPool1D,
     Network,
     build_cnn,
@@ -15,7 +20,103 @@ from placescan.classifiers.nets import (
     train_network,
 )
 from placescan.core import pack
+from placescan.errors import DimensionError
 from placescan.simulate import SimConfig, generate_dataset
+
+
+class Im2colConv1D:
+    """Oracle: valid cross-correlation over (batch, channels, length) signals
+    by im2col (Chellapilla, Puri & Simard 2006), the layer that `Conv1D`
+    replaced. A one-channel layer also takes (batch, length) rows."""
+
+    def __init__(self, W, b):
+        self.W, self.b = W, b
+        self.gW, self.gb = np.zeros_like(W), np.zeros_like(b)
+        self.kernel = W.shape[2]
+
+    def forward(self, x, train, rng):
+        self._flat = x.ndim == 2 and self.W.shape[1] == 1
+        if self._flat:
+            x = x[:, None, :]
+        B, C, L = x.shape
+        k = self.kernel
+        L_out = L - k + 1
+        xw = np.lib.stride_tricks.sliding_window_view(x, k, axis=2)
+        self._cols = xw.transpose(0, 2, 1, 3).reshape(B * L_out, C * k)
+        self._dims = (B, C, L, L_out)
+        O = self.W.shape[0]
+        out = self._cols @ self.W.reshape(O, C * k).T + self.b
+        return out.reshape(B, L_out, O).transpose(0, 2, 1)
+
+    def backward(self, dy):
+        B, C, L, L_out = self._dims
+        k = self.kernel
+        O = self.W.shape[0]
+        dym = dy.transpose(0, 2, 1).reshape(B * L_out, O)
+        self.gW[...] = (dym.T @ self._cols).reshape(O, C, k)
+        self.gb[...] = dy.sum(axis=(0, 2))
+        dy_pad = np.pad(dy, ((0, 0), (0, 0), (k - 1, k - 1)))
+        dyw = np.lib.stride_tricks.sliding_window_view(dy_pad, k, axis=2)
+        cols = dyw.transpose(0, 2, 1, 3).reshape(B * L, O * k)
+        w_flip = self.W[:, :, ::-1].transpose(0, 2, 1).reshape(O * k, C)
+        dx = (cols @ w_flip).reshape(B, L, C).transpose(0, 2, 1)
+        return dx[:, 0, :] if self._flat else dx
+
+
+class ArgmaxMaxPool1D:
+    """Oracle: non-overlapping max pooling over (batch, channels, length)
+    signals by argmax, which routes ties to the first index."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def forward(self, x, train, rng):
+        B, C, L = x.shape
+        Lp = L // self.size
+        self._in_shape = x.shape
+        windows = x[:, :, : Lp * self.size].reshape(B, C, Lp, self.size)
+        self._argmax = windows.argmax(axis=3)
+        return windows.max(axis=3)
+
+    def backward(self, dy):
+        B, C, L = self._in_shape
+        Lp = dy.shape[2]
+        dx = np.zeros((B, C, Lp, self.size))
+        idx = np.indices((B, C, Lp))
+        dx[idx[0], idx[1], idx[2], self._argmax] = dy
+        out = np.zeros(self._in_shape)
+        out[:, :, : Lp * self.size] = dx.reshape(B, C, Lp * self.size)
+        return out
+
+
+class ChannelsFirstFlatten:
+    def forward(self, x, train, rng):
+        return x.reshape(x.shape[0], -1)
+
+
+def oracle_stack(net):
+    """The layers of a cnn `net` with the conv, pool and flatten layers
+    swapped for the channels-first oracles, on the same `W` and `b`."""
+    stack = []
+    for layer in net.layers:
+        if isinstance(layer, Conv1D):
+            layer = Im2colConv1D(layer.W, layer.b)
+        elif isinstance(layer, MaxPool1D):
+            layer = ArgmaxMaxPool1D(layer.size)
+        elif isinstance(layer, Flatten):
+            layer = ChannelsFirstFlatten()
+        stack.append(layer)
+    return stack
+
+
+def assert_close(got, want, rel=1e-12):
+    """Every entry within `rel` of the largest magnitude in `want`."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def channels_last(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
 
 
 def check_gradients(net, x, onehot, h=1e-6, tol=1e-5):
@@ -86,10 +187,10 @@ class TestAdam:
 class TestLayers:
     def test_maxpool_takes_first_index_on_ties(self):
         pool = MaxPool1D(2)
-        x = np.full((1, 1, 4), 3.0)
+        x = np.full((1, 4, 2), 3.0)  # (batch, length, channels)
         out = pool.forward(x, train=False, rng=None)
         dx = pool.backward(np.ones_like(out))
-        assert np.array_equal(dx[0, 0], [1.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(dx[0], [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
     def test_conv_zero_sum_kernel_ignores_constant_shift(self):
         rng = np.random.default_rng(0)
@@ -100,7 +201,29 @@ class TestLayers:
         x = rng.normal(size=(2, 1, 9))
         a = conv.forward(x, train=False, rng=None)
         b = conv.forward(x + 7.5, train=False, rng=None)
+        assert a.shape == (2, 7, 1)  # (batch, length, channels)
         assert np.allclose(a, b)
+        assert np.array_equal(conv.forward(x[:, 0, :], train=False, rng=None), a)
+
+    def test_channels_last_conv_zero_sum_kernel_ignores_per_channel_shift(self):
+        rng = np.random.default_rng(0)
+        conv = build_cnn(rng, length=9, filters=(2, 3), kernel=3, pool=1,
+                         dense_widths=(4,)).layers[2]
+        conv.W[...] = np.array([1.0, -2.0, 1.0])  # every (out, in) pair sums to 0
+        conv.b[...] = 0.0
+        x = rng.normal(size=(2, 7, 2))
+        a = conv.forward(x, train=False, rng=None)
+        b = conv.forward(x + [[[7.5, -3.0]]], train=False, rng=None)
+        assert a.shape == (2, 5, 3)
+        assert np.allclose(a, b)
+
+    def test_conv_refuses_channels_first_input_and_short_rows(self):
+        net = build_cnn(np.random.default_rng(0), length=9, filters=(2, 3), kernel=3,
+                        pool=1, dense_widths=(4,))
+        with pytest.raises(DimensionError):
+            net.layers[2].forward(np.ones((2, 2, 7)), train=False, rng=None)
+        with pytest.raises(DimensionError):
+            net.layers[0].forward(np.ones((2, 2)), train=False, rng=None)
 
     def test_dropout_off_is_identity(self):
         drop = Dropout(0.5)
@@ -115,6 +238,77 @@ class TestLayers:
         kept = out[out != 0]
         assert np.allclose(kept, 2.0)
         assert abs(np.mean(out != 0) - 0.5) < 0.02
+
+
+_conv_cases = st.builds(
+    lambda batch, c_in, c_out, length, kernel_frac, seed, layout: (
+        batch, c_in, c_out, length, 1 + int(kernel_frac * (length - 1)), seed, layout),
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 12),
+    st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.sampled_from(["last", "first", "flat"]),
+)
+
+
+class TestAgainstIm2colOracle:
+    """The channels-last layers against the channels-first layers they replaced,
+    on the same `W` and `b`: outputs, dx, gW and gb within 1e-12 relative."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_conv_cases)
+    @example((1, 1, 3, 7, 7, 0, "flat"))  # kernel as long as the rows
+    @example((3, 4, 2, 9, 1, 1, "last"))  # kernel 1
+    @example((2, 1, 2, 6, 3, 2, "first"))
+    @example((3, 2, 3, 400, 5, 3, "last"))  # more rows than one block of shifted GEMMs
+    def test_conv(self, case):
+        B, C, O, L, k, seed, layout = case
+        rng = np.random.default_rng(seed)
+        W, b = rng.normal(size=(O, C, k)), rng.normal(size=O)
+        x, dy = rng.normal(size=(B, C, L)), rng.normal(size=(B, O, L - k + 1))
+        oracle = Im2colConv1D(W, b)
+        conv = Conv1D(C, O, k)
+        conv.W, conv.b, conv.gW, conv.gb = W, b, np.zeros_like(W), np.zeros_like(b)
+        if C == 1 and layout == "flat":
+            x_new = x_old = x[:, 0, :]
+        elif C == 1 and layout == "first":
+            x_new = x_old = x
+        else:
+            x_new, x_old = channels_last(x), x
+        out = conv.forward(x_new, train=True, rng=None)
+        assert_close(out, channels_last(oracle.forward(x_old, train=True, rng=None)))
+        dx = conv.backward(channels_last(dy))
+        dx_old = oracle.backward(dy)
+        assert_close(dx, dx_old if x_new is x_old else channels_last(dx_old))
+        assert_close(conv.gW, oracle.gW)
+        assert_close(conv.gb, oracle.gb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 9),
+           st.integers(0, 2**32 - 1))
+    @example(1, 1, 2, 1, 0)  # L = 3: a pool of 2 drops the tail
+    @example(2, 3, 3, 2, 1)  # L = 5
+    def test_maxpool_routes_ties_to_the_first_index(self, B, C, size, extra, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, size=(B, C, size + extra)).astype(float)  # ties are common
+        dy = rng.normal(size=(B, C, (size + extra) // size))
+        oracle, pool = ArgmaxMaxPool1D(size), MaxPool1D(size)
+        out = pool.forward(channels_last(x), train=True, rng=None)
+        assert np.array_equal(out, channels_last(oracle.forward(x, train=True, rng=None)))
+        dx = pool.backward(channels_last(dy))
+        assert np.array_equal(dx, channels_last(oracle.backward(dy)))
+
+    @pytest.mark.parametrize("pool", [2, 3])
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_format_4_cnn_theta_means_the_same(self, pool, flat):
+        """A cnn `theta`, as model files hold it, predicts through the new
+        stack as through the im2col stack that wrote those files."""
+        rng = np.random.default_rng([15, pool])
+        built = build_cnn(rng, pool=pool)
+        theta = built.theta + rng.normal(scale=0.05, size=built.theta.size)  # biases too
+        net = Network("cnn", built.args, theta)
+        x = rng.normal(size=(5, 271) if flat else (5, 1, 271))
+        logits = x
+        for layer in oracle_stack(net):
+            logits = layer.forward(logits, train=False, rng=None)
+        assert_close(net.predict_proba(x), softmax(logits))
 
 
 class TestGradients:
@@ -137,7 +331,13 @@ class TestGradients:
         loss, _ = net.loss_and_grads(x, onehot, train=False)
         loss_2d, _ = net.loss_and_grads(x[:, 0, :], onehot, train=False)
         assert loss_2d == loss
-        assert net.layers[0].backward(np.ones((3, 2, 10))).shape == (3, 12)
+        # the first layer's input gradient is skipped, but on request it comes
+        # back in the shape of the rows last fed forward
+        first = net.layers[0]
+        assert first.backward(np.ones((3, 10, 2)), input_grad=False) is None
+        assert first.backward(np.ones((3, 10, 2))).shape == (3, 12)
+        first.forward(x, train=False, rng=None)
+        assert first.backward(np.ones((3, 10, 2))).shape == (3, 1, 12)
 
 
 class TestNetworkBehaviour:
