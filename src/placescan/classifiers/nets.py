@@ -102,13 +102,13 @@ class Conv1D:
         O, C, k = self.W.shape
         self._in_shape = x.shape
         if C == 1 and (x.ndim == 2 or x.ndim == 3 and x.shape[1] == 1):
-            x = x.reshape(len(x), -1, 1)
+            x = x.reshape(len(x), x.shape[-1], 1)
         if x.ndim != 3 or x.shape[2] != C or x.shape[1] < k:
             raise DimensionError(f"conv layer expects (batch, length >= {k}, {C}) input")
         B, L, _ = x.shape
         self._x = x = x.reshape(B * L, C)
         out = np.empty((B * L, O))
-        if C == 1:
+        if C == 1 and B:  # an empty batch has no windows to view
             windows = np.lib.stride_tricks.sliding_window_view(x[:, 0], k)
             np.matmul(windows, self.W[:, 0].T, out=out[: len(windows)])
         else:
@@ -161,8 +161,8 @@ class Flatten:
     length) order of the next dense layer's rows in `theta`."""
 
     def forward(self, x, train, rng):
-        self._shape = x.shape
-        return x.transpose(0, 2, 1).reshape(len(x), -1)
+        B, L, C = self._shape = x.shape
+        return x.transpose(0, 2, 1).reshape(B, C * L)
 
     def backward(self, dy):
         B, L, C = self._shape

@@ -8,20 +8,19 @@ pool out-of-fold predictions, so every row is scored exactly once by a model
 that never saw it. Curve area is step-wise AP = sum (R_n - R_{n-1}) P_n.
 
 A fold's variants train on two lanes, with OpenBLAS pinned to one thread
-(`blas`): the calling thread takes specs from the back of the list and one
-helper thread from the front. Every model is the one a serial loop trains,
-so the results do not depend on which lane trained what.
+(`blas`): the calling thread and the one worker of a `ThreadPoolExecutor`
+kept for the whole run. Every model is the one a serial loop trains, so the
+results do not depend on which lane trained what.
 """
 from __future__ import annotations
 
-import threading
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import blas
-from .classifiers import ModelSpec, TrainedModel, dataset_fingerprint, train
+from .classifiers import ModelSpec, dataset_fingerprint, train
 from .core import NUM_CLASSES, ClassLabel, Dataset
 from .errors import StratificationError, UndefinedCurveError
 from .features import fit_feature_transformer
@@ -178,66 +177,46 @@ class Report:
 _CALLER_LANE = frozenset({"mlp", "cnn"})
 
 
-def _train_lanes(specs: list[ModelSpec], data: Dataset, transformer) -> list[TrainedModel]:
-    """`[train(spec, data, transformer) for spec in specs]` on two lanes.
-
-    Caller-lane specs go to the back of the queue, which the calling thread
-    drains; a helper thread takes specs from the front until it meets one.
-    A failure on either lane empties the queue, the helper is always joined,
-    and the first failure is raised on the calling thread.
-    """
-    queue = deque(sorted(range(len(specs)), key=lambda i: specs[i].variant in _CALLER_LANE))
-    models: list = [None] * len(specs)
-    lock = threading.Lock()
-    failures: list[BaseException] = []
-
-    def take(from_back: bool) -> int | None:
-        with lock:
-            if queue and (from_back or specs[queue[0]].variant not in _CALLER_LANE):
-                return queue.pop() if from_back else queue.popleft()
-            return None
-
-    def drain(from_back: bool) -> None:
-        try:
-            while (i := take(from_back)) is not None:
-                models[i] = train(specs[i], data, transformer)
-        except BaseException as exc:
-            with lock:
-                queue.clear()
-            failures.append(exc)
-
-    helper = None
-    if len(specs) > 1:  # a single spec trains on the calling thread
-        helper = threading.Thread(target=drain, args=(False,), name="placescan-lane", daemon=True)
-        helper.start()
-    try:
-        drain(True)
-    finally:
-        if helper is not None:
-            helper.join()
-    if failures:
-        raise failures[0]
-    return models
-
-
 def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
                     folds: FoldAssignment) -> list[VariantResult]:
     """Fold-major loop: per fold, one training subset and one transformer,
     shared by every spec; out-of-fold probabilities are pooled per spec.
 
-    Models are scored on the calling thread once both lanes are done, in
-    spec order, and released before the next fold trains."""
+    The calling thread owns the caller-lane specs and the last spec of the
+    lane order; the worker gets the others, front to back. The caller trains
+    its specs from the back, then each spec the worker has not started, and
+    raises a failure of the worker before each model it trains. Models are
+    scored on the calling thread in spec order and released before the next
+    fold trains."""
     X_raw, y = dataset.X, dataset.y
     tests = [folds.test_indices(fold) for fold in range(folds.k)]
     oof = np.zeros((len(specs), len(dataset), NUM_CLASSES))
-    with blas.one_thread():
+    # lane order: caller-lane specs last, and the calling thread owns the tail
+    order = sorted(range(len(specs)), key=lambda i: specs[i].variant in _CALLER_LANE)
+    owned = max(1, sum(spec.variant in _CALLER_LANE for spec in specs))
+    with blas.one_thread(), ThreadPoolExecutor(1, thread_name_prefix="placescan-lane") as lane:
         for fold, test_idx in enumerate(tests):
             train_data = dataset.subset(folds.train_indices(fold))
             transformer = fit_feature_transformer(train_data.X)
-            models = _train_lanes(specs, train_data, transformer)
+            futures = {i: lane.submit(train, specs[i], train_data, transformer)
+                       for i in order[:-owned]}
+            models = {}
+            try:
+                for i in reversed(order):
+                    if i in futures and not futures[i].cancel():
+                        continue
+                    futures.pop(i, None)
+                    for future in futures.values():
+                        if future.done() and future.exception() is not None:
+                            raise future.exception()
+                    models[i] = train(specs[i], train_data, transformer)
+                models.update((i, future.result()) for i, future in futures.items())
+            finally:
+                for future in futures.values():
+                    future.cancel()
             for i in range(len(specs)):
                 oof[i, test_idx] = models[i].predict_proba_matrix(X_raw[test_idx])
-            del models
+            del models, futures
     results = []
     for spec, scores in zip(specs, oof):
         predicted = scores.argmax(axis=1)

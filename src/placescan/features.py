@@ -70,7 +70,7 @@ def boxcox_loglik(samples: np.ndarray, lam: float) -> float:
     if not var > 0.0:
         return -math.inf
     n = samples.shape[0]
-    return -(n / 2.0) * math.log(var) + (lam - 1.0) * float(np.sum(np.log(samples)))
+    return float(-(n / 2.0) * np.log(var) + (lam - 1.0) * np.sum(np.log(samples)))
 
 
 def fit_boxcox_lambda(samples) -> float:
@@ -153,9 +153,7 @@ def _loglik_kernel(rows: np.ndarray):
         t -= mean
         np.square(t, out=t)
         var = t.sum(axis=1) / n
-        # math.log, as boxcox_loglik takes it: np.log may differ in the last bit
-        log_var = np.array(list(map(math.log, np.where(var > 0.0, var, 1.0).tolist())))
-        ll = -(n / 2.0) * log_var + (lam - 1.0) * log_sums[live]
+        ll = -(n / 2.0) * np.log(np.where(var > 0.0, var, 1.0)) + (lam - 1.0) * log_sums[live]
         ll[~(var > 0.0)] = -math.inf  # NaN too: a strict `>` scan never keeps it
         return ll
 

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -20,6 +21,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_lane_thread_left():
+    """Fail any test that leaves a cross-validation lane thread alive."""
+    yield
+    lanes = [t.name for t in threading.enumerate() if t.name.startswith("placescan-lane")]
+    assert not lanes, f"lane threads left alive: {lanes}"
 
 
 @pytest.fixture(scope="session")

@@ -214,9 +214,13 @@ class _Boom(RuntimeError):
     pass
 
 
-def _spy_trainers(monkeypatch, record=None, fail=None):
+_DELAY = 0.3  # seconds: ample for the other lane to reach its next model
+
+
+def _spy_trainers(monkeypatch, record=None, fail=None, slow=None):
     """Wrap every variant's trainer: `record[variant]` collects the threads it
-    ran on, and the `fail` variant raises a `_Boom` instead of training."""
+    ran on, the `fail` variant raises a `_Boom` instead of training, and the
+    `slow` variant sleeps `_DELAY` seconds first."""
     boom = _Boom("trainer failed")
     for variant, (module, name, _) in classifiers._VARIANTS.items():
         original = getattr(module, name)
@@ -224,6 +228,8 @@ def _spy_trainers(monkeypatch, record=None, fail=None):
         def fit(*args, _variant=variant, _original=original, **kwargs):
             if record is not None:
                 record.setdefault(_variant, set()).add(threading.current_thread())
+            if _variant == slow:
+                time.sleep(_DELAY)
             if _variant == fail:
                 raise boom
             return _original(*args, **kwargs)
@@ -286,7 +292,7 @@ class TestFoldMajor:
     @pytest.mark.parametrize("variants", [
         list(VARIANTS),
         ["cnn", "rf", "mlp", "svm"],  # networks first in the spec list
-        ["mlp", "cnn"],  # no spec for the helper lane
+        ["mlp", "cnn"],  # no spec for the worker
     ])
     def test_networks_train_on_the_calling_thread(self, synth_small, monkeypatch, variants):
         lanes = {}
@@ -296,8 +302,31 @@ class TestFoldMajor:
         assert threading.active_count() == threads
         assert [v.name for v in report.variants] == variants
         assert lanes["mlp"] == lanes["cnn"] == {threading.current_thread()}
-        if "rf" in variants:  # the front of the queue, taken by the helper
+        if "rf" in variants:  # the front of the lane order, given to the worker
             assert threading.current_thread() not in lanes["rf"]
+
+    @pytest.mark.parametrize("variants, on_worker", [
+        (["rf", "svm", "logreg"], {"rf"}),  # logreg is the caller's, svm is stolen
+        (["rf"], set()),  # a lone spec is the caller's: no thread starts
+    ])
+    def test_the_caller_trains_its_own_specs_and_the_unstarted_ones(
+        self, synth_small, monkeypatch, variants, on_worker
+    ):
+        lanes, started = {}, []
+        start = threading.Thread.start
+
+        def spy_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        _spy_trainers(monkeypatch, record=lanes, slow="rf")
+        self.run(variants, synth_small)
+        caller = threading.current_thread()
+        own = set(variants) - on_worker
+        assert {v for v, threads in lanes.items() if threads == {caller}} == own
+        assert {v for v, threads in lanes.items() if caller not in threads} == on_worker
+        assert bool(started) == bool(on_worker)
 
     def test_folds_train_and_score_on_one_blas_thread(self, synth_small, monkeypatch):
         seen = []
@@ -330,13 +359,20 @@ class TestFoldMajor:
         self.run(["rf", "logreg", "mlp"], fresh)
         assert sorted(written) == [40, 40, 40, 60]
 
-    @pytest.mark.parametrize("fail", ["rf", "cnn"])  # helper lane, calling lane
+    # fail -> (the other lane's model in flight, the models it must not start)
+    STOPPED = {"rf": ("cnn", {"mlp"}), "cnn": ("rf", {"adaboost", "svm", "logreg"})}
+
+    @pytest.mark.parametrize("fail", ["rf", "cnn"])  # worker lane, calling lane
     def test_a_failing_trainer_leaves_no_thread_and_no_pin(self, synth_small, monkeypatch, fail):
-        boom = _spy_trainers(monkeypatch, fail=fail)
+        # a failure stops the other lane after its current model
+        slow, never = self.STOPPED[fail]
+        lanes = {}
+        boom = _spy_trainers(monkeypatch, record=lanes, fail=fail, slow=slow)
         threads, before = threading.active_count(), _blas_threads()
         with pytest.raises(_Boom) as raised:
             self.run(list(VARIANTS), synth_small)
         assert raised.value is boom
+        assert not never & set(lanes)
         assert threading.active_count() == threads
         assert _blas_threads() == before
 

@@ -261,6 +261,11 @@ class TestSimplex:
             assert np.all(np.isfinite(proba)) and np.all(proba >= 0.0), variant
             assert np.allclose(proba.sum(axis=1), 1.0, rtol=0.0, atol=1e-9), variant
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_rows_give_zero_probability_rows(self, fast_models, variant):
+        proba = fast_models[variant].predict_proba_matrix(np.zeros((0, NUM_BEAMS)))
+        assert proba.shape == (0, NUM_CLASSES)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("variant", VARIANTS)
