@@ -5,13 +5,15 @@ one flat vector `theta`: each weighted layer's `W` (C order), then its `b`,
 in layer order. `W` and `b` are views of `theta`, and `gW` and `gb` the
 matching views of `grad`, which backward passes write in place
 (`self.gW[...] = ...`); so one `Adam.step(theta, grad)` updates every layer.
-Layers cache what they need during forward and return input gradients
-during backward; `loss_and_grads` skips the first layer's, which nothing
-uses. Conv activations are channels-last, (batch, length, channels), but
-`theta` keeps conv `W` as (out, in, kernel) and the dense rows behind
-`Flatten` in (channels, length) order. Dropout is inverted (masks scaled by
-1/(1-rate)) and drawn from the rng passed to the forward call, so training
-is fully seeded. A model file holds the builder name, its arguments and `theta`.
+Layers keep no state: `forward(x, train, rng)` returns the output and a
+closure `backward(dy)` that returns the input gradient; `loss_and_grads`
+skips the first layer's, which nothing uses, and inference drops them all,
+so one model may serve several threads. Conv activations are channels-last,
+(batch, length, channels), but `theta` keeps conv `W` as (out, in, kernel)
+and the dense rows behind `Flatten` in (channels, length) order. Dropout is
+inverted (masks scaled by 1/(1-rate)) and drawn from the rng passed to the
+forward call, so training is fully seeded. A model file holds the builder
+name, its arguments and `theta`.
 """
 from __future__ import annotations
 
@@ -33,25 +35,20 @@ class Dense:
 
     def forward(self, x, train, rng):
         if x.shape[1] != self.W.shape[0]:
-            raise DimensionError(
-                f"dense layer expects width {self.W.shape[0]}, got {x.shape[1]}"
-            )
-        self._x = x
-        return x @ self.W + self.b
+            raise DimensionError(f"dense layer expects width {self.W.shape[0]}, got {x.shape[1]}")
 
-    def backward(self, dy, input_grad=True):
-        self.gW[...] = self._x.T @ dy
-        self.gb[...] = dy.sum(axis=0)
-        return dy @ self.W.T if input_grad else None
+        def backward(dy, input_grad=True):
+            self.gW[...] = x.T @ dy
+            self.gb[...] = dy.sum(axis=0)
+            return dy @ self.W.T if input_grad else None
+
+        return x @ self.W + self.b, backward
 
 
 class ReLU:
     def forward(self, x, train, rng):
-        self._mask = x > 0
-        return x * self._mask
-
-    def backward(self, dy):
-        return dy * self._mask
+        mask = x > 0
+        return x * mask, lambda dy: dy * mask
 
 
 class Dropout:
@@ -60,14 +57,10 @@ class Dropout:
 
     def forward(self, x, train, rng):
         if not train or self.rate == 0.0:
-            self._mask = None
-            return x
+            return x, lambda dy: dy
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
+        mask = (rng.random(x.shape) < keep) / keep
+        return x * mask, lambda dy: dy * mask
 
 
 _BLOCK = 1024  # output rows per block of shifted GEMMs; its partial sums stay in cache
@@ -92,7 +85,7 @@ class Conv1D:
     that straddle two samples dropped. One channel also comes as (B, L) or
     (B, 1, L) rows, whose sliding windows are a view: one GEMM. dx, in the
     input's shape, is the same correlation with the taps reversed over dy
-    zero-padded by k-1 rows; `input_grad=False` skips it."""
+    zero-padded by k-1 rows; the closure's `input_grad=False` skips it."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int):
         self.shapes = ((c_out, c_in, kernel), (c_out,))
@@ -100,13 +93,13 @@ class Conv1D:
 
     def forward(self, x, train, rng):
         O, C, k = self.W.shape
-        self._in_shape = x.shape
+        in_shape = x.shape
         if C == 1 and (x.ndim == 2 or x.ndim == 3 and x.shape[1] == 1):
             x = x.reshape(len(x), x.shape[-1], 1)
         if x.ndim != 3 or x.shape[2] != C or x.shape[1] < k:
             raise DimensionError(f"conv layer expects (batch, length >= {k}, {C}) input")
         B, L, _ = x.shape
-        self._x = x = x.reshape(B * L, C)
+        x = x.reshape(B * L, C)
         out = np.empty((B * L, O))
         if C == 1 and B:  # an empty batch has no windows to view
             windows = np.lib.stride_tricks.sliding_window_view(x[:, 0], k)
@@ -114,21 +107,19 @@ class Conv1D:
         else:
             _correlate(x, np.ascontiguousarray(self.W.transpose(2, 1, 0)), out[: B * L - k + 1])
         out[: B * L - k + 1] += self.b
-        return out.reshape(B, L, O)[:, : L - k + 1]
 
-    def backward(self, dy, input_grad=True):
-        O, _, k = self.W.shape
-        B, L_out, _ = dy.shape
-        x = self._x
-        padded = np.zeros((k - 1 + len(x), O))
-        padded[k - 1 :].reshape(B, L_out + k - 1, O)[:, :L_out] = dy
-        d = padded[k - 1 : len(padded) - k + 1]
-        for j in range(k):
-            self.gW[:, :, j] = d.T @ x[j : j + len(d)]
-        self.gb[...] = dy.sum(axis=(0, 1))
-        if input_grad:
-            taps = np.ascontiguousarray(self.W.transpose(2, 0, 1)[::-1])
-            return _correlate(padded, taps, np.empty(x.shape)).reshape(self._in_shape)
+        def backward(dy, input_grad=True):
+            padded = np.zeros((k - 1 + len(x), O))
+            padded[k - 1 :].reshape(B, L, O)[:, : L - k + 1] = dy
+            d = padded[k - 1 : len(padded) - k + 1]
+            for j in range(k):
+                self.gW[:, :, j] = d.T @ x[j : j + len(d)]
+            self.gb[...] = dy.sum(axis=(0, 1))
+            if input_grad:
+                taps = np.ascontiguousarray(self.W.transpose(2, 0, 1)[::-1])
+                return _correlate(padded, taps, np.empty(x.shape)).reshape(in_shape)
+
+        return out.reshape(B, L, O)[:, : L - k + 1], backward
 
 
 class MaxPool1D:
@@ -140,20 +131,21 @@ class MaxPool1D:
 
     def forward(self, x, train, rng):
         p = self.size
-        self._x, self._out = x, x[:, 0 : x.shape[1] // p * p : p]
+        end = x.shape[1] // p * p
+        out = x[:, 0:end:p]
         for i in range(1, p):
-            self._out = np.maximum(self._out, x[:, i : x.shape[1] // p * p : p])
-        return self._out
+            out = np.maximum(out, x[:, i:end:p])
 
-    def backward(self, dy):
-        p, x, out = self.size, self._x, self._out
-        dx = np.zeros(x.shape)
-        unrouted = np.ones(out.shape, dtype=bool)
-        for i in range(p):
-            hit = unrouted & (x[:, i : out.shape[1] * p : p] == out)
-            np.copyto(dx[:, i : out.shape[1] * p : p], dy, where=hit)
-            unrouted &= ~hit
-        return dx
+        def backward(dy):
+            dx = np.zeros(x.shape)
+            unrouted = np.ones(out.shape, dtype=bool)
+            for i in range(p):
+                hit = unrouted & (x[:, i:end:p] == out)
+                np.copyto(dx[:, i:end:p], dy, where=hit)
+                unrouted &= ~hit
+            return dx
+
+        return out, backward
 
 
 class Flatten:
@@ -161,22 +153,19 @@ class Flatten:
     length) order of the next dense layer's rows in `theta`."""
 
     def forward(self, x, train, rng):
-        B, L, C = self._shape = x.shape
-        return x.transpose(0, 2, 1).reshape(B, C * L)
-
-    def backward(self, dy):
-        B, L, C = self._shape
-        return dy.reshape(B, C, L).transpose(0, 2, 1)
+        B, L, C = x.shape
+        return (x.transpose(0, 2, 1).reshape(B, C * L),
+                lambda dy: dy.reshape(B, C, L).transpose(0, 2, 1))
 
 
 def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
-    """Mean cross-entropy over the batch and the gradient wrt logits."""
+    """(mean cross-entropy over the batch, its gradient wrt the logits)."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     n = logits.shape[0]
     loss = -np.sum(onehot * (z - np.log(e.sum(axis=1, keepdims=True)))) / n
-    return float(loss), (p - onehot) / n, p
+    return float(loss), (p - onehot) / n
 
 
 def _dense_stack(n_in: int, name: str, widths, dropout_after, dropout_rate) -> list:
@@ -236,6 +225,8 @@ class Network:
             raise ValueError(f"network theta holds {theta.size} values; "
                              f"the {builder} architecture has {size} parameters")
         self.theta, self.grad = theta, np.zeros(size)
+        # loss_and_grads' closures, replaced slot by slot (freeing a step at once re-faults it)
+        self._backward: list = [None] * len(self.layers)
         offset = 0
         for layer in self._weighted:
             for name, shape in zip(("W", "b"), layer.shapes):
@@ -246,7 +237,7 @@ class Network:
 
     def forward(self, x, train=False, rng=None):
         for layer in self.layers:
-            x = layer.forward(x, train, rng)
+            x = layer.forward(x, train, rng)[0]
         return x
 
     def predict_proba(self, x):
@@ -254,12 +245,12 @@ class Network:
 
     def loss_and_grads(self, x, onehot, train=True, rng=None):
         """Batch loss, and the gradient views `[gW, gb, ...]` of `grad`."""
-        logits = self.forward(x, train=train, rng=rng)
-        loss, dlogits, _ = softmax_cross_entropy(logits, onehot)
-        grad = dlogits
-        for layer in self.layers[:0:-1]:
-            grad = layer.backward(grad)
-        self.layers[0].backward(grad, input_grad=False)
+        for i, layer in enumerate(self.layers):
+            x, self._backward[i] = layer.forward(x, train, rng)
+        loss, grad = softmax_cross_entropy(x, onehot)
+        for backward in self._backward[:0:-1]:
+            grad = backward(grad)
+        self._backward[0](grad, input_grad=False)
         return loss, [g for layer in self._weighted for g in (layer.gW, layer.gb)]
 
     def params(self):
@@ -342,9 +333,8 @@ def train_network(net: Network, X: np.ndarray, y: np.ndarray, *, epochs: Count =
                   batch_size: Count = 32, lr: Positive = 0.01, seed: Seed = 42) -> list[float]:
     """Seeded mini-batch Adam training; returns per-epoch mean losses."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
-    Y = np.eye(NUM_CLASSES)[y]
+    Y = np.eye(NUM_CLASSES)[np.asarray(y, dtype=np.int64)]
     rng = np.random.default_rng([seed, 910])
     optimizer = Adam(net.theta, lr=lr)
     history = []

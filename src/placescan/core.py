@@ -67,6 +67,8 @@ class Scan:
     height_m: Optional[float] = None
 
     def __post_init__(self):
+        # a float64 copy, so the caller's array is neither frozen nor shared
+        object.__setattr__(self, "ranges", np.array(self.ranges, dtype=np.float64))
         self.ranges.setflags(write=False)
 
     def __eq__(self, other):

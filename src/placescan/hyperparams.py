@@ -13,6 +13,8 @@ import inspect
 import sys
 from typing import Annotated, Callable, NamedTuple, Optional
 
+import numpy as np
+
 
 class Domain(NamedTuple):
     """The values an argument may take."""
@@ -63,14 +65,19 @@ def check_params(owner: str, fit, params: dict) -> None:
 
 def checked(fit):
     """`fit`, with `check_params` run on its keyword arguments first, then
-    a ValueError naming it if its training matrix `X` has no rows."""
+    a ValueError naming it if its training matrix `X` has no rows or `y` is
+    not one label per row."""
     signature = inspect.signature(fit)
 
     @functools.wraps(fit)
     def checked_fit(*args, **kwargs):
         check_params(fit.__name__, fit, kwargs)
-        if len(signature.bind(*args, **kwargs).arguments["X"]) == 0:
+        arguments = signature.bind(*args, **kwargs).arguments
+        n, y_shape = len(arguments["X"]), np.shape(arguments["y"])
+        if n == 0:
             raise ValueError(f"{fit.__name__} needs at least one training row")
+        if y_shape != (n,):
+            raise ValueError(f"{fit.__name__} needs one label per row: y {y_shape}, {n} rows")
         return fit(*args, **kwargs)
 
     return checked_fit

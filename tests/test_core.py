@@ -15,6 +15,7 @@ from placescan.core import (
     NUM_BEAMS,
     ClassLabel,
     Dataset,
+    Scan,
     label_codec,
     pack,
     unpack,
@@ -68,6 +69,16 @@ class TestValidateScan:
         scan = validate_scan([5.0] * NUM_BEAMS)
         with pytest.raises(ValueError):
             scan.ranges[0] = 1.0
+
+    def test_scan_freezes_a_copy_and_takes_a_list(self):
+        raw = np.linspace(1.0, 2.0, NUM_BEAMS)
+        scan = Scan(raw)
+        assert raw.flags.writeable
+        raw[0] = 5.0
+        assert scan.ranges[0] == 1.0 and not scan.ranges.flags.writeable
+        listed = Scan([1] * NUM_BEAMS, height_m=0.5)
+        assert listed.ranges.dtype == np.float64 and not listed.ranges.flags.writeable
+        assert listed == Scan(np.ones(NUM_BEAMS), height_m=0.5)
 
 
 class TestLabelCodec:

@@ -25,6 +25,7 @@ from placescan.classifiers import (
     save_model,
     train,
 )
+from placescan.classifiers.nets import build_mlp, train_network
 from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
 from placescan.dataset_io import write_dataset
 from placescan.errors import DegenerateTrainingError, DimensionError
@@ -154,6 +155,18 @@ class TestTrain:
         fit = _trainer(variant)
         with pytest.raises(ValueError, match=rf"^{fit.__name__} needs at least one training row"):
             fit(np.empty((0, NUM_BEAMS)), np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("labels", [(24,), (20, 1)])
+    @pytest.mark.parametrize("variant", [*VARIANTS, "train_network"])
+    def test_trainer_refuses_labels_that_are_not_one_per_row(self, variant, labels):
+        X = np.random.default_rng(0).normal(size=(20, NUM_BEAMS))
+        y = np.arange(math.prod(labels)).reshape(labels) % NUM_CLASSES
+        if variant == "train_network":
+            fit, args = train_network, (build_mlp(np.random.default_rng(0), widths=(4,)), X, y)
+        else:
+            fit, args = _trainer(variant), (X, y)
+        with pytest.raises(ValueError, match=rf"^{fit.__name__} needs one label per row"):
+            fit(*args)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_each_variant_beats_chance_on_train(self, synth_small, variant):

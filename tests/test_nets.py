@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from placescan.blas import one_thread
 from placescan.classifiers import ModelSpec, train
 from placescan.classifiers.linear import softmax
 from placescan.classifiers.nets import (
@@ -46,7 +49,7 @@ class Im2colConv1D:
         self._dims = (B, C, L, L_out)
         O = self.W.shape[0]
         out = self._cols @ self.W.reshape(O, C * k).T + self.b
-        return out.reshape(B, L_out, O).transpose(0, 2, 1)
+        return out.reshape(B, L_out, O).transpose(0, 2, 1), self.backward
 
     def backward(self, dy):
         B, C, L, L_out = self._dims
@@ -76,7 +79,7 @@ class ArgmaxMaxPool1D:
         self._in_shape = x.shape
         windows = x[:, :, : Lp * self.size].reshape(B, C, Lp, self.size)
         self._argmax = windows.argmax(axis=3)
-        return windows.max(axis=3)
+        return windows.max(axis=3), self.backward
 
     def backward(self, dy):
         B, C, L = self._in_shape
@@ -91,7 +94,7 @@ class ArgmaxMaxPool1D:
 
 class ChannelsFirstFlatten:
     def forward(self, x, train, rng):
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1), None
 
 
 def oracle_stack(net):
@@ -188,8 +191,8 @@ class TestLayers:
     def test_maxpool_takes_first_index_on_ties(self):
         pool = MaxPool1D(2)
         x = np.full((1, 4, 2), 3.0)  # (batch, length, channels)
-        out = pool.forward(x, train=False, rng=None)
-        dx = pool.backward(np.ones_like(out))
+        out, backward = pool.forward(x, train=False, rng=None)
+        dx = backward(np.ones_like(out))
         assert np.array_equal(dx[0], [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
 
     def test_conv_zero_sum_kernel_ignores_constant_shift(self):
@@ -199,11 +202,11 @@ class TestLayers:
         conv.W[...] = np.array([[[1.0, -2.0, 1.0]]])
         conv.b[...] = 0.0
         x = rng.normal(size=(2, 1, 9))
-        a = conv.forward(x, train=False, rng=None)
-        b = conv.forward(x + 7.5, train=False, rng=None)
+        a, _ = conv.forward(x, train=False, rng=None)
+        b, _ = conv.forward(x + 7.5, train=False, rng=None)
         assert a.shape == (2, 7, 1)  # (batch, length, channels)
         assert np.allclose(a, b)
-        assert np.array_equal(conv.forward(x[:, 0, :], train=False, rng=None), a)
+        assert np.array_equal(conv.forward(x[:, 0, :], train=False, rng=None)[0], a)
 
     def test_channels_last_conv_zero_sum_kernel_ignores_per_channel_shift(self):
         rng = np.random.default_rng(0)
@@ -212,8 +215,8 @@ class TestLayers:
         conv.W[...] = np.array([1.0, -2.0, 1.0])  # every (out, in) pair sums to 0
         conv.b[...] = 0.0
         x = rng.normal(size=(2, 7, 2))
-        a = conv.forward(x, train=False, rng=None)
-        b = conv.forward(x + [[[7.5, -3.0]]], train=False, rng=None)
+        a, _ = conv.forward(x, train=False, rng=None)
+        b, _ = conv.forward(x + [[[7.5, -3.0]]], train=False, rng=None)
         assert a.shape == (2, 5, 3)
         assert np.allclose(a, b)
 
@@ -228,13 +231,13 @@ class TestLayers:
     def test_dropout_off_is_identity(self):
         drop = Dropout(0.5)
         x = np.random.default_rng(1).normal(size=(4, 6))
-        assert np.array_equal(drop.forward(x, train=False, rng=None), x)
+        assert np.array_equal(drop.forward(x, train=False, rng=None)[0], x)
 
     def test_dropout_on_scales_kept_units(self):
         drop = Dropout(0.5)
         rng = np.random.default_rng(2)
         x = np.ones((200, 50))
-        out = drop.forward(x, train=True, rng=rng)
+        out, _ = drop.forward(x, train=True, rng=rng)
         kept = out[out != 0]
         assert np.allclose(kept, 2.0)
         assert abs(np.mean(out != 0) - 0.5) < 0.02
@@ -272,10 +275,11 @@ class TestAgainstIm2colOracle:
             x_new = x_old = x
         else:
             x_new, x_old = channels_last(x), x
-        out = conv.forward(x_new, train=True, rng=None)
-        assert_close(out, channels_last(oracle.forward(x_old, train=True, rng=None)))
-        dx = conv.backward(channels_last(dy))
-        dx_old = oracle.backward(dy)
+        out, backward = conv.forward(x_new, train=True, rng=None)
+        out_old, backward_old = oracle.forward(x_old, train=True, rng=None)
+        assert_close(out, channels_last(out_old))
+        dx = backward(channels_last(dy))
+        dx_old = backward_old(dy)
         assert_close(dx, dx_old if x_new is x_old else channels_last(dx_old))
         assert_close(conv.gW, oracle.gW)
         assert_close(conv.gb, oracle.gb)
@@ -290,10 +294,11 @@ class TestAgainstIm2colOracle:
         x = rng.integers(0, 3, size=(B, C, size + extra)).astype(float)  # ties are common
         dy = rng.normal(size=(B, C, (size + extra) // size))
         oracle, pool = ArgmaxMaxPool1D(size), MaxPool1D(size)
-        out = pool.forward(channels_last(x), train=True, rng=None)
-        assert np.array_equal(out, channels_last(oracle.forward(x, train=True, rng=None)))
-        dx = pool.backward(channels_last(dy))
-        assert np.array_equal(dx, channels_last(oracle.backward(dy)))
+        out, backward = pool.forward(channels_last(x), train=True, rng=None)
+        out_old, backward_old = oracle.forward(x, train=True, rng=None)
+        assert np.array_equal(out, channels_last(out_old))
+        dx = backward(channels_last(dy))
+        assert np.array_equal(dx, channels_last(backward_old(dy)))
 
     @pytest.mark.parametrize("pool", [2, 3])
     @pytest.mark.parametrize("flat", [True, False])
@@ -307,7 +312,7 @@ class TestAgainstIm2colOracle:
         x = rng.normal(size=(5, 271) if flat else (5, 1, 271))
         logits = x
         for layer in oracle_stack(net):
-            logits = layer.forward(logits, train=False, rng=None)
+            logits, _ = layer.forward(logits, train=False, rng=None)
         assert_close(net.predict_proba(x), softmax(logits))
 
 
@@ -332,12 +337,12 @@ class TestGradients:
         loss_2d, _ = net.loss_and_grads(x[:, 0, :], onehot, train=False)
         assert loss_2d == loss
         # the first layer's input gradient is skipped, but on request it comes
-        # back in the shape of the rows last fed forward
-        first = net.layers[0]
-        assert first.backward(np.ones((3, 10, 2)), input_grad=False) is None
-        assert first.backward(np.ones((3, 10, 2))).shape == (3, 12)
-        first.forward(x, train=False, rng=None)
-        assert first.backward(np.ones((3, 10, 2))).shape == (3, 1, 12)
+        # back in the shape of the rows fed forward
+        _, backward = net.layers[0].forward(x[:, 0, :], train=False, rng=None)
+        assert backward(np.ones((3, 10, 2)), input_grad=False) is None
+        assert backward(np.ones((3, 10, 2))).shape == (3, 12)
+        _, backward = net.layers[0].forward(x, train=False, rng=None)
+        assert backward(np.ones((3, 10, 2))).shape == (3, 1, 12)
 
 
 class TestNetworkBehaviour:
@@ -382,6 +387,50 @@ class TestNetworkBehaviour:
             net = build_mlp(np.random.default_rng([10, 1]), n_in=5, widths=(8, 4))
             histories.append(train_network(net, X, y, epochs=3, seed=10))
         assert histories[0] == histories[1]
+
+
+class TestStatelessLayers:
+    def test_a_400_row_cnn_prediction_keeps_nothing(self):
+        net = build_cnn(np.random.default_rng([19, 1]))
+        x = np.random.default_rng(19).normal(size=(400, 271))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            proba = net.predict_proba(x)
+            kept = tracemalloc.get_traced_memory()[0] - before - proba.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept < 1e6
+
+    def test_threads_share_one_model_for_inference(self):
+        net = build_cnn(np.random.default_rng([19, 2]))
+        rng = np.random.default_rng(19)
+        batches = {size: rng.normal(size=(size, 271)) for size in (64, 3)}
+        with one_thread():  # BLAS rounding then matches whichever thread calls
+            serial = {size: net.predict_proba(x) for size, x in batches.items()}
+            with ThreadPoolExecutor(2) as pool:
+                runs = pool.map(lambda size: [net.predict_proba(batches[size])
+                                              for _ in range(20)], batches)
+                threaded = dict(zip(batches, runs))
+        for size, outputs in threaded.items():
+            assert all(np.array_equal(out, serial[size]) for out in outputs)
+
+    def test_only_a_training_step_writes_and_only_its_closure_list(self):
+        net = build_cnn(np.random.default_rng([19, 3]), length=16, filters=(2, 3),
+                        kernel=3, pool=2, dense_widths=(5, 4))
+        rng = np.random.default_rng(19)
+        x, onehot = rng.normal(size=(6, 16)), np.eye(4)[rng.integers(0, 4, size=6)]
+
+        def state():
+            return ([{k: id(v) for k, v in vars(obj).items()} for obj in [net, *net.layers]],
+                    [id(step) for step in net._backward])
+
+        attributes, _ = state()
+        net.loss_and_grads(x, onehot, train=True, rng=rng)
+        stepped = state()
+        assert stepped[0] == attributes
+        net.predict_proba(x)
+        assert state() == stepped
 
 
 class TestTrainingArguments:
