@@ -71,6 +71,16 @@ class Scan:
         object.__setattr__(self, "ranges", np.array(self.ranges, dtype=np.float64))
         self.ranges.setflags(write=False)
 
+    @classmethod
+    def _adopt(cls, ranges: np.ndarray, height_m: Optional[float]) -> "Scan":
+        """Scan(ranges, height_m) without the copy, for a caller that built
+        the float64 array itself and keeps no other reference to it."""
+        scan = cls.__new__(cls)
+        object.__setattr__(scan, "ranges", ranges)
+        object.__setattr__(scan, "height_m", height_m)
+        ranges.setflags(write=False)
+        return scan
+
     def __eq__(self, other):
         if not isinstance(other, Scan):
             return NotImplemented
@@ -108,12 +118,11 @@ def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Sca
         raise DimensionError(
             f"expected {NUM_BEAMS} beam distances, got {ranges.size}"
         )
-    ranges = impute_ranges(ranges)
     if height_m is not None:
         height_m = float(height_m)
         if height_m < 0 or not math.isfinite(height_m):
             raise ValueError(f"height_m must be finite and non-negative, got {height_m}")
-    return Scan(ranges=ranges, height_m=height_m)
+    return Scan._adopt(impute_ranges(ranges), height_m)
 
 
 @dataclass(frozen=True, eq=False)

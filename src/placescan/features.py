@@ -8,14 +8,22 @@ column. Constant columns get lam = 1 and a guarded scale so no division by
 zero can occur.
 
 The fit runs over blocks of columns, each transposed to a C-contiguous
-`(cols, n)` array of at most `_BLOCK_ELEMENTS` values. In a block, the first
-maximum over a coarse grid on [-5, 5] brackets each column's optimum, and a
-golden-section search (Kiefer 1953) refines all columns in lockstep; every
-column keeps its own bracket and stops when it is narrower than the
-tolerance. Both stages call one log-likelihood kernel, which reduces each
-column along its contiguous row in the order `boxcox_loglik` reduces a 1-D
-column, so each exponent is bit-for-bit the one a search on that column
-alone finds.
+`(cols, n)` array of at most `_BLOCK_ELEMENTS` values. In a block, each
+column's first maximum over the 101-point grid -5, -4.9, ..., 5 brackets its
+optimum, and a golden-section search (Kiefer 1953) refines all columns in
+lockstep; every column keeps its own bracket and stops when it is narrower
+than the tolerance. The grid maximum is found coarse to fine: every tenth
+point first, then the nineteen points around the best of them. The profile
+log-likelihood is concave in lam (Kouider & Chen 1995), so the first maximum
+lies within nine points of the best coarse point, and the search returns
+the index a scan of all 101 points returns. The one exception is the point
+nearest zero, lam = -1.8e-14, where (x^lam - 1)/lam cancels catastrophically
+and the log-likelihood of a near-constant column can spike above or dip
+below the curve: it is always evaluated and may win, but never chooses
+the window; its neighbours -0.1 and 0.1 join the coarse points instead.
+Every stage calls one log-likelihood kernel, which reduces each column
+along its contiguous row in the order `boxcox_loglik` reduces a 1-D column,
+so each exponent is bit-for-bit the one a search on that column alone finds.
 """
 from __future__ import annotations
 
@@ -33,6 +41,16 @@ LAMBDA_MAX = 5.0
 LAMBDA_TOL = 1e-4
 STD_FLOOR = 1e-12
 _COARSE_STEP = 0.1
+_GRID = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
+_NEAR_ZERO = int(np.argmin(np.abs(_GRID)))  # about -1.8e-14, not 0
+# the coarse pass of the grid search: every tenth point, with the near-zero
+# point's two neighbours standing in for it (built without np.setdiff1d,
+# whose import of numpy.ma costs every process about 2 MB of memory)
+_SPACING = 10
+_COARSE = np.r_[0:_GRID.size:_SPACING, _NEAR_ZERO - 1, _NEAR_ZERO + 1]
+_COARSE = _COARSE[_COARSE != _NEAR_ZERO]
+_EVALUATED = np.zeros(_GRID.size, dtype=bool)
+_EVALUATED[[*_COARSE, _NEAR_ZERO]] = True
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # elements of one (cols, n) block of the lockstep golden section: 1 MiB
 _BLOCK_ELEMENTS = 1 << 17
@@ -92,14 +110,17 @@ def _fit_lambdas(X: np.ndarray) -> np.ndarray:
     columns holding at most `_BLOCK_ELEMENTS` values (a 96-row matrix is one
     block), each transposed to a C-contiguous `(cols, n)` array whose rows
     share one `_loglik_kernel`. The first maximum of a row's log-likelihood
-    over the coarse grid (the one a strict `>` scan keeps) brackets its
-    optimum between the grid points either side. Golden-section search then
-    runs for every row in lockstep: each row keeps its own points c, d and
-    their log-likelihoods, and every step moves each row whose bracket is
-    still wider than `LAMBDA_TOL` and evaluates one new point for it.
+    over `_GRID` (the one a strict `>` scan keeps) brackets its optimum
+    between the grid points either side. `_grid_maximum` finds it coarse to
+    fine from at most 31 of the 101 points, exactly because the
+    log-likelihood is concave; the point nearest zero, where cancellation
+    can make it spike or dip, is evaluated but never places the window.
+    Golden-section search then runs for every row in lockstep: each row
+    keeps its own points c, d and their log-likelihoods, and every step
+    moves each row whose bracket is still wider than `LAMBDA_TOL` and
+    evaluates one new point for it.
     """
     n, width = X.shape
-    grid = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
     lambdas = np.ones(width)
     columns = np.flatnonzero(np.ptp(X, axis=0) >= STD_FLOOR)
     per_block = max(1, _BLOCK_ELEMENTS // n)
@@ -107,9 +128,9 @@ def _fit_lambdas(X: np.ndarray) -> np.ndarray:
         block = columns[start:start + per_block]
         loglik = _loglik_kernel(np.ascontiguousarray(X.T[block]))
         every = np.arange(block.size)
-        best = np.argmax([loglik(np.full(block.size, lam), every) for lam in grid], axis=0)
-        a = grid[np.maximum(best - 1, 0)]
-        b = grid[np.minimum(best + 1, grid.size - 1)]
+        best = _grid_maximum(loglik, block.size)
+        a = _GRID[np.maximum(best - 1, 0)]
+        b = _GRID[np.minimum(best + 1, _GRID.size - 1)]
         c = b - _INV_PHI * (b - a)
         d = a + _INV_PHI * (b - a)
         fc, fd = loglik(c, every), loglik(d, every)
@@ -127,6 +148,34 @@ def _fit_lambdas(X: np.ndarray) -> np.ndarray:
     return lambdas
 
 
+def _grid_maximum(loglik, k: int) -> np.ndarray:
+    """Each of k rows' first maximum over `_GRID`, as a grid index.
+
+    A coarse pass evaluates `_COARSE`, every tenth point with the near-zero
+    point's neighbours in its place, and takes each row's first maximum c.
+    A concave sequence rises strictly up to its first maximum and never
+    rises after it, and the coarse points are at most ten apart, so that
+    maximum lies in c-9..c+9:
+    a fine pass evaluates the points of that window still missing, each
+    row at its own exponents, and the near-zero point, which may spike or
+    dip against the curve. The first maximum over every evaluated point is
+    then the one a scan of all 101 points finds, in at most 31 calls.
+    """
+    every = np.arange(k)
+    ll = np.full((_GRID.size, k), -math.inf)
+    for i in _COARSE:
+        ll[i] = loglik(np.full(k, _GRID[i]), every)
+    coarse = np.argmax(ll, axis=0)
+    ll[_NEAR_ZERO] = loglik(np.full(k, _GRID[_NEAR_ZERO]), every)
+    for offset in range(1 - _SPACING, _SPACING):
+        i = coarse + offset
+        live = np.flatnonzero((i >= 0) & (i < _GRID.size))
+        live = live[~_EVALUATED[i[live]]]
+        if live.size:
+            ll[i[live], live] = loglik(_GRID[i[live]], live)
+    return np.argmax(ll, axis=0)
+
+
 def _loglik_kernel(rows: np.ndarray):
     """The log-likelihood kernel of a C-contiguous `(cols, n)` block.
 
@@ -139,14 +188,16 @@ def _loglik_kernel(rows: np.ndarray):
     log_sums = np.log(rows, out=work).sum(axis=1)
 
     def loglik(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
-        x = rows if live.size == k else rows[live]
         t = work[:live.size]
+        # a subset of rows is gathered into the buffer itself ("clip" takes
+        # no temporary copy; every index is in range)
+        x = rows if live.size == k else np.take(rows, live, axis=0, out=t, mode="clip")
         zero = lam == 0.0
         np.power(x, lam[:, None], out=t)
         t -= 1.0
         t /= np.where(zero, 1.0, lam)[:, None]
         if zero.any():
-            t[zero] = np.log(x[zero])
+            t[zero] = np.log(rows[live[zero]])
         # np.var's own steps, in place
         mean = t.sum(axis=1, keepdims=True)
         mean /= n

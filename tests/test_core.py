@@ -65,6 +65,14 @@ class TestValidateScan:
         with pytest.raises(ValueError):
             validate_scan([5.0] * NUM_BEAMS, height_m=-1.0)
 
+    def test_leaves_the_callers_array_writable_and_unchanged(self):
+        raw = np.full(NUM_BEAMS, 5.0)
+        raw[[0, 1]] = math.nan, -2.0
+        scan = validate_scan(raw)
+        assert raw.flags.writeable and math.isnan(raw[0]) and raw[1] == -2.0
+        assert not np.shares_memory(scan.ranges, raw) and not scan.ranges.flags.writeable
+        assert scan.ranges[0] == MAX_RANGE_M and scan.ranges[1] == MIN_RANGE_M
+
     def test_ranges_immutable(self):
         scan = validate_scan([5.0] * NUM_BEAMS)
         with pytest.raises(ValueError):

@@ -120,6 +120,18 @@ class TestLockstepSearch:
     @example(_mixed(3, seed=3), LAMBDA_TOL, 1 << 17)  # optima at both grid ends
     @example(_mixed(3, seed=3), 1e-12, 1)
     @example(_mixed(120, seed=1), 1e-12, 4 * 120)
+    # near-constant columns, on which the log-likelihood at the grid point
+    # nearest zero (about -1.8e-14) spikes above or dips below the curve:
+    # a spike that is the grid maximum (112.99 against 24.67 either side),
+    # missed by a search that never evaluates that point
+    @example(np.array([[0.39667201, 0.39645461, 0.39602636]]).T, LAMBDA_TOL, 1 << 17)
+    # a dip: with the point near zero out of the running, lam = 1 edges out
+    # lam = -1, so a window placed from -5, -4, ..., 5 alone misses the
+    # maximum at lam = -0.1
+    @example(np.array([[0.41918197, 0.4471018, 0.41475459, 0.40018287, 0.44407324]]).T,
+             LAMBDA_TOL, 1 << 17)
+    # a spike above every coarse point but below the maximum at lam = 1.5
+    @example(np.array([[1.54384474, 1.70184039, 1.83984796]]).T, LAMBDA_TOL, 1 << 17)
     def test_equals_the_per_column_search(self, X, tol, block_elements):
         # block widths from one column up to the whole matrix
         with (mock.patch.object(features, "_BLOCK_ELEMENTS", block_elements),
@@ -137,6 +149,29 @@ class TestLockstepSearch:
         with mock.patch.object(features, "LAMBDA_TOL", tol):
             fitted = fit_boxcox_lambda(col)
         assert fitted == per_column_lambdas(X[:, :1], tol)[0]
+
+    def test_grid_maximum_takes_at_most_31_kernel_calls(self):
+        # a 96-row matrix is one block; a scan of all 101 grid points
+        # would call the kernel 101 times before the golden section
+        X = np.clip(generate_dataset(SimConfig.uniform(24, seed=3)).X, MIN_RANGE_M, None)
+        grid = np.arange(-5.0, 5.0 + 0.1 / 2, 0.1)
+        on_grid = []
+        kernel = features._loglik_kernel
+
+        def counting_kernel(rows):
+            loglik = kernel(rows)
+
+            def counted(lam, live):
+                on_grid.append(bool(np.isin(lam, grid).all()))
+                return loglik(lam, live)
+
+            return counted
+
+        with mock.patch.object(features, "_loglik_kernel", counting_kernel):
+            lambdas = features._fit_lambdas(X)
+        assert X.shape == (96, NUM_BEAMS)
+        assert sum(on_grid) <= 31
+        assert lambdas.tolist() == per_column_lambdas(X).tolist()
 
     def test_kernel_is_boxcox_loglik_at_zero_and_every_grid_point(self):
         # the grid never evaluates exactly 0 (its middle point is about
