@@ -351,7 +351,7 @@ def train_network(net: Network, X: np.ndarray, y: np.ndarray, *, epochs: Count =
 
 
 @checked
-def train_mlp(X, y, *, epochs: Count = 30, batch_size: Count = 32, lr: Positive = 0.01,
+def train_mlp(X, y, *, epochs: Count = 30, batch_size: Count = 32, lr: Positive = 0.001,
               dropout: Rate = 0.5, seed: Seed = 42) -> Network:
     """The dense variant: build_mlp weights drawn from (seed, 11), then Adam."""
     net = build_mlp(np.random.default_rng([seed, 11]), X.shape[1], dropout_rate=dropout)

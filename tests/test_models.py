@@ -66,7 +66,7 @@ class TestModelSpec:
             "adaboost": {"rounds": 200},
             "svm": {"C": 1.0, "degree": 3, "coef0": 0.0, "gamma": None, "tol": 1e-3},
             "logreg": {"l2": 1e-4, "max_iter": 2000, "grad_tol": 1e-6},
-            "mlp": {"epochs": 30, "batch_size": 32, "lr": 0.01, "dropout": 0.5},
+            "mlp": {"epochs": 30, "batch_size": 32, "lr": 0.001, "dropout": 0.5},
             "cnn": {"epochs": 30, "batch_size": 32, "lr": 0.01, "dropout": 0.25},
         }
 
