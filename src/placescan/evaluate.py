@@ -47,8 +47,8 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
     proportionality. A class with fewer than k rows is an error.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError(f"k must be an integer of at least 2, got {k!r}")
     rng = np.random.default_rng([seed, 101])
     fold_of_row = np.full(labels.shape[0], -1, dtype=np.int64)
     for c in sorted(np.unique(labels)):

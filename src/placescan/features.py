@@ -5,7 +5,8 @@ with its own exponent, estimated by maximizing the profile log-likelihood
 LL(lam) = -(n/2) ln var(t(x; lam)) + (lam - 1) sum(ln x), then centered and
 scaled to unit variance using statistics of the transformed training
 column. Constant columns get lam = 1 and a guarded scale so no division by
-zero can occur.
+zero can occur. The transform is computed as expm1(lam ln x)/lam, which,
+unlike (x^lam - 1)/lam, does not cancel as lam nears zero (Higham 2002).
 
 The fit runs over blocks of columns, each transposed to a C-contiguous
 `(cols, n)` array of at most `_BLOCK_ELEMENTS` values. In a block, each
@@ -13,14 +14,10 @@ column's first maximum over the 101-point grid -5, -4.9, ..., 5 brackets its
 optimum, and a golden-section search (Kiefer 1953) refines all columns in
 lockstep; every column keeps its own bracket and stops when it is narrower
 than the tolerance. The grid maximum is found coarse to fine: every tenth
-point first, then the nineteen points around the best of them. The profile
+point first, then the eighteen points around the best of them. The profile
 log-likelihood is concave in lam (Kouider & Chen 1995), so the first maximum
 lies within nine points of the best coarse point, and the search returns
-the index a scan of all 101 points returns. The one exception is the point
-nearest zero, lam = -1.8e-14, where (x^lam - 1)/lam cancels catastrophically
-and the log-likelihood of a near-constant column can spike above or dip
-below the curve: it is always evaluated and may win, but never chooses
-the window; its neighbours -0.1 and 0.1 join the coarse points instead.
+the index a scan of all 101 points returns.
 Every stage calls one log-likelihood kernel, which reduces each column
 along its contiguous row in the order `boxcox_loglik` reduces a 1-D column,
 so each exponent is bit-for-bit the one a search on that column alone finds.
@@ -42,29 +39,20 @@ LAMBDA_TOL = 1e-4
 STD_FLOOR = 1e-12
 _COARSE_STEP = 0.1
 _GRID = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
-_NEAR_ZERO = int(np.argmin(np.abs(_GRID)))  # about -1.8e-14, not 0
-# the coarse pass of the grid search: every tenth point, with the near-zero
-# point's two neighbours standing in for it (built without np.setdiff1d,
-# whose import of numpy.ma costs every process about 2 MB of memory)
-_SPACING = 10
-_COARSE = np.r_[0:_GRID.size:_SPACING, _NEAR_ZERO - 1, _NEAR_ZERO + 1]
-_COARSE = _COARSE[_COARSE != _NEAR_ZERO]
-_EVALUATED = np.zeros(_GRID.size, dtype=bool)
-_EVALUATED[[*_COARSE, _NEAR_ZERO]] = True
+_SPACING = 10  # the grid search's coarse pass takes every tenth point
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # elements of one (cols, n) block of the lockstep golden section: 1 MiB
 _BLOCK_ELEMENTS = 1 << 17
 
 
 def boxcox_apply(x, lam: float):
-    """Box-Cox transform: (x^lam - 1)/lam for lam != 0, ln x at lam = 0."""
+    """Box-Cox transform: expm1(lam ln x)/lam for lam != 0, ln x at lam = 0."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
         raise ValueError("Box-Cox transform requires strictly positive inputs")
-    if lam == 0.0:
-        out = np.log(x)
-    else:
-        out = (np.power(x, lam) - 1.0) / lam
+    out = np.log(x)
+    if lam != 0.0:
+        out = np.expm1(out * lam) / lam
     return out if out.ndim else float(out)
 
 
@@ -83,6 +71,7 @@ def boxcox_inverse(y, lam: float):
 
 def boxcox_loglik(samples: np.ndarray, lam: float) -> float:
     """Profile log-likelihood of the Box-Cox exponent for one sample set."""
+    samples = np.asarray(samples, dtype=np.float64)
     transformed = boxcox_apply(samples, lam)
     var = float(np.var(transformed))
     if not var > 0.0:
@@ -112,9 +101,8 @@ def _fit_lambdas(X: np.ndarray) -> np.ndarray:
     share one `_loglik_kernel`. The first maximum of a row's log-likelihood
     over `_GRID` (the one a strict `>` scan keeps) brackets its optimum
     between the grid points either side. `_grid_maximum` finds it coarse to
-    fine from at most 31 of the 101 points, exactly because the
-    log-likelihood is concave; the point nearest zero, where cancellation
-    can make it spike or dip, is evaluated but never places the window.
+    fine from at most 29 of the 101 points, exactly because the
+    log-likelihood is concave.
     Golden-section search then runs for every row in lockstep: each row
     keeps its own points c, d and their log-likelihoods, and every step
     moves each row whose bracket is still wider than `LAMBDA_TOL` and
@@ -151,26 +139,22 @@ def _fit_lambdas(X: np.ndarray) -> np.ndarray:
 def _grid_maximum(loglik, k: int) -> np.ndarray:
     """Each of k rows' first maximum over `_GRID`, as a grid index.
 
-    A coarse pass evaluates `_COARSE`, every tenth point with the near-zero
-    point's neighbours in its place, and takes each row's first maximum c.
-    A concave sequence rises strictly up to its first maximum and never
-    rises after it, and the coarse points are at most ten apart, so that
-    maximum lies in c-9..c+9:
-    a fine pass evaluates the points of that window still missing, each
-    row at its own exponents, and the near-zero point, which may spike or
-    dip against the curve. The first maximum over every evaluated point is
-    then the one a scan of all 101 points finds, in at most 31 calls.
+    A coarse pass evaluates every tenth point and takes each row's first
+    maximum c. A concave sequence rises strictly up to its first maximum
+    and never rises after it, and the coarse points are ten apart, so that
+    maximum lies in c-9..c+9: a fine pass evaluates the other points of
+    that window, each row at its own exponents. The first maximum over
+    every evaluated point is then the one a scan of all 101 points finds,
+    in at most 29 calls.
     """
     every = np.arange(k)
     ll = np.full((_GRID.size, k), -math.inf)
-    for i in _COARSE:
+    for i in range(0, _GRID.size, _SPACING):
         ll[i] = loglik(np.full(k, _GRID[i]), every)
     coarse = np.argmax(ll, axis=0)
-    ll[_NEAR_ZERO] = loglik(np.full(k, _GRID[_NEAR_ZERO]), every)
-    for offset in range(1 - _SPACING, _SPACING):
+    for offset in (*range(1 - _SPACING, 0), *range(1, _SPACING)):
         i = coarse + offset
         live = np.flatnonzero((i >= 0) & (i < _GRID.size))
-        live = live[~_EVALUATED[i[live]]]
         if live.size:
             ll[i[live], live] = loglik(_GRID[i[live]], live)
     return np.argmax(ll, axis=0)
@@ -180,24 +164,27 @@ def _loglik_kernel(rows: np.ndarray):
     """The log-likelihood kernel of a C-contiguous `(cols, n)` block.
 
     `loglik(lam, live)` is `boxcox_loglik(rows[live[i]], lam[i])` for every
-    i, bit for bit: the reductions run along contiguous rows, as they do
-    for a 1-D column, in one `(cols, n)` buffer reused by every call.
+    i, bit for bit: the transform takes boxcox_apply's steps and the
+    reductions run along contiguous rows, as they do for a 1-D column, in
+    one `(cols, n)` buffer reused by every call. `rows` is overwritten with
+    its logarithms, which every call starts from.
     """
     k, n = rows.shape
-    work = np.empty_like(rows)
-    log_sums = np.log(rows, out=work).sum(axis=1)
+    logs = np.log(rows, out=rows)
+    log_sums = logs.sum(axis=1)
+    work = np.empty_like(logs)
 
     def loglik(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
         t = work[:live.size]
         # a subset of rows is gathered into the buffer itself ("clip" takes
         # no temporary copy; every index is in range)
-        x = rows if live.size == k else np.take(rows, live, axis=0, out=t, mode="clip")
+        x = logs if live.size == k else np.take(logs, live, axis=0, out=t, mode="clip")
         zero = lam == 0.0
-        np.power(x, lam[:, None], out=t)
-        t -= 1.0
+        np.multiply(x, lam[:, None], out=t)
+        np.expm1(t, out=t)
         t /= np.where(zero, 1.0, lam)[:, None]
         if zero.any():
-            t[zero] = np.log(rows[live[zero]])
+            t[zero] = logs[live[zero]]
         # np.var's own steps, in place
         mean = t.sum(axis=1, keepdims=True)
         mean /= n
@@ -259,11 +246,12 @@ class FeatureTransformer:
 def _boxcox_columns(X: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """boxcox_apply of every column of X with its own exponent."""
     zero = lambdas == 0.0
-    lam = np.where(zero, 1.0, lambdas)
-    out = np.power(X, lam)
-    out -= 1.0
-    out /= lam
-    out[:, zero] = np.log(X[:, zero])
+    out = np.log(X)
+    logs = out[:, zero]
+    out *= lambdas
+    np.expm1(out, out=out)
+    out /= np.where(zero, 1.0, lambdas)
+    out[:, zero] = logs
     return out
 
 

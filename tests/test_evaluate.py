@@ -86,6 +86,13 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="at least 2"):
             stratified_folds(labels, k=1, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
+    def test_k_must_be_an_integer(self, k):
+        labels = np.repeat([0, 1, 2, 3], 5)
+        with pytest.raises(ValueError, match="integer"):
+            stratified_folds(labels, k=k, seed=0)
+        assert stratified_folds(labels, k=np.int64(3), seed=0).k == 3
+
     def test_train_and_test_partition_rows(self):
         labels = np.random.default_rng(3).integers(0, 4, size=57)
         labels[:20] = np.repeat([0, 1, 2, 3], 5)  # each class has >= k rows

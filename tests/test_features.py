@@ -120,17 +120,15 @@ class TestLockstepSearch:
     @example(_mixed(3, seed=3), LAMBDA_TOL, 1 << 17)  # optima at both grid ends
     @example(_mixed(3, seed=3), 1e-12, 1)
     @example(_mixed(120, seed=1), 1e-12, 4 * 120)
-    # near-constant columns, on which the log-likelihood at the grid point
-    # nearest zero (about -1.8e-14) spikes above or dips below the curve:
-    # a spike that is the grid maximum (112.99 against 24.67 either side),
-    # missed by a search that never evaluates that point
+    # near-constant columns, on which (x^lam - 1)/lam cancels at the grid
+    # point nearest zero (about -1.8e-14) and its log-likelihood spikes
+    # above or dips below the curve; expm1(lam ln x)/lam keeps it on the
+    # curve. Here the log-likelihood rises all the way to lam = 5,
     @example(np.array([[0.39667201, 0.39645461, 0.39602636]]).T, LAMBDA_TOL, 1 << 17)
-    # a dip: with the point near zero out of the running, lam = 1 edges out
-    # lam = -1, so a window placed from -5, -4, ..., 5 alone misses the
-    # maximum at lam = -0.1
+    # here its maximum is the point nearest zero itself,
     @example(np.array([[0.41918197, 0.4471018, 0.41475459, 0.40018287, 0.44407324]]).T,
              LAMBDA_TOL, 1 << 17)
-    # a spike above every coarse point but below the maximum at lam = 1.5
+    # and here it is lam = 1.5, five points from the best coarse point, 2
     @example(np.array([[1.54384474, 1.70184039, 1.83984796]]).T, LAMBDA_TOL, 1 << 17)
     def test_equals_the_per_column_search(self, X, tol, block_elements):
         # block widths from one column up to the whole matrix
@@ -150,7 +148,7 @@ class TestLockstepSearch:
             fitted = fit_boxcox_lambda(col)
         assert fitted == per_column_lambdas(X[:, :1], tol)[0]
 
-    def test_grid_maximum_takes_at_most_31_kernel_calls(self):
+    def test_grid_maximum_takes_at_most_29_kernel_calls(self):
         # a 96-row matrix is one block; a scan of all 101 grid points
         # would call the kernel 101 times before the golden section
         X = np.clip(generate_dataset(SimConfig.uniform(24, seed=3)).X, MIN_RANGE_M, None)
@@ -170,7 +168,7 @@ class TestLockstepSearch:
         with mock.patch.object(features, "_loglik_kernel", counting_kernel):
             lambdas = features._fit_lambdas(X)
         assert X.shape == (96, NUM_BEAMS)
-        assert sum(on_grid) <= 31
+        assert sum(on_grid) <= 29
         assert lambdas.tolist() == per_column_lambdas(X).tolist()
 
     def test_kernel_is_boxcox_loglik_at_zero_and_every_grid_point(self):
@@ -249,6 +247,18 @@ class TestBoxcoxApply:
         for x in (0.01, 1.7, 29.0):
             assert boxcox_apply(x, 1e-9) == pytest.approx(math.log(x), abs=1e-6)
 
+    def test_no_cancellation_near_zero(self):
+        # expm1(z)/lam = ln x (1 + z/2 + z^2/6 + ...) with z = lam ln x, and
+        # |z| <= 7e-6 here, so the next term is below 1e-16 relative; the
+        # grid's middle point is about -1.8e-14, not 0
+        eps = np.finfo(np.float64).eps
+        x = np.geomspace(0.001, 30.0, 401)
+        lnx = np.log(x)
+        for lam in (-1e-6, -1e-9, features._GRID[50], -1e-300, 1e-300, 1e-12, 1e-6):
+            z = lam * lnx
+            series = lnx * (1.0 + z / 2.0 + z * z / 6.0)
+            assert np.all(np.abs(boxcox_apply(x, lam) - series) <= 4 * eps * np.abs(lnx)), lam
+
     def test_monotonic_in_x(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -272,19 +282,22 @@ class TestBoxcoxApply:
         st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
     )
     def test_inverse_round_trip_within_its_conditioning(self, x, lam):
-        # Error model, one rounding of at most eps per operation. With
-        # u = x**lam, the forward pass rounds u, u - 1 and (u - 1)/lam; the
-        # inverse rounds lam*y and lam*y + 1. That leaves the base lam*y + 1
-        # at u(1 + eta) with |eta| <= (2 + 3|u - 1|/u) eps, and raising it to
-        # 1/lam scales x by (1 + eta)**(1/lam), so ln x moves by eta/|lam|.
-        # Rounding 1/lam (relative eps on an exponent of size |ln x|) and the
-        # final power add (1 + |ln x|) eps. Near lam = 0 the eps/|lam| term is
-        # the cancellation in (x**lam - 1)/lam: once |lam ln x| < eps/2, x**lam
-        # rounds to 1 and the inverse returns 1 whatever x was, so the bound
-        # grows without limit there. At u << 1 (lam = 5, x = 0.001) the
-        # |u - 1|/u term is the digits of u lost in u - 1. lam = 0 is
-        # exp(log x) with no cancellation, so only the second term applies.
-        # Allowed: twice the first-order bound.
+        # Error model, one rounding of at most eps/2 per operation. With
+        # u = x**lam, the forward pass rounds ln x, lam ln x, its expm1 and
+        # the quotient by lam; the inverse rounds lam*y and lam*y + 1. That
+        # leaves the base lam*y + 1 at u(1 + eta) with
+        # |eta| <= (1 + 3|u - 1|/u + 2|lam ln x|) eps/2, the last term being
+        # the two roundings before expm1, and raising it to 1/lam scales x by
+        # (1 + eta)**(1/lam), so ln x moves by eta/|lam|. Rounding 1/lam
+        # (relative eps/2 on an exponent of size |ln x|) and the final power
+        # add (1 + |ln x|) eps/2. Near lam = 0 the eps/|lam| term is the
+        # rounding of lam*y + 1: once |lam ln x| < eps/2, it rounds to 1 and
+        # the inverse returns 1 whatever x was, so the bound grows without
+        # limit there. At u << 1 (lam = 5, x = 0.001) the |u - 1|/u term is
+        # the digits of u lost in u - 1. lam = 0 is exp(log x) with no
+        # cancellation, so only the second term applies. Allowed:
+        # 2 eps ((2 + 3|u - 1|/u)/|lam| + 1 + |ln x|), at least 1.5 times the
+        # first-order bound over the sensor's range.
         eps = np.finfo(np.float64).eps
         u = math.pow(x, lam)
         cancel = 0.0 if lam == 0.0 else (2.0 + 3.0 * abs(u - 1.0) / u) / abs(lam)
@@ -318,6 +331,18 @@ class TestFitLambda:
             fitted = fit_boxcox_lambda(samples)
             oracle = grid_search_lambda(samples)
             assert fitted == pytest.approx(oracle, abs=2e-3)
+
+    def test_near_constant_column_fits_the_grid_end(self):
+        # its log-likelihood rises over the whole of [-5, 5]
+        assert fit_boxcox_lambda([0.39667201, 0.39645461, 0.39602636]) == pytest.approx(
+            5.0, abs=LAMBDA_TOL)
+
+    def test_lists_and_arrays_agree(self):
+        samples = [1.0, 2.0, 3.0, 5.5]
+        array = np.array(samples)
+        assert boxcox_loglik(samples, 0.5) == boxcox_loglik(array, 0.5)
+        assert boxcox_apply(samples, 0.5).tolist() == boxcox_apply(array, 0.5).tolist()
+        assert fit_boxcox_lambda(samples) == fit_boxcox_lambda(array)
 
     def test_degenerate_samples(self):
         with pytest.raises(DegenerateFeatureError):
