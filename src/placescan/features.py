@@ -57,15 +57,16 @@ def boxcox_apply(x, lam: float):
 
 
 def boxcox_inverse(y, lam: float):
-    """Analytic inverse of boxcox_apply; raises outside the image domain."""
+    """Analytic inverse of boxcox_apply: exp(log1p(lam y)/lam) for lam != 0,
+    exp y at lam = 0; raises outside the image domain."""
     y = np.asarray(y, dtype=np.float64)
     if lam == 0.0:
         out = np.exp(y)
     else:
-        base = lam * y + 1.0
-        if np.any(base <= 0.0):
+        scaled = lam * y
+        if np.any(scaled <= -1.0):
             raise ValueError("value outside the Box-Cox image for this exponent")
-        out = np.power(base, 1.0 / lam)
+        out = np.exp(np.log1p(scaled) / lam)
     return out if out.ndim else float(out)
 
 

@@ -283,32 +283,45 @@ class TestBoxcoxApply:
     )
     def test_inverse_round_trip_within_its_conditioning(self, x, lam):
         # Error model, one rounding of at most eps/2 per operation. With
-        # u = x**lam, the forward pass rounds ln x, lam ln x, its expm1 and
-        # the quotient by lam; the inverse rounds lam*y and lam*y + 1. That
-        # leaves the base lam*y + 1 at u(1 + eta) with
-        # |eta| <= (1 + 3|u - 1|/u + 2|lam ln x|) eps/2, the last term being
-        # the two roundings before expm1, and raising it to 1/lam scales x by
-        # (1 + eta)**(1/lam), so ln x moves by eta/|lam|. Rounding 1/lam
-        # (relative eps/2 on an exponent of size |ln x|) and the final power
-        # add (1 + |ln x|) eps/2. Near lam = 0 the eps/|lam| term is the
-        # rounding of lam*y + 1: once |lam ln x| < eps/2, it rounds to 1 and
-        # the inverse returns 1 whatever x was, so the bound grows without
-        # limit there. At u << 1 (lam = 5, x = 0.001) the |u - 1|/u term is
-        # the digits of u lost in u - 1. lam = 0 is exp(log x) with no
-        # cancellation, so only the second term applies. Allowed:
-        # 2 eps ((2 + 3|u - 1|/u)/|lam| + 1 + |ln x|), at least 1.5 times the
-        # first-order bound over the sensor's range.
+        # z = lam ln x and u = x**lam = e**z, the forward pass rounds ln x
+        # and z (relative eps to z, which expm1 passes on scaled by
+        # z u/(u - 1)), then expm1 and the quotient by lam; the inverse
+        # rounds lam*y. So w = lam*y, the exact u - 1, carries a relative
+        # error of at most (|z u/(u - 1)| + 3/2) eps. log1p(w) = z moves by
+        # w/(1 + w) times that, and dividing by lam moves ln x by
+        # g = |u - 1|/(u |lam|) = |expm1(-z)/lam| times it: (|ln x| + 3g/2)
+        # eps. g tends to |ln x| as lam -> 0, so the bound stays finite
+        # there; it is large only at u << 1 (lam = 5, x = 0.001), where w
+        # is -1 plus the few digits of u that survive. Rounding log1p, the
+        # quotient and exp, and the test's two logs, add (2|ln x| + 1/2) eps.
+        # lam = 0 is exp(log x): g is taken as its limit |ln x|. Below the
+        # normal range lam*ln x and lam*y are subnormal, with an absolute
+        # rounding of 2**-1075 each that the quotients by lam scale up; that
+        # adds 2**-1074 (1 + |ln x|)/|lam|, at most 1 + |ln x|. Allowed:
+        # twice the sum, eps (6|ln x| + 3g + 1) + 2**-1073 (1 + |ln x|)/|lam|.
         eps = np.finfo(np.float64).eps
-        u = math.pow(x, lam)
-        cancel = 0.0 if lam == 0.0 else (2.0 + 3.0 * abs(u - 1.0) / u) / abs(lam)
-        bound = 2.0 * eps * (cancel + 1.0 + abs(math.log(x)))
+        ln_x = abs(math.log(x))
+        if lam == 0.0:
+            g, subnormal = ln_x, 0.0
+        else:
+            g = abs(math.expm1(-lam * math.log(x)) / lam)
+            subnormal = 2.0**-1073 * (1.0 + ln_x) / abs(lam)
+        bound = eps * (6.0 * ln_x + 3.0 * g + 1.0) + subnormal
         back = boxcox_inverse(boxcox_apply(x, lam), lam)
         assert abs(math.log(back) - math.log(x)) <= bound
 
+    @pytest.mark.parametrize("lam", [1e-17, features._GRID[50]])
+    @pytest.mark.parametrize("x", [0.5, 7.0, 25.0])
+    def test_inverse_near_zero_exponent(self, x, lam):
+        # (lam*y + 1)**(1/lam) rounded lam*y away: 1.0 at lam = 1e-17, and
+        # 0.50283, 6.98490, 24.99685 at the grid point nearest zero
+        assert boxcox_inverse(boxcox_apply(x, lam), lam) == pytest.approx(x, rel=1e-14)
+
     def test_inverse_domain_violation_raises(self):
-        # lam=2 maps (0, inf) to (-0.5, inf); -1 is outside the image
-        with pytest.raises(ValueError):
-            boxcox_inverse(-1.0, 2.0)
+        # lam=2 maps (0, inf) to (-0.5, inf); -1 and its bound -0.5 are outside the image
+        for y in (-1.0, -0.5):
+            with pytest.raises(ValueError):
+                boxcox_inverse(y, 2.0)
 
 
 class TestFitLambda:
