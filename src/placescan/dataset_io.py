@@ -157,19 +157,17 @@ def write_dataset(dataset: Dataset, stream: IO[str]) -> None:
                 prefix + ("" if math.isnan(height) else "%.4f" % height) + ","
                 for prefix, height in zip(prefixes, heights[block])
             ]
-        for line in _block_lines(dataset.X[block], prefixes):
-            stream.write(line)
+        for prefix, line in zip(prefixes, _block_lines(dataset.X[block])):
+            stream.write(prefix + line)
 
 
-def _block_lines(X: np.ndarray, prefixes: list[str]) -> list[str]:
-    """The CSV line of each distance row of X, after its prefix."""
+def _block_lines(X: np.ndarray) -> list[str]:
+    """The distance fields of each row of X as CSV text, newline included."""
     fields, exact = _field_bytes(X)
-    heads = np.array(prefixes, dtype=bytes).view(np.uint8).reshape(len(X), -1)
-    # deleting the NULs drops the heads' padding and the tens digits below 10 m
-    text = np.concatenate([heads, fields], axis=1).tobytes().translate(None, b"\0")
-    lines = text.decode("ascii").splitlines(keepends=True)
+    # deleting the NULs drops the tens digits below 10 m
+    lines = fields.tobytes().translate(None, b"\0").decode("ascii").splitlines(keepends=True)
     for i in np.flatnonzero(~exact).tolist():
-        lines[i] = prefixes[i] + _ROW_FORMAT % tuple(X[i].tolist()) + "\n"
+        lines[i] = _ROW_FORMAT % tuple(X[i].tolist()) + "\n"
     return lines
 
 

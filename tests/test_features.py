@@ -294,19 +294,24 @@ class TestBoxcoxApply:
         # there; it is large only at u << 1 (lam = 5, x = 0.001), where w
         # is -1 plus the few digits of u that survive. Rounding log1p, the
         # quotient and exp, and the test's two logs, add (2|ln x| + 1/2) eps.
-        # lam = 0 is exp(log x): g is taken as its limit |ln x|. Below the
-        # normal range lam*ln x and lam*y are subnormal, with an absolute
-        # rounding of 2**-1075 each that the quotients by lam scale up; that
-        # adds 2**-1074 (1 + |ln x|)/|lam|, at most 1 + |ln x|. Allowed:
-        # twice the sum, eps (6|ln x| + 3g + 1) + 2**-1073 (1 + |ln x|)/|lam|.
+        # Below the normal range lam*ln x and lam*y are subnormal, with an
+        # absolute rounding of 2**-1075 each that the quotients by lam scale
+        # up; that adds 2**-1074 (1 + |ln x|)/|lam|, at most 1 + |ln x|.
+        # Twice the sum is eps (6|ln x| + 3g + 1) + 2**-1073 (1 + |ln x|)/|lam|.
+        # The check allows the smaller of that and the bound it held for the
+        # power form (lam*y + 1)**(1/lam), 2 eps (c/|lam| + 1 + |ln x|) with
+        # c = 2 + 3|u - 1|/u, which grows as 1/|lam| near 0 but is the
+        # smaller one at large |lam| and lam ln x > 0 (lam = 5, x = 30). At
+        # lam = 0, exp(log x), it is 2 eps (1 + |ln x|), as before.
         eps = np.finfo(np.float64).eps
         ln_x = abs(math.log(x))
-        if lam == 0.0:
-            g, subnormal = ln_x, 0.0
-        else:
+        u = math.pow(x, lam)
+        cancel = 0.0 if lam == 0.0 else (2.0 + 3.0 * abs(u - 1.0) / u) / abs(lam)
+        bound = 2.0 * eps * (cancel + 1.0 + ln_x)
+        if lam != 0.0:
             g = abs(math.expm1(-lam * math.log(x)) / lam)
             subnormal = 2.0**-1073 * (1.0 + ln_x) / abs(lam)
-        bound = eps * (6.0 * ln_x + 3.0 * g + 1.0) + subnormal
+            bound = min(bound, eps * (6.0 * ln_x + 3.0 * g + 1.0) + subnormal)
         back = boxcox_inverse(boxcox_apply(x, lam), lam)
         assert abs(math.log(back) - math.log(x)) <= bound
 
