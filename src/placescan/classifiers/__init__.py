@@ -1,15 +1,15 @@
 """Uniform train/predict contract over the six classifier variants.
 
 Every variant is one `_VARIANTS` row: a trainer and a payload class. The
-trainer is called as `fit(Xt, y, **params)` on Box-Cox standardised rows;
-its keyword-only arguments are the variant's hyperparameters and their
-defaults, plus `seed` if it draws random numbers. Each argument declares
-its domain in the signature (see `hyperparams`), and both `ModelSpec` and a
-direct trainer call check values against it. The payload the trainer
-returns provides `predict_proba(Xt)`, `to_dict()` and the
-`from_dict(payload)` classmethod used by the model-file codec. `to_dict()`
-leaves its arrays as they are, for `core.pack` to encode; `from_dict` reads
-each through `core.unpack`, which also checks it.
+trainer is called as `fit(Xt, y, **params)` on read-only Box-Cox
+standardised rows; its keyword-only arguments are the variant's
+hyperparameters and their defaults, plus `seed` if it draws random
+numbers. Each argument declares its domain in the signature (see
+`hyperparams`), and both `ModelSpec` and a direct trainer call check values
+against it. The payload the trainer returns provides `predict_proba(Xt)`,
+`to_dict()` and the `from_dict(payload)` classmethod used by the model-file
+codec. `to_dict()` leaves its arrays as they are, for `core.pack` to
+encode; `from_dict` reads each through `core.unpack`, which also checks it.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from ..features import FeatureTransformer, fit_feature_transformer
 from . import boosting, linear, nets, svm, trees
 from ..hyperparams import SEED, check_params
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 # variant -> (trainer module, trainer name, payload class). The trainer is
 # looked up on its module at call time, so a wrapper installed on the module
@@ -101,38 +101,33 @@ class TrainedModel:
     def predict_proba_matrix(self, X_raw: np.ndarray) -> np.ndarray:
         """Class probabilities for raw (untransformed) feature rows.
 
-        Beams are imputed by the same rule as `validate_scan` first.
+        `X_raw` is one row or a matrix of rows. Beams are imputed by the
+        same rule as `validate_scan` first.
         """
         X_raw = np.atleast_2d(np.asarray(X_raw, dtype=np.float64))
-        if X_raw.shape[1] != NUM_BEAMS:
-            raise DimensionError(f"expected {NUM_BEAMS} features, got {X_raw.shape[1]}")
+        if X_raw.ndim != 2 or X_raw.shape[1] != NUM_BEAMS:
+            raise DimensionError(f"expected rows of {NUM_BEAMS} features, got shape {X_raw.shape}")
         Xt = self.transformer.transform_matrix(impute_ranges(X_raw))
         return self.payload.predict_proba(Xt)
 
 
 @blas.one_thread()
-def train(
-    spec: ModelSpec, data: Dataset, transformer: FeatureTransformer | None = None
-) -> TrainedModel:
+def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
     """Fit the transformer and the variant trainer on the whole dataset.
 
-    A caller that trains several variants on the same rows may pass
-    `transformer`, which must be `fit_feature_transformer(data.X)`; the
-    model is then the one this function would have fitted itself. None
-    fits it here.
+    The transformer is fitted, and `data.X` transformed, once per `Dataset`
+    object (`_memo`), so variants trained on the same object share them.
 
     Deterministic given (spec, data): every stochastic component draws from
     substreams of spec.seed, and OpenBLAS runs on one thread (`blas`), so
     the model's bits do not depend on the machine's core count.
     """
-    X_raw, y = data.X, data.y
+    y = data.y
     if np.unique(y).shape[0] < 2:
         raise DegenerateTrainingError(
             "training data must contain at least two classes"
         )
-    if transformer is None:
-        transformer = fit_feature_transformer(X_raw)
-    Xt = transformer.transform_matrix(X_raw)
+    transformer, Xt = _memo(data, _fit)
     params = spec.resolved_params()
     fit = _trainer(spec.variant)
     seeded = {"seed": spec.seed} if "seed" in inspect.signature(fit).parameters else {}
@@ -158,10 +153,29 @@ def predict_label(model: TrainedModel, scan: Scan) -> ClassLabel:
     return ClassLabel(int(np.argmax(predict_proba(model, scan))))
 
 
-# a Dataset's columns are read-only, so its digest is computed once; the lock
-# makes a second thread wait for the first one's digest instead of redoing it
-_FINGERPRINTS: weakref.WeakKeyDictionary[Dataset, str] = weakref.WeakKeyDictionary()
-_FINGERPRINTS_LOCK = threading.Lock()
+_MEMO: weakref.WeakKeyDictionary[Dataset, dict] = weakref.WeakKeyDictionary()
+_MEMO_LOCK = threading.Lock()
+
+
+def _memo(data: Dataset, compute):
+    """compute(data), worked out once per Dataset object (its columns are
+    read-only) and kept while `data` lives: so `_fit`'s entry keeps an
+    X-sized matrix alive with it. A second thread waits for the first's
+    result instead of redoing it."""
+    with _MEMO_LOCK:
+        entry = _MEMO.setdefault(data, {})
+        if compute not in entry:
+            entry[compute] = compute(data)
+        return entry[compute]
+
+
+def _fit(data: Dataset) -> tuple[FeatureTransformer, np.ndarray]:
+    """The Box-Cox transformer fitted on `data.X`, and `data.X` through it,
+    read-only since every variant trained on `data` shares it."""
+    transformer = fit_feature_transformer(data.X)
+    Xt = transformer.transform_matrix(data.X)
+    Xt.setflags(write=False)
+    return transformer, Xt
 
 
 class _Sha256Stream(io.TextIOBase):
@@ -183,13 +197,13 @@ class _Sha256Stream(io.TextIOBase):
 
 def dataset_fingerprint(data: Dataset) -> str:
     """sha256 hex digest of the dataset's canonical CSV (`write_dataset`)."""
-    with _FINGERPRINTS_LOCK:
-        digest = _FINGERPRINTS.get(data)
-        if digest is None:
-            stream = _Sha256Stream()
-            write_dataset(data, stream)
-            digest = _FINGERPRINTS[data] = stream.sha256.hexdigest()
-    return digest
+    return _memo(data, _digest)
+
+
+def _digest(data: Dataset) -> str:
+    stream = _Sha256Stream()
+    write_dataset(data, stream)
+    return stream.sha256.hexdigest()
 
 
 # --- model files -------------------------------------------------------------

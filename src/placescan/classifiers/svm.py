@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core import NUM_CLASSES, unpack
 from ..hyperparams import (
-    FLAG, POSITIVE, REAL, Count, Positive, PositiveOrNone, Real, check_params, checked,
+    FLAG, POSITIVE, Count, Positive, PositiveOrNone, Real, check_params, checked,
 )
 from .linear import softmax
 
@@ -104,33 +104,26 @@ def dual_objective(K, y, alpha) -> float:
 
 @dataclass
 class SvmModel:
-    """One-vs-rest polynomial-kernel SVM."""
+    """One-vs-rest polynomial-kernel SVM. As in LIBSVM, the four machines
+    share one matrix of the rows that support any of them, and column c of
+    `coefficients` holds machine c's alpha_i * y_i, exactly 0 off its support."""
 
-    support_vectors: list[np.ndarray]  # per class: (m, d) matrix
-    coefficients: list[np.ndarray]  # per class: alpha_i * y_i
-    biases: list[float]
+    support_vectors: np.ndarray  # (m, d)
+    coefficients: np.ndarray  # (m, NUM_CLASSES)
+    biases: np.ndarray  # (NUM_CLASSES,)
     converged: list[bool]
     gamma: float
     coef0: float = DEFAULT_COEF0
     degree: int = DEFAULT_DEGREE
 
     def __post_init__(self):
-        counts = {len(self.support_vectors), len(self.coefficients),
-                  len(self.biases), len(self.converged)}
-        if counts != {NUM_CLASSES}:
-            raise ValueError(
-                f"an svm needs {NUM_CLASSES} machines, biases and converged flags"
-            )
-        for sv, coef in zip(self.support_vectors, self.coefficients):
-            if sv.ndim != 2 or coef.shape != (sv.shape[0],):
-                raise ValueError(
-                    "each svm machine needs an (m, d) support-vector matrix "
-                    "and m coefficients"
-                )
-        if len({sv.shape[1] for sv in self.support_vectors if sv.shape[0]}) > 1:
-            raise ValueError("svm support vectors must all have the same width")
-        for bias, converged in zip(self.biases, self.converged):
-            REAL.check("svm model bias", bias)
+        sv = self.support_vectors
+        if sv.ndim != 2 or self.coefficients.shape != (sv.shape[0], NUM_CLASSES):
+            raise ValueError(f"an svm needs an (m, d) support-vector matrix and "
+                             f"(m, {NUM_CLASSES}) coefficients")
+        if self.biases.shape != (NUM_CLASSES,) or len(self.converged) != NUM_CLASSES:
+            raise ValueError(f"an svm needs {NUM_CLASSES} biases and converged flags")
+        for converged in self.converged:
             FLAG.check("svm model converged", converged)
         # a fitted gamma is a number: None is train_svm's "pick a default"
         POSITIVE.check("svm model gamma", self.gamma)
@@ -138,16 +131,8 @@ class SvmModel:
         check_params("svm model", train_svm, vars(self))
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty((X.shape[0], NUM_CLASSES))
-        for c in range(NUM_CLASSES):
-            sv = self.support_vectors[c]
-            if sv.shape[0] == 0:
-                out[:, c] = self.biases[c]
-                continue
-            Kx = poly_kernel(X, sv, self.gamma, self.coef0, self.degree)
-            out[:, c] = Kx @ self.coefficients[c] + self.biases[c]
-        return out
+        K = poly_kernel(X, self.support_vectors, self.gamma, self.coef0, self.degree)
+        return K @ self.coefficients + self.biases
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.decision_values(X))
@@ -158,23 +143,17 @@ class SvmModel:
             "coef0": self.coef0,
             "degree": self.degree,
             "converged": list(self.converged),
-            "machines": [
-                {
-                    "support_vectors": self.support_vectors[c],
-                    "coefficients": self.coefficients[c],
-                    "bias": self.biases[c],
-                }
-                for c in range(NUM_CLASSES)
-            ],
+            "support_vectors": self.support_vectors,
+            "coefficients": self.coefficients,
+            "biases": self.biases,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SvmModel":
-        machines = payload["machines"]
         return cls(
-            support_vectors=[unpack(m, "support_vectors", np.float64) for m in machines],
-            coefficients=[unpack(m, "coefficients", np.float64) for m in machines],
-            biases=[m["bias"] for m in machines],
+            support_vectors=unpack(payload, "support_vectors", np.float64),
+            coefficients=unpack(payload, "coefficients", np.float64),
+            biases=unpack(payload, "biases", np.float64),
             gamma=payload["gamma"],
             coef0=payload["coef0"],
             degree=payload["degree"],
@@ -198,25 +177,21 @@ def train_svm(
     if gamma is None:
         gamma = default_gamma(X)
     K = poly_kernel(X, X, gamma, coef0, degree)
-    support_vectors, coefficients, biases, converged = [], [], [], []
+    coefficients = np.zeros((X.shape[0], NUM_CLASSES))
+    biases = np.empty(NUM_CLASSES)
+    converged = [True] * NUM_CLASSES
     for c in range(NUM_CLASSES):
         yb = np.where(y == c, 1.0, -1.0)
         if np.all(yb == yb[0]):
             # class absent (or alone): constant decision at the shared sign
-            support_vectors.append(np.empty((0, X.shape[1])))
-            coefficients.append(np.empty(0))
-            biases.append(float(yb[0]))
-            converged.append(True)
+            biases[c] = yb[0]
             continue
-        alpha, b, conv = smo_solve(K, yb, C=C, tol=tol)
-        sv_mask = alpha > 1e-12
-        support_vectors.append(X[sv_mask])
-        coefficients.append(alpha[sv_mask] * yb[sv_mask])
-        biases.append(b)
-        converged.append(conv)
+        alpha, biases[c], converged[c] = smo_solve(K, yb, C=C, tol=tol)
+        coefficients[:, c] = np.where(alpha > 1e-12, alpha * yb, 0.0)
+    support = coefficients.any(axis=1)
     return SvmModel(
-        support_vectors=support_vectors,
-        coefficients=coefficients,
+        support_vectors=X[support],
+        coefficients=coefficients[support],
         biases=biases,
         gamma=gamma,
         coef0=coef0,

@@ -1,11 +1,11 @@
 """Stratified cross-validation, accuracy reduction, PR curves and AP.
 
-With k=5 each test fold is a 20% split. Cross-validation is fold-major: a
-fold's Box-Cox transform is fitted once, on its training rows only, and
-passed to `train` for every variant, whose precondition (a transformer
-fitted on the training rows' `X`) it meets. Curves and the confusion matrix
-pool out-of-fold predictions, so every row is scored exactly once by a model
-that never saw it. Curve area is step-wise AP = sum (R_n - R_{n-1}) P_n.
+With k=5 each test fold is a 20% split. Cross-validation is fold-major:
+every variant of a fold trains on one training `Dataset`, so `train` fits
+the fold's Box-Cox transform once, on its training rows only, and shares
+it and the transformed rows among the variants. Curves and the confusion
+matrix pool out-of-fold predictions, so every row is scored exactly once by
+a model that never saw it. Curve area is step-wise AP = sum (R_n - R_{n-1}) P_n.
 
 A fold's variants train on two lanes, with OpenBLAS pinned to one thread
 (`blas`): the calling thread and the one worker of a `ThreadPoolExecutor`
@@ -23,7 +23,6 @@ from . import blas
 from .classifiers import ModelSpec, dataset_fingerprint, train
 from .core import NUM_CLASSES, ClassLabel, Dataset
 from .errors import StratificationError, UndefinedCurveError
-from .features import fit_feature_transformer
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ _CALLER_LANE = frozenset({"mlp", "cnn"})
 
 def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
                     folds: FoldAssignment) -> list[VariantResult]:
-    """Fold-major loop: per fold, one training subset and one transformer,
+    """Fold-major loop: per fold, one training subset, and so one transformer,
     shared by every spec; out-of-fold probabilities are pooled per spec.
 
     The calling thread owns the caller-lane specs and the last spec of the
@@ -197,8 +196,7 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
     with blas.one_thread(), ThreadPoolExecutor(1, thread_name_prefix="placescan-lane") as lane:
         for fold, test_idx in enumerate(tests):
             train_data = dataset.subset(folds.train_indices(fold))
-            transformer = fit_feature_transformer(train_data.X)
-            futures = {i: lane.submit(train, specs[i], train_data, transformer)
+            futures = {i: lane.submit(train, specs[i], train_data)
                        for i in order[:-owned]}
             models = {}
             try:
@@ -209,7 +207,7 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
                     for future in futures.values():
                         if future.done() and future.exception() is not None:
                             raise future.exception()
-                    models[i] = train(specs[i], train_data, transformer)
+                    models[i] = train(specs[i], train_data)
                 models.update((i, future.result()) for i, future in futures.items())
             finally:
                 for future in futures.values():
@@ -236,8 +234,10 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
 
 def run_experiment(variants, dataset: Dataset, k: int = 5, seed: int = 42,
                    variant_params: dict | None = None) -> Report:
-    """Cross-validate several variants against one shared fold assignment."""
+    """Cross-validate distinct variants against one shared fold assignment."""
     variants = list(variants)
+    if not variants or len(set(variants)) != len(variants):
+        raise ValueError(f"variants must be non-empty and distinct, got {variants}")
     params = variant_params or {}
     stray = sorted(set(params) - set(variants))
     if stray:

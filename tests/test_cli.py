@@ -203,25 +203,26 @@ class TestTrainPredict:
         two_cycle = {"roots": [0], "feature": [0, 0], "threshold": [0.0, 0.0],
                      "left": [1, 0], "right": [1, 0], "value": [[1.0, 0, 0, 0]] * 2}
 
-        machines = svm["payload"]["machines"]
-        first = machines[0]
-        support_vectors = stored(first["support_vectors"])
-        coefficients = stored(first["coefficients"])
+        support_vectors = stored(svm["payload"]["support_vectors"])
+        coefficients = stored(svm["payload"]["coefficients"])
+        biases = stored(svm["payload"]["biases"])
 
-        def with_first_machine(**fields):
-            packed = {name: packed_array(value) for name, value in fields.items()}
-            return with_payload(svm, machines=[{**first, **packed}, *machines[1:]])
+        def with_svm_arrays(**fields):
+            return with_payload(svm, **{k: packed_array(v) for k, v in fields.items()})
 
         corruptions += [
-            ("4 machines", with_payload(svm, machines=machines[:3])),
-            ("4 machines", with_payload(svm, converged=[True] * 3)),
-            ("(m, d)", with_first_machine(support_vectors=support_vectors[0])),
-            ("m coefficients", with_first_machine(coefficients=coefficients[:-1])),
-            ("same width", with_first_machine(support_vectors=support_vectors[:, :-1])),
-            ("finite", with_payload(svm, machines=[
-                {**first, "bias": float("nan")}, *machines[1:]])),
-            ("finite", with_first_machine(
-                coefficients=[float("inf"), *coefficients[1:]])),
+            ("(m, 4) coefficients", with_svm_arrays(coefficients=coefficients[:-1])),
+            ("(m, 4) coefficients", with_svm_arrays(coefficients=coefficients[:, :3])),
+            ("(m, d) support-vector", with_svm_arrays(support_vectors=support_vectors[0])),
+            ("4 biases", with_svm_arrays(biases=biases[:3])),
+            ("4 biases and converged flags", with_payload(svm, converged=[True] * 3)),
+            ("'support_vectors' must be finite", with_svm_arrays(
+                support_vectors=[[np.nan, *support_vectors[0, 1:]], *support_vectors[1:]])),
+            ("'coefficients' must be finite", with_svm_arrays(
+                coefficients=[[np.inf, 0.0, 0.0, 0.0], *coefficients[1:]])),
+            ("'biases' must be finite", with_svm_arrays(biases=[*biases[:3], np.nan])),
+            ("'biases' is not a packed array", with_payload(svm, biases=biases.tolist())),
+            ("'biases' is not a packed array", with_payload(svm, biases=1e3)),
             ("finite", with_payload(svm, gamma=float("nan"))),
             ("svm model gamma", with_payload(svm, gamma=-1.0)),
             ("svm model gamma", with_payload(svm, gamma=True)),
@@ -229,8 +230,6 @@ class TestTrainPredict:
             ("svm model gamma", with_payload(svm, gamma=None)),
             ("svm model coef0", with_payload(svm, coef0=float("inf"))),
             ("svm model coef0", with_payload(svm, coef0="0.5")),
-            ("svm model bias", with_payload(svm, machines=[
-                {**first, "bias": "1e3"}, *machines[1:]])),
             ("svm model converged", with_payload(svm, converged=["no", 0, "", 1])),
             *(("degree", with_payload(svm, degree=bad_degree))
               for bad_degree in (0, -3, 2.5, True)),

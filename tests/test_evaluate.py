@@ -216,6 +216,18 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=rf"variants not run: \['{stray}'\]"):
             run_experiment(["logreg"], synth_small, k=3, variant_params=variant_params)
 
+    @pytest.mark.parametrize("variants", [[], ["logreg", "logreg"], ["rf", "svm", "rf"]])
+    def test_run_experiment_rejects_empty_or_repeated_variants(
+        self, synth_small, monkeypatch, variants
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a fold was trained")
+
+        monkeypatch.setattr(evaluate, "train", no_training)
+        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", no_training)
+        with pytest.raises(ValueError, match="variants must be non-empty and distinct"):
+            run_experiment(variants, synth_small, k=3)
+
 
 class _Boom(RuntimeError):
     pass
@@ -269,9 +281,7 @@ class TestFoldMajor:
             fitted.append(X.shape[0])
             return fit_feature_transformer(X)
 
-        # both bindings: a fit inside train would be counted too
-        for module in (evaluate, classifiers):
-            monkeypatch.setattr(module, "fit_feature_transformer", spy)
+        monkeypatch.setattr(classifiers, "fit_feature_transformer", spy)
         report = self.run(list(VARIANTS), synth_small)
         assert fitted == [40, 40, 40]
         monkeypatch.undo()

@@ -1,8 +1,13 @@
+import gc
 import hashlib
 import inspect
 import io
 import json
 import math
+import sys
+import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +34,8 @@ from placescan.classifiers.nets import build_mlp, train_network
 from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
 from placescan.dataset_io import write_dataset
 from placescan.errors import DegenerateTrainingError, DimensionError
-from placescan.features import fit_feature_transformer
+from placescan import classifiers
+from placescan.features import FeatureTransformer
 from placescan.hyperparams import Domain
 from placescan.simulate import SimConfig, generate_dataset
 
@@ -145,6 +151,30 @@ class TestHyperparameterContract:
                 fit(np.empty((0, NUM_BEAMS)), np.empty(0, dtype=np.int64), **{name: value})
 
 
+@pytest.fixture(scope="module")
+def shared_fit_models(synth_small):
+    """Every variant trained on one fresh Dataset at FAST_PARAMS budgets: the
+    Dataset, the model files, and the Box-Cox fits and transforms made."""
+    data = synth_small.subset(np.arange(len(synth_small)))
+    fits, transforms = [], []
+    fit, transform = classifiers.fit_feature_transformer, FeatureTransformer.transform_matrix
+
+    def spy_fit(X):
+        fits.append(X.shape)
+        return fit(X)
+
+    def spy_transform(self, X):
+        transforms.append(X.shape)
+        return transform(self, X)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifiers, "fit_feature_transformer", spy_fit)
+        patch.setattr(FeatureTransformer, "transform_matrix", spy_transform)
+        files = {v: model_to_json(train(ModelSpec(variant=v, seed=3, params=FAST_PARAMS[v]), data))
+                 for v in VARIANTS}
+    return data, files, fits, transforms
+
+
 class TestTrain:
     def test_single_class_data_raises(self, synth_small):
         corridors = synth_small.subset(synth_small.y == ClassLabel.corridor)
@@ -179,12 +209,51 @@ class TestTrain:
         assert model.metadata["train_fingerprint"] == dataset_fingerprint(synth_small)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_given_transformer_gives_the_same_model(self, synth_small, variant):
+    def test_variants_on_one_dataset_share_one_box_cox_fit(self, shared_fit_models, variant):
+        data, files, fits, transforms = shared_fit_models
+        assert fits == transforms == [(len(data), NUM_BEAMS)]
+        # the model is the one a Dataset of its own gives
+        alone = data.subset(np.arange(len(data)))
         spec = ModelSpec(variant=variant, seed=3, params=FAST_PARAMS[variant])
-        shared = fit_feature_transformer(synth_small.X)
-        assert model_to_json(train(spec, synth_small, shared)) == model_to_json(
-            train(spec, synth_small)
-        )
+        assert model_to_json(train(spec, alone)) == files[variant]
+
+    def test_concurrent_callers_share_one_fit(self, synth_small, monkeypatch):
+        data = synth_small.subset(np.arange(len(synth_small)))
+        fits = []
+        fit = classifiers.fit_feature_transformer
+
+        def slow_fit(X):
+            fits.append(X.shape)
+            time.sleep(0.05)  # long enough for every other thread to ask
+            return fit(X)
+
+        monkeypatch.setattr(classifiers, "fit_feature_transformer", slow_fit)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(classifiers._memo, data, classifiers._fit)
+                           for _ in range(16)]
+                results = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(fits) == 1
+        assert all(result is results[0] for result in results)
+
+    def test_box_cox_memo_is_read_only_and_goes_with_its_dataset(self, synth_small):
+        data = synth_small.subset(np.arange(len(synth_small)))
+        model = train(ModelSpec(variant="logreg", params={"max_iter": 5}), data)
+        transformer, Xt = classifiers._MEMO[data][classifiers._fit]
+        assert transformer is model.transformer
+        assert np.array_equal(Xt, transformer.transform_matrix(data.X))
+        with pytest.raises(ValueError, match="read-only"):
+            Xt[0, 0] = 0.0
+        entries = len(classifiers._MEMO)
+        data_ref, xt_ref = weakref.ref(data), weakref.ref(Xt)
+        del data, transformer, Xt
+        gc.collect()
+        assert data_ref() is None and xt_ref() is None
+        assert len(classifiers._MEMO) <= entries - 1
 
     @pytest.mark.parametrize("variant", ["mlp", "cnn"])
     def test_dropout_of_one_is_rejected(self, synth_small, variant):
@@ -225,6 +294,11 @@ class TestPredict:
         model = train(ModelSpec(variant="logreg", seed=6), synth_small)
         with pytest.raises(DimensionError):
             model.predict_proba_matrix(np.ones((1, 100)))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_more_than_two_dimensions_raise(self, fast_models, variant):
+        with pytest.raises(DimensionError, match=r"got shape \(2, 271, 271\)"):
+            fast_models[variant].predict_proba_matrix(np.ones((2, NUM_BEAMS, NUM_BEAMS)))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_imputes_like_validate_scan(self, synth_small, variant):

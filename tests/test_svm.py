@@ -205,9 +205,10 @@ class TestTrainSvm:
         y = rng.integers(0, 4, size=24)
         model = train_svm(X, y)
         back = SvmModel.from_dict(json.loads(json.dumps(model.to_dict(), default=pack)))
-        for a, b in zip(model.support_vectors + model.coefficients,
-                        back.support_vectors + back.coefficients):
-            assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a)
+        for name in ("support_vectors", "coefficients", "biases"):
+            a, b = getattr(model, name), getattr(back, name)
+            assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a), name
+        assert back.converged == model.converged
         probe = rng.normal(size=(10, 3))
         assert np.array_equal(model.predict_proba(probe), back.predict_proba(probe))
 
@@ -217,13 +218,53 @@ class TestTrainSvm:
         with pytest.raises(ValueError, match="degree"):
             train_svm(rng.normal(size=(8, 3)), np.arange(8) % 4, degree=degree)
 
+    def test_one_support_vector_matrix_for_the_four_machines(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(0, 4, size=40)
+        model = train_svm(X, y)
+        m = model.support_vectors.shape[0]
+        assert model.coefficients.shape == (m, NUM_CLASSES)
+        assert model.biases.shape == (NUM_CLASSES,)
+        # a row is kept only if it supports some machine
+        assert np.all(np.any(model.coefficients != 0.0, axis=1))
+        for row in model.support_vectors:
+            assert np.flatnonzero(np.all(X == row, axis=1)).size == 1
+
+    def test_decision_values_match_a_per_machine_oracle(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50, 4))
+        y = rng.integers(0, 4, size=50)
+        model = train_svm(X, y, degree=2, coef0=0.5)
+        # every machine skips some rows of the union
+        assert np.all(np.any(model.coefficients == 0.0, axis=0))
+        probe = rng.normal(size=(30, 4))
+        oracle = np.empty((30, NUM_CLASSES))
+        for c in range(NUM_CLASSES):
+            on = model.coefficients[:, c] != 0.0
+            K = poly_kernel(probe, model.support_vectors[on], model.gamma, 0.5, 2)
+            oracle[:, c] = K @ model.coefficients[on, c] + model.biases[c]
+        assert np.allclose(model.decision_values(probe), oracle, rtol=0.0, atol=1e-12)
+
     def test_missing_class_model_file_round_trip(self):
-        # the absent class's machine keeps no support vectors
+        # the absent class's machine has a zero coefficient column, so its
+        # decision is its bias, -1, exactly
         data = generate_dataset(SimConfig.uniform(6, seed=3))
         three = data.subset(data.y != ClassLabel.restroom)
         model = train(ModelSpec(variant="svm"), three)
-        assert model.payload.support_vectors[ClassLabel.restroom].shape == (0, NUM_BEAMS)
-        back = model_from_json(model_to_json(model))
-        assert back.payload.support_vectors[ClassLabel.restroom].shape == (0, NUM_BEAMS)
         X = data.feature_matrix()
+        for payload in (model.payload, model_from_json(model_to_json(model)).payload):
+            assert payload.support_vectors.shape[1] == NUM_BEAMS
+            assert not np.any(payload.coefficients[:, ClassLabel.restroom])
+            assert payload.biases[ClassLabel.restroom] == -1.0
+            Xt = model.transformer.transform_matrix(X)
+            assert np.all(payload.decision_values(Xt)[:, ClassLabel.restroom] == -1.0)
+        back = model_from_json(model_to_json(model))
         assert np.array_equal(back.predict_proba_matrix(X), model.predict_proba_matrix(X))
+
+    def test_version_4_file_is_refused(self):
+        # version 4 stored one support-vector matrix per machine
+        data = generate_dataset(SimConfig.uniform(6, seed=3))
+        document = json.loads(model_to_json(train(ModelSpec(variant="svm"), data)))
+        with pytest.raises(ValueError, match="version 4; .* so retrain the model"):
+            model_from_json(json.dumps({**document, "format_version": 4}))
