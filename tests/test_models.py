@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from placescan import classifiers
 from placescan.classifiers import (
     MODEL_FORMAT_VERSION,
     VARIANTS,
@@ -34,7 +35,6 @@ from placescan.classifiers.nets import build_mlp, train_network
 from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
 from placescan.dataset_io import write_dataset
 from placescan.errors import DegenerateTrainingError, DimensionError
-from placescan import classifiers
 from placescan.features import FeatureTransformer
 from placescan.hyperparams import Domain
 from placescan.simulate import SimConfig, generate_dataset
