@@ -6,13 +6,15 @@ standardised rows; its keyword-only arguments are the variant's
 hyperparameters and their defaults, plus `seed` if it draws random
 numbers. Each argument declares its domain in the signature (see
 `hyperparams`), and both `ModelSpec` and a direct trainer call check values
-against it. The payload the trainer returns provides `predict_proba(Xt)`,
-`to_dict()` and the `from_dict(payload)` classmethod used by the model-file
-codec. `to_dict()` leaves its arrays as they are, for `core.pack` to
-encode; `from_dict` reads each through `core.unpack`, which also checks it.
+against it. The payload the trainer returns provides `predict_proba(Xt)`.
+A model file stores it, the spec and the transformer as their constructor
+arguments (`core.stored`); `core.restore` rebuilds each, reading the
+arguments annotated `Float64s` or `Int64s` through `core.unpack`, and the
+constructor checks them. A payload must then take rows of 271 features.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import io
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import blas
-from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges, pack
+from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges, pack, restore, stored
 from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_feature_transformer
@@ -75,6 +77,8 @@ class ModelSpec:
             raise ValueError(
                 f"unknown variant {self.variant!r}; choose one of {', '.join(VARIANTS)}"
             )
+        if not isinstance(self.params, dict):
+            raise ValueError(f"{self.variant} params must be a dict, got {self.params!r}")
         unknown = set(self.params) - set(default_params(self.variant))
         if unknown:
             raise ValueError(
@@ -212,13 +216,9 @@ def _digest(data: Dataset) -> str:
 def model_to_json(model: TrainedModel) -> str:
     document = {
         "format_version": MODEL_FORMAT_VERSION,
-        "spec": {
-            "variant": model.spec.variant,
-            "seed": model.spec.seed,
-            "params": model.spec.params,
-        },
-        "transformer": model.transformer.to_dict(),
-        "payload": model.payload.to_dict(),
+        "spec": stored(model.spec),
+        "transformer": stored(model.transformer),
+        "payload": stored(model.payload),
         "metadata": model.metadata,
     }
     return json.dumps(document, default=pack)
@@ -237,14 +237,6 @@ def _decode(document: dict, key: str, decode):
         raise ValueError(f"model file field {key!r} is malformed: {exc}") from exc
 
 
-def _spec_from_dict(section: dict) -> ModelSpec:
-    return ModelSpec(
-        variant=section["variant"],
-        seed=section["seed"],
-        params=dict(section["params"]),
-    )
-
-
 def model_from_json(text: str) -> TrainedModel:
     """Decode a model file; a missing or mistyped section or field raises
     ValueError naming it."""
@@ -257,14 +249,18 @@ def model_from_json(text: str) -> TrainedModel:
             f"unsupported model format version {version!r}; this placescan reads "
             f"version {MODEL_FORMAT_VERSION}, so retrain the model"
         )
-    spec = _decode(document, "spec", _spec_from_dict)
+    spec = _decode(document, "spec", functools.partial(restore, ModelSpec))
     _, _, payload_class = _VARIANTS[spec.variant]
-    transformer = _decode(document, "transformer", FeatureTransformer.from_dict)
-    payload = _decode(document, "payload", payload_class.from_dict)
+    transformer = _decode(document, "transformer", functools.partial(restore, FeatureTransformer))
+    payload = _decode(document, "payload", functools.partial(restore, payload_class))
     # mlp and cnn share the Network payload, which names its own builder
     if isinstance(payload, nets.Network) and payload.builder != spec.variant:
         raise ValueError(f"model file payload builder {payload.builder!r} "
                          f"does not match spec variant {spec.variant!r}")
+    try:  # a payload fitted to rows of another width fails here, not at predict
+        payload.predict_proba(np.empty((0, NUM_BEAMS)))
+    except (ValueError, DimensionError) as exc:
+        raise ValueError(f"model file payload does not take {NUM_BEAMS} features: {exc}") from exc
     return TrainedModel(
         spec=spec, transformer=transformer, payload=payload,
         metadata=_decode(document, "metadata", dict),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import NUM_CLASSES, unpack
+from ..core import NUM_CLASSES, Float64s
 from ..hyperparams import Count, checked
 from .linear import softmax
 from .trees import TreeArrays, _sort_columns, fit_tree
@@ -52,7 +52,7 @@ def adaboost_round(X: np.ndarray, y: np.ndarray, weights: np.ndarray, presorted=
 @dataclass
 class AdaBoostModel:
     stumps: TreeArrays
-    alphas: np.ndarray
+    alphas: Float64s
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -71,16 +71,6 @@ class AdaBoostModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.scores(X))
-
-    def to_dict(self) -> dict:
-        return {"alphas": self.alphas, "stumps": self.stumps.to_dict()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AdaBoostModel":
-        return cls(
-            stumps=TreeArrays.from_dict(payload["stumps"]),
-            alphas=unpack(payload, "alphas", np.float64),
-        )
 
 
 @checked

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import NUM_CLASSES, unpack
+from ..core import NUM_CLASSES, Float64s
 from ..hyperparams import FLAG, Count, NonNegative, Positive, checked
 
 
@@ -34,8 +34,8 @@ def logreg_loss_grad(W, b, X, Y, l2):
 
 @dataclass
 class LogRegModel:
-    W: np.ndarray
-    b: np.ndarray
+    W: Float64s
+    b: Float64s
     converged: bool = True
 
     def __post_init__(self):
@@ -50,21 +50,6 @@ class LogRegModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return softmax(X @ self.W + self.b)
-
-    def to_dict(self) -> dict:
-        return {
-            "W": self.W,
-            "b": self.b,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LogRegModel":
-        return cls(
-            W=unpack(payload, "W", np.float64),
-            b=unpack(payload, "b", np.float64),
-            converged=payload["converged"],
-        )
 
 
 @checked

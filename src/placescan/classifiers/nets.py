@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ..core import NUM_CLASSES, unpack
+from ..core import NUM_CLASSES, Float64s
 from ..errors import DimensionError
 from ..hyperparams import COUNT, RATE, Count, Positive, Rate, Seed, checked
 from .linear import softmax
@@ -211,10 +211,15 @@ _LAYERS = {"mlp": _mlp_layers, "cnn": _cnn_layers}
 class Network:
     """A layer stack whose parameters are views of one flat vector `theta`."""
 
-    def __init__(self, builder: str, args: dict, theta: np.ndarray | None = None):
-        """The `builder` architecture with keyword `args`. A given `theta` must
-        be of the architecture's length, checked before anything is
-        allocated; None starts every parameter at zero."""
+    def __init__(self, builder: str, args: dict, theta: Float64s | None = None):
+        """The `builder` architecture with exactly its keyword `args`. A given
+        `theta` must be of the architecture's length, checked before anything
+        is allocated; None starts every parameter at zero."""
+        if builder not in _LAYERS:
+            raise ValueError(f"unknown network builder {builder!r}; use {sorted(_LAYERS)}")
+        expected = set(inspect.signature(_LAYERS[builder]).parameters)
+        if not isinstance(args, dict) or set(args) != expected:
+            raise ValueError(f"{builder} network args must be exactly {sorted(expected)}")
         self.builder, self.args = builder, args
         self.layers = _LAYERS[builder](**args)
         self._weighted = [layer for layer in self.layers if hasattr(layer, "shapes")]
@@ -256,19 +261,6 @@ class Network:
     def params(self):
         """The parameter views `[W, b, ...]` of `theta`, in layer order."""
         return [p for layer in self._weighted for p in (layer.W, layer.b)]
-
-    def to_dict(self) -> dict:
-        return {"builder": self.builder, "args": self.args, "theta": self.theta}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Network":
-        builder, args = payload["builder"], payload["args"]
-        if builder not in _LAYERS:
-            raise ValueError(f"unknown network builder {builder!r}; use {sorted(_LAYERS)}")
-        expected = set(inspect.signature(_LAYERS[builder]).parameters)
-        if not isinstance(args, dict) or set(args) != expected:
-            raise ValueError(f"{builder} network args must be exactly {sorted(expected)}")
-        return cls(builder, args, unpack(payload, "theta", np.float64))
 
 
 # Adam's moment decays and denominator guard, Kingma & Ba's defaults

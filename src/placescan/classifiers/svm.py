@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import NUM_CLASSES, unpack
+from ..core import NUM_CLASSES, Float64s
 from ..hyperparams import (
     FLAG, POSITIVE, Count, Positive, PositiveOrNone, Real, check_params, checked,
 )
@@ -108,9 +108,9 @@ class SvmModel:
     share one matrix of the rows that support any of them, and column c of
     `coefficients` holds machine c's alpha_i * y_i, exactly 0 off its support."""
 
-    support_vectors: np.ndarray  # (m, d)
-    coefficients: np.ndarray  # (m, NUM_CLASSES)
-    biases: np.ndarray  # (NUM_CLASSES,)
+    support_vectors: Float64s  # (m, d)
+    coefficients: Float64s  # (m, NUM_CLASSES)
+    biases: Float64s  # (NUM_CLASSES,)
     converged: list[bool]
     gamma: float
     coef0: float = DEFAULT_COEF0
@@ -136,29 +136,6 @@ class SvmModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.decision_values(X))
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "coef0": self.coef0,
-            "degree": self.degree,
-            "converged": list(self.converged),
-            "support_vectors": self.support_vectors,
-            "coefficients": self.coefficients,
-            "biases": self.biases,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SvmModel":
-        return cls(
-            support_vectors=unpack(payload, "support_vectors", np.float64),
-            coefficients=unpack(payload, "coefficients", np.float64),
-            biases=unpack(payload, "biases", np.float64),
-            gamma=payload["gamma"],
-            coef0=payload["coef0"],
-            degree=payload["degree"],
-            converged=payload["converged"],
-        )
 
 
 @checked

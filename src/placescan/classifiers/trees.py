@@ -23,12 +23,12 @@ per step. Model files hold the same arrays, packed by `core.pack`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import NUM_BEAMS, NUM_CLASSES, unpack
+from ..core import NUM_BEAMS, NUM_CLASSES, Float64s, Int64s, declared
 from ..hyperparams import COUNT, Count, CountOrNone, Flag, Seed, checked
 
 _GAIN_EPS = 1e-12
@@ -46,13 +46,6 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-# node array -> dtype; split thresholds and class weights are float64
-_NODE_FIELDS = {
-    "roots": np.int64, "feature": np.int64, "threshold": np.float64,
-    "left": np.int64, "right": np.int64, "value": np.float64,
-}
-
-
 @dataclass(frozen=True)
 class TreeArrays:
     """One or more CART trees as parallel node arrays (layout: module doc).
@@ -62,15 +55,15 @@ class TreeArrays:
     checks the layout, so a malformed model file cannot load.
     """
 
-    roots: np.ndarray
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+    roots: Int64s
+    feature: Int64s
+    threshold: Float64s
+    left: Int64s
+    right: Int64s
+    value: Float64s
 
     def __post_init__(self):
-        for name, dtype in _NODE_FIELDS.items():
+        for name, dtype in declared(TreeArrays).items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = self.feature.size
         per_node = (self.feature, self.threshold, self.left, self.right)
@@ -118,14 +111,6 @@ class TreeArrays:
         ]
         empty = ([], [], [], [], [], np.empty((0, NUM_CLASSES)))
         return cls(*(np.concatenate(column) for column in zip(*shifted, empty)))
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _NODE_FIELDS}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TreeArrays":
-        return cls(**{name: unpack(payload, name, dtype)
-                      for name, dtype in _NODE_FIELDS.items()})
 
 
 class _SortedColumns(NamedTuple):
@@ -266,7 +251,7 @@ def fit_tree(
         if sample_weight.sum() <= 0:
             raise ValueError("sample_weight must have a positive sum")
 
-    nodes = {name: [] for name in _NODE_FIELDS if name != "roots"}
+    nodes = {f.name: [] for f in fields(TreeArrays) if f.name != "roots"}
 
     def build(idx: np.ndarray, depth: int) -> int:
         """Append the subtree grown on rows `idx` in preorder; return its root."""
@@ -334,13 +319,6 @@ class RandomForest:
         classes = self.trees.leaf_classes(X)
         votes = np.sum(classes[:, :, None] == np.arange(NUM_CLASSES), axis=1)
         return votes / len(self.trees)
-
-    def to_dict(self) -> dict:
-        return {"trees": self.trees.to_dict()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RandomForest":
-        return cls(trees=TreeArrays.from_dict(payload["trees"]))
 
 
 @checked

@@ -45,9 +45,10 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--per-class", type=int, required=True, metavar="N",
                        help="rows per class (4 classes total)")
     p_sim.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    p_sim.add_argument("--noise-sigma", type=float, default=0.01, metavar="F",
+    noise = p_sim.add_mutually_exclusive_group()
+    noise.add_argument("--noise-sigma", type=float, default=0.01, metavar="F",
                        help="range noise standard deviation, meters (default 0.01)")
-    p_sim.add_argument("--no-noise", action="store_true", help="disable range noise")
+    noise.add_argument("--no-noise", action="store_true", help="disable range noise")
     p_sim.add_argument("--out", required=True, metavar="PATH", help="output CSV path")
 
     p_sum = sub.add_parser("summarize", help="print dataset summary JSON to stdout")

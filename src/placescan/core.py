@@ -8,10 +8,13 @@ sensor envelope [0.001, 30.0].
 from __future__ import annotations
 
 import base64
+import dataclasses
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Annotated, Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
 
@@ -191,17 +194,64 @@ class Dataset:
         return Dataset._adopt(self.X[rows], self.y[rows], self.heights[rows])
 
 
-def pack(arr: np.ndarray) -> dict:
+# --- model files: an object is stored as its constructor arguments ----------
+
+Float64s = Annotated[np.ndarray, np.float64]
+Int64s = Annotated[np.ndarray, np.int64]
+
+
+@functools.cache
+def declared(cls) -> dict:
+    """`cls`'s constructor argument names, in order, each mapped to the dtype
+    its `Float64s` or `Int64s` annotation declares, to its class if that is a
+    dataclass, or else to None."""
+    kinds = {}
+    for p in inspect.signature(cls, eval_str=True).parameters.values():
+        hint = p.annotation
+        if get_origin(hint) is Union:  # Optional[X] declares what X does
+            hint = get_args(hint)[0]
+        if hint in (Float64s, Int64s):
+            kinds[p.name] = np.dtype(hint.__metadata__[0])
+        else:
+            kinds[p.name] = hint if dataclasses.is_dataclass(hint) else None
+    return kinds
+
+
+def stored(obj) -> dict:
+    """The constructor arguments of `obj`, from its attributes of the same names."""
+    return {name: getattr(obj, name) for name in declared(type(obj))}
+
+
+def restore(cls, section: dict):
+    """`cls` rebuilt from the `stored` section of a model file.
+
+    Every constructor argument must be present: arrays are read through
+    `unpack` at their declared dtype, dataclasses are restored in turn, and
+    the rest are passed as stored, for the constructor to check.
+    """
+    arguments = {}
+    for name, kind in declared(cls).items():
+        if isinstance(kind, np.dtype):
+            arguments[name] = unpack(section, name, kind)
+        else:
+            arguments[name] = section[name] if kind is None else restore(kind, section[name])
+    return cls(**arguments)
+
+
+def pack(value) -> dict:
     """A float64 or int64 array as `{"dtype", "shape", "data"}`, `data` being
-    the base64 of its little-endian C-order bytes (NumPy's .npy layout, NEP 1).
+    the base64 of its little-endian C-order bytes (NumPy's .npy layout,
+    NEP 1); a dataclass as its `stored` section.
 
     The `default=` hook of the model-file `json.dumps`.
     """
-    if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "fi" and arr.itemsize == 8):
-        raise TypeError(f"cannot pack a {type(arr).__name__} into a model file")
-    dtype = arr.dtype.newbyteorder("<")
-    data = base64.b64encode(arr.astype(dtype, copy=False).tobytes()).decode("ascii")
-    return {"dtype": dtype.str, "shape": list(arr.shape), "data": data}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return stored(value)
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fi" and value.itemsize == 8):
+        raise TypeError(f"cannot pack a {type(value).__name__} into a model file")
+    dtype = value.dtype.newbyteorder("<")
+    data = base64.b64encode(value.astype(dtype, copy=False).tobytes()).decode("ascii")
+    return {"dtype": dtype.str, "shape": list(value.shape), "data": data}
 
 
 def unpack(section: dict, key: str, dtype) -> np.ndarray:

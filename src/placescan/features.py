@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_RANGE_M, NUM_BEAMS, unpack
+from .core import MIN_RANGE_M, NUM_BEAMS, Float64s, stored
 from .errors import DegenerateFeatureError, DimensionError, InsufficientDataError
 from .hyperparams import POSITIVE
 
@@ -203,9 +203,9 @@ def _loglik_kernel(rows: np.ndarray):
 class FeatureTransformer:
     """Fitted per-feature Box-Cox exponents and standardization statistics."""
 
-    lambdas: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
+    lambdas: Float64s
+    means: Float64s
+    stds: Float64s
     epsilon: float = MIN_RANGE_M
 
     def __post_init__(self):
@@ -227,21 +227,8 @@ class FeatureTransformer:
         return self.transform_matrix(np.asarray(v, dtype=np.float64)[None, :])[0]
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "lambdas": self.lambdas,
-            "means": self.means,
-            "stds": self.stds,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FeatureTransformer":
-        return cls(
-            lambdas=unpack(payload, "lambdas", np.float64),
-            means=unpack(payload, "means", np.float64),
-            stds=unpack(payload, "stds", np.float64),
-            epsilon=payload["epsilon"],
-        )
+        """The model-file section: `core.stored`."""
+        return stored(self)
 
 
 def _boxcox_columns(X: np.ndarray, lambdas: np.ndarray) -> np.ndarray:

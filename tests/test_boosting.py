@@ -14,7 +14,7 @@ from placescan.classifiers.boosting import (
     train_adaboost,
 )
 from placescan.classifiers.trees import TreeArrays, fit_tree
-from placescan.core import NUM_CLASSES, pack
+from placescan.core import NUM_CLASSES, pack, restore, stored
 
 NODE_ARRAYS = ("roots", "feature", "threshold", "left", "right", "value")
 
@@ -148,7 +148,7 @@ class TestAdaboostModel:
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 4, size=30)
         model = train_adaboost(X, y, rounds=8)
-        back = AdaBoostModel.from_dict(json.loads(json.dumps(model.to_dict(), default=pack)))
+        back = restore(AdaBoostModel, json.loads(json.dumps(stored(model), default=pack)))
         pairs = [(model.alphas, back.alphas)] + [
             (getattr(model.stumps, name), getattr(back.stumps, name)) for name in NODE_ARRAYS
         ]

@@ -60,6 +60,13 @@ class TestSimulate:
         assert run(["simulate", "--per-class", "2", "--noise-sigma", "0", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_noise_with_a_noise_sigma_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--per-class", "2", "--no-noise", "--noise-sigma", "0.5",
+                    "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_bad_per_class_is_data_error(self, tmp_path):
         code = run(["simulate", "--per-class", "0", "--seed", "5",
                     "--out", str(tmp_path / "x.csv")])
@@ -163,6 +170,9 @@ class TestTrainPredict:
               for bad_seed in (42.9, True, -5)),
             ("logreg max_iter must be an integer >= 1",
              {**document, "spec": {**document["spec"], "params": {"max_iter": 0}}}),
+            *(("logreg params must be a dict",
+               {**document, "spec": {**document["spec"], "params": bad_params}})
+              for bad_params in ([["max_iter", 5]], "l2")),
             # scalars are held to their domains, not coerced
             ("logreg model converged must be a bool", with_payload(document, converged="false")),
             # the array codec itself
@@ -237,6 +247,11 @@ class TestTrainPredict:
             ("svm model gamma", with_payload(svm, gamma=10**400)),
             ("weight matrix", with_payload(document, W=packed_array([[0.0]] * 271))),
             ("weight matrix", with_payload(document, b=packed_array([0.0]))),
+            # a payload fitted to 270-wide rows is refused when the file loads
+            ("payload does not take 271 features",
+             with_svm_arrays(support_vectors=support_vectors[:, 1:])),
+            ("payload does not take 271 features",
+             with_payload(document, W=packed_array(stored(document["payload"]["W"])[1:]))),
         ]
         transformer = document["transformer"]
         lambdas, stds = stored(transformer["lambdas"]), stored(transformer["stds"])
@@ -322,6 +337,13 @@ class TestTrainPredict:
             ("pool", with_args(cnn, pool=0)),
             ("parameters", with_args(cnn, filters=[10**8, 10**8])),
         ]
+        # networks built for narrower rows, with a theta to match; a cnn
+        # of length 270 pools to the dense width of 271, so 269 is used
+        for net, (key, width) in ((mlp, ("n_in", 270)), (cnn, ("length", 269))):
+            args = {**net["payload"]["args"], key: width}
+            size = nets.Network(net["spec"]["variant"], args).theta.size
+            corruptions.append(("payload does not take 271 features", with_payload(
+                net, args=args, theta=packed_array(np.zeros(size)))))
 
         def hung(signum, frame):
             raise TimeoutError("predict did not finish on a corrupt model file")

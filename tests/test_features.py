@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from placescan import features
-from placescan.core import MAX_RANGE_M, MIN_RANGE_M, NUM_BEAMS, pack
+from placescan.core import MAX_RANGE_M, MIN_RANGE_M, NUM_BEAMS, pack, restore, stored
 from placescan.errors import DegenerateFeatureError, InsufficientDataError
 from placescan.features import (
     LAMBDA_TOL,
@@ -448,7 +448,7 @@ class TestFeatureTransformer:
 
     def test_json_round_trip(self):
         t = fit_feature_transformer(self._training_matrix(seed=7))
-        back = FeatureTransformer.from_dict(json.loads(json.dumps(t.to_dict(), default=pack)))
+        back = restore(FeatureTransformer, json.loads(json.dumps(stored(t), default=pack)))
         for name in ("lambdas", "means", "stds"):
             a, b = getattr(t, name), getattr(back, name)
             assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a), name

@@ -9,7 +9,7 @@ from placescan.classifiers.linear import (
     softmax,
     train_logreg,
 )
-from placescan.core import pack
+from placescan.core import pack, restore, stored
 
 
 def numeric_grad(W, b, X, Y, l2, h=1e-6):
@@ -103,7 +103,7 @@ class TestTrainLogreg:
         X = rng.normal(size=(20, 3))
         y = rng.integers(0, 4, size=20)
         model = train_logreg(X, y, max_iter=50)
-        back = LogRegModel.from_dict(json.loads(json.dumps(model.to_dict(), default=pack)))
+        back = restore(LogRegModel, json.loads(json.dumps(stored(model), default=pack)))
         for a, b in ((model.W, back.W), (model.b, back.b)):
             assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a)
         probe = rng.normal(size=(7, 3))

@@ -355,7 +355,52 @@ class TestSimplex:
         assert proba.shape == (0, NUM_CLASSES)
 
 
+_NODE_KEYS = {"roots", "feature", "threshold", "left", "right", "value"}
+_NETWORK_KEYS = {"builder", "args", "theta"}
+# each variant's payload keys, with the keys of its nested sections
+_PAYLOAD_KEYS = {
+    "rf": {"trees": _NODE_KEYS},
+    "adaboost": {"stumps": _NODE_KEYS, "alphas": None},
+    "svm": dict.fromkeys(
+        ("support_vectors", "coefficients", "biases", "converged", "gamma", "coef0", "degree")),
+    "logreg": dict.fromkeys(("W", "b", "converged")),
+    "mlp": {**dict.fromkeys(_NETWORK_KEYS),
+            "args": {"n_in", "widths", "dropout_after", "dropout_rate"}},
+    "cnn": {**dict.fromkeys(_NETWORK_KEYS),
+            "args": {"length", "filters", "kernel", "pool", "dense_widths", "dropout_rate"}},
+}
+
+
+def _reversed_keys(node):
+    """`node` with the keys of every JSON object in it in reverse order."""
+    if isinstance(node, dict):
+        return {key: _reversed_keys(node[key]) for key in reversed(node)}
+    return node
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_section_keys_are_pinned(self, fast_models, variant):
+        document = json.loads(model_to_json(fast_models[variant]))
+        assert set(document) == {"format_version", "spec", "transformer", "payload", "metadata"}
+        assert set(document["spec"]) == {"variant", "seed", "params"}
+        assert set(document["transformer"]) == {"lambdas", "means", "stds", "epsilon"}
+        assert set(document["metadata"]) == {"seed", "converged", "params", "train_fingerprint"}
+        payload = document["payload"]
+        assert set(payload) == set(_PAYLOAD_KEYS[variant])
+        for key, nested in _PAYLOAD_KEYS[variant].items():
+            if nested is not None:
+                assert set(payload[key]) == nested, key
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_key_order_does_not_matter(self, fast_models, synth_small, variant):
+        model = fast_models[variant]
+        document = json.loads(model_to_json(model))
+        back = model_from_json(json.dumps(_reversed_keys(document)))
+        X = synth_small.feature_matrix()
+        assert np.array_equal(back.predict_proba_matrix(X), model.predict_proba_matrix(X))
+        assert json.loads(model_to_json(back)) == document
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_round_trip_preserves_predictions(self, synth_small, tmp_path, variant):
         model = train(

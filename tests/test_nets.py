@@ -22,7 +22,7 @@ from placescan.classifiers.nets import (
     softmax_cross_entropy,
     train_network,
 )
-from placescan.core import pack
+from placescan.core import pack, restore, stored
 from placescan.errors import DimensionError
 from placescan.simulate import SimConfig, generate_dataset
 
@@ -493,7 +493,7 @@ class TestSerialization:
             net = build_cnn(rng, length=16, filters=(2, 2), kernel=3, pool=2,
                             dense_widths=(5, 4))
             probe = np.random.default_rng(11).normal(size=(3, 1, 16))
-        back = Network.from_dict(json.loads(json.dumps(net.to_dict(), default=pack)))
+        back = restore(Network, json.loads(json.dumps(stored(net), default=pack)))
         assert (back.theta.dtype, back.theta.shape) == (net.theta.dtype, net.theta.shape)
         assert np.array_equal(back.theta, net.theta)
         assert np.array_equal(net.predict_proba(probe), back.predict_proba(probe))

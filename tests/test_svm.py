@@ -13,7 +13,7 @@ from placescan.classifiers.svm import (
     smo_solve,
     train_svm,
 )
-from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, pack
+from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, pack, restore, stored
 from placescan.features import fit_feature_transformer
 from placescan.simulate import SimConfig, generate_dataset
 
@@ -204,7 +204,7 @@ class TestTrainSvm:
         X = rng.normal(size=(24, 3))
         y = rng.integers(0, 4, size=24)
         model = train_svm(X, y)
-        back = SvmModel.from_dict(json.loads(json.dumps(model.to_dict(), default=pack)))
+        back = restore(SvmModel, json.loads(json.dumps(stored(model), default=pack)))
         for name in ("support_vectors", "coefficients", "biases"):
             a, b = getattr(model, name), getattr(back, name)
             assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a), name

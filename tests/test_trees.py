@@ -15,7 +15,7 @@ from placescan.classifiers.trees import (
     gini_impurity,
     train_random_forest,
 )
-from placescan.core import NUM_CLASSES, pack
+from placescan.core import NUM_CLASSES, pack, restore, stored
 
 
 def walk(trees, root, x):
@@ -278,7 +278,7 @@ class TestRandomForest:
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 4, size=30)
         forest = train_random_forest(X, y, trees=3, seed=2, features_per_split=None)
-        back = RandomForest.from_dict(json.loads(json.dumps(forest.to_dict(), default=pack)))
+        back = restore(RandomForest, json.loads(json.dumps(stored(forest), default=pack)))
         for name in ("roots", "feature", "threshold", "left", "right", "value"):
             a, b = getattr(forest.trees, name), getattr(back.trees, name)
             assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a), name
