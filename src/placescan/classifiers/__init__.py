@@ -29,7 +29,7 @@ from .. import blas
 from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges, pack, restore, stored
 from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
-from ..features import FeatureTransformer, fit_feature_transformer
+from ..features import FeatureTransformer, fit_and_transform
 from . import boosting, linear, nets, svm, trees
 from ..hyperparams import SEED, check_params
 
@@ -176,8 +176,7 @@ def _memo(data: Dataset, compute):
 def _fit(data: Dataset) -> tuple[FeatureTransformer, np.ndarray]:
     """The Box-Cox transformer fitted on `data.X`, and `data.X` through it,
     read-only since every variant trained on `data` shares it."""
-    transformer = fit_feature_transformer(data.X)
-    Xt = transformer.transform_matrix(data.X)
+    transformer, Xt = fit_and_transform(data.X)
     Xt.setflags(write=False)
     return transformer, Xt
 

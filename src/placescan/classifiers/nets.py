@@ -85,11 +85,13 @@ class Conv1D:
     that straddle two samples dropped. One channel also comes as (B, L) or
     (B, 1, L) rows, whose sliding windows are a view: one GEMM. dx, in the
     input's shape, is the same correlation with the taps reversed over dy
-    zero-padded by k-1 rows; the closure's `input_grad=False` skips it."""
+    zero-padded by k-1 rows; the closure's `input_grad=False` skips it. A
+    given `length` is the only signal length the layer takes."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int):
+    def __init__(self, c_in: int, c_out: int, kernel: int, length: int | None = None):
         self.shapes = ((c_out, c_in, kernel), (c_out,))
         self.fan_in = c_in * kernel
+        self.length = length
 
     def forward(self, x, train, rng):
         O, C, k = self.W.shape
@@ -98,6 +100,9 @@ class Conv1D:
             x = x.reshape(len(x), x.shape[-1], 1)
         if x.ndim != 3 or x.shape[2] != C or x.shape[1] < k:
             raise DimensionError(f"conv layer expects (batch, length >= {k}, {C}) input")
+        if self.length not in (None, x.shape[1]):
+            raise DimensionError(f"conv layer expects signals of length {self.length}, "
+                                 f"got {x.shape[1]}")
         B, L, _ = x.shape
         x = x.reshape(B * L, C)
         out = np.empty((B * L, O))
@@ -199,7 +204,7 @@ def _cnn_layers(length, filters, kernel, pool, dense_widths, dropout_rate) -> li
     conv_len = COUNT.check("cnn length", length) - 2 * (COUNT.check("cnn kernel", kernel) - 1)
     if conv_len < COUNT.check("cnn pool", pool):
         raise ValueError(f"the conv output ({conv_len} samples) is shorter than cnn pool {pool}")
-    return [Conv1D(1, c1, kernel), ReLU(), Conv1D(c1, c2, kernel), ReLU(), MaxPool1D(pool),
+    return [Conv1D(1, c1, kernel, length), ReLU(), Conv1D(c1, c2, kernel), ReLU(), MaxPool1D(pool),
             Flatten(), Dropout(dropout_rate),
             *_dense_stack(c2 * (conv_len // pool), "cnn dense_widths", dense_widths, (), 0.0)]
 

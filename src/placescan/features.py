@@ -9,18 +9,16 @@ zero can occur. The transform is computed as expm1(lam ln x)/lam, which,
 unlike (x^lam - 1)/lam, does not cancel as lam nears zero (Higham 2002).
 
 The fit runs over blocks of columns, each transposed to a C-contiguous
-`(cols, n)` array of at most `_BLOCK_ELEMENTS` values. In a block, each
-column's first maximum over the 101-point grid -5, -4.9, ..., 5 brackets its
-optimum, and a golden-section search (Kiefer 1953) refines all columns in
-lockstep; every column keeps its own bracket and stops when it is narrower
-than the tolerance. The grid maximum is found coarse to fine: every tenth
-point first, then the eighteen points around the best of them. The profile
-log-likelihood is concave in lam (Kouider & Chen 1995), so the first maximum
-lies within nine points of the best coarse point, and the search returns
-the index a scan of all 101 points returns.
-Every stage calls one log-likelihood kernel, which reduces each column
-along its contiguous row in the order `boxcox_loglik` reduces a 1-D column,
-so each exponent is bit-for-bit the one a search on that column alone finds.
+`(cols, n)` array of at most `_BLOCK_ELEMENTS` values. In a block, a
+golden-section search (Kiefer 1953) over the whole of [-5, 5] refines all
+columns in lockstep. The profile log-likelihood is concave in lam (Kouider &
+Chen 1995), so the search needs no bracket of its own; and since every
+column starts from the same interval and each step narrows it by the same
+factor, all columns stop together, after the fixed number of steps that
+takes the interval below the tolerance. Every step calls one
+log-likelihood kernel, which reduces each column along its contiguous row in
+the order `boxcox_loglik` reduces a 1-D column, so each exponent is
+bit-for-bit the one a search on that column alone finds.
 """
 from __future__ import annotations
 
@@ -37,9 +35,6 @@ LAMBDA_MIN = -5.0
 LAMBDA_MAX = 5.0
 LAMBDA_TOL = 1e-4
 STD_FLOOR = 1e-12
-_COARSE_STEP = 0.1
-_GRID = np.arange(LAMBDA_MIN, LAMBDA_MAX + _COARSE_STEP / 2, _COARSE_STEP)
-_SPACING = 10  # the grid search's coarse pass takes every tenth point
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # elements of one (cols, n) block of the lockstep golden section: 1 MiB
 _BLOCK_ELEMENTS = 1 << 17
@@ -53,20 +48,6 @@ def boxcox_apply(x, lam: float):
     out = np.log(x)
     if lam != 0.0:
         out = np.expm1(out * lam) / lam
-    return out if out.ndim else float(out)
-
-
-def boxcox_inverse(y, lam: float):
-    """Analytic inverse of boxcox_apply: exp(log1p(lam y)/lam) for lam != 0,
-    exp y at lam = 0; raises outside the image domain."""
-    y = np.asarray(y, dtype=np.float64)
-    if lam == 0.0:
-        out = np.exp(y)
-    else:
-        scaled = lam * y
-        if np.any(scaled <= -1.0):
-            raise ValueError("value outside the Box-Cox image for this exponent")
-        out = np.exp(np.log1p(scaled) / lam)
     return out if out.ndim else float(out)
 
 
@@ -86,6 +67,8 @@ def fit_boxcox_lambda(samples) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] < 3:
         raise InsufficientDataError("need at least 3 samples to fit the exponent")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     if np.any(samples <= 0.0):
         raise ValueError("samples must be strictly positive")
     if float(np.ptp(samples)) < STD_FLOOR:
@@ -99,101 +82,66 @@ def _fit_lambdas(X: np.ndarray) -> np.ndarray:
     Constant columns get 1. The others are fitted over blocks of whole
     columns holding at most `_BLOCK_ELEMENTS` values (a 96-row matrix is one
     block), each transposed to a C-contiguous `(cols, n)` array whose rows
-    share one `_loglik_kernel`. The first maximum of a row's log-likelihood
-    over `_GRID` (the one a strict `>` scan keeps) brackets its optimum
-    between the grid points either side. `_grid_maximum` finds it coarse to
-    fine from at most 29 of the 101 points, exactly because the
-    log-likelihood is concave.
-    Golden-section search then runs for every row in lockstep: each row
-    keeps its own points c, d and their log-likelihoods, and every step
-    moves each row whose bracket is still wider than `LAMBDA_TOL` and
-    evaluates one new point for it.
+    share one `_loglik_kernel`. Golden-section search runs for every row in
+    lockstep from [LAMBDA_MIN, LAMBDA_MAX]: each row keeps its own bracket
+    a, b, its points c, d and their log-likelihoods, and every step narrows
+    each bracket by the same factor and evaluates one new point per row. So
+    every row takes the same number of steps, the fewest that narrow the
+    whole range below `LAMBDA_TOL` (24 at 1e-4, so 26 kernel calls per block).
     """
     n, width = X.shape
     lambdas = np.ones(width)
     columns = np.flatnonzero(np.ptp(X, axis=0) >= STD_FLOOR)
     per_block = max(1, _BLOCK_ELEMENTS // n)
+    steps = math.ceil(math.log(LAMBDA_TOL / (LAMBDA_MAX - LAMBDA_MIN), _INV_PHI))
     for start in range(0, columns.size, per_block):
         block = columns[start:start + per_block]
         loglik = _loglik_kernel(np.ascontiguousarray(X.T[block]))
-        every = np.arange(block.size)
-        best = _grid_maximum(loglik, block.size)
-        a = _GRID[np.maximum(best - 1, 0)]
-        b = _GRID[np.minimum(best + 1, _GRID.size - 1)]
+        a, b = np.full(block.size, LAMBDA_MIN), np.full(block.size, LAMBDA_MAX)
         c = b - _INV_PHI * (b - a)
         d = a + _INV_PHI * (b - a)
-        fc, fd = loglik(c, every), loglik(d, every)
-        while (live := np.flatnonzero(b - a > LAMBDA_TOL)).size:
-            left = fc[live] >= fd[live]  # the optimum lies in [a, d]
-            lft, rgt = live[left], live[~left]
-            b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
-            a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
-            c[lft] = b[lft] - _INV_PHI * (b[lft] - a[lft])
-            d[rgt] = a[rgt] + _INV_PHI * (b[rgt] - a[rgt])
-            f = loglik(np.where(left, c[live], d[live]), live)
-            fc[lft], fd[rgt] = f[left], f[~left]
+        fc, fd = loglik(c), loglik(d)
+        for _ in range(steps):
+            left = fc >= fd  # the optimum lies in [a, d]
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+            c, d = np.where(left, new, d), np.where(left, c, new)
+            f = loglik(new)
+            fc, fd = np.where(left, f, fd), np.where(left, fc, f)
         lambdas[block] = (a + b) / 2.0
         del loglik  # free this block's rows and buffer before the next is built
     return lambdas
 
 
-def _grid_maximum(loglik, k: int) -> np.ndarray:
-    """Each of k rows' first maximum over `_GRID`, as a grid index.
-
-    A coarse pass evaluates every tenth point and takes each row's first
-    maximum c. A concave sequence rises strictly up to its first maximum
-    and never rises after it, and the coarse points are ten apart, so that
-    maximum lies in c-9..c+9: a fine pass evaluates the other points of
-    that window, each row at its own exponents. The first maximum over
-    every evaluated point is then the one a scan of all 101 points finds,
-    in at most 29 calls.
-    """
-    every = np.arange(k)
-    ll = np.full((_GRID.size, k), -math.inf)
-    for i in range(0, _GRID.size, _SPACING):
-        ll[i] = loglik(np.full(k, _GRID[i]), every)
-    coarse = np.argmax(ll, axis=0)
-    for offset in (*range(1 - _SPACING, 0), *range(1, _SPACING)):
-        i = coarse + offset
-        live = np.flatnonzero((i >= 0) & (i < _GRID.size))
-        if live.size:
-            ll[i[live], live] = loglik(_GRID[i[live]], live)
-    return np.argmax(ll, axis=0)
-
-
 def _loglik_kernel(rows: np.ndarray):
     """The log-likelihood kernel of a C-contiguous `(cols, n)` block.
 
-    `loglik(lam, live)` is `boxcox_loglik(rows[live[i]], lam[i])` for every
-    i, bit for bit: the transform takes boxcox_apply's steps and the
-    reductions run along contiguous rows, as they do for a 1-D column, in
-    one `(cols, n)` buffer reused by every call. `rows` is overwritten with
-    its logarithms, which every call starts from.
+    `loglik(lam)` is `boxcox_loglik(rows[i], lam[i])` for every row i, bit
+    for bit: the transform takes boxcox_apply's steps and the reductions run
+    along contiguous rows, as they do for a 1-D column, in one `(cols, n)`
+    buffer reused by every call. `rows` is overwritten with its logarithms,
+    which every call starts from.
     """
-    k, n = rows.shape
+    n = rows.shape[1]
     logs = np.log(rows, out=rows)
     log_sums = logs.sum(axis=1)
-    work = np.empty_like(logs)
+    t = np.empty_like(logs)
 
-    def loglik(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
-        t = work[:live.size]
-        # a subset of rows is gathered into the buffer itself ("clip" takes
-        # no temporary copy; every index is in range)
-        x = logs if live.size == k else np.take(logs, live, axis=0, out=t, mode="clip")
+    def loglik(lam: np.ndarray) -> np.ndarray:
         zero = lam == 0.0
-        np.multiply(x, lam[:, None], out=t)
+        np.multiply(logs, lam[:, None], out=t)
         np.expm1(t, out=t)
-        t /= np.where(zero, 1.0, lam)[:, None]
+        np.divide(t, np.where(zero, 1.0, lam)[:, None], out=t)
         if zero.any():
-            t[zero] = logs[live[zero]]
+            t[zero] = logs[zero]
         # np.var's own steps, in place
         mean = t.sum(axis=1, keepdims=True)
         mean /= n
-        t -= mean
+        np.subtract(t, mean, out=t)
         np.square(t, out=t)
         var = t.sum(axis=1) / n
-        ll = -(n / 2.0) * np.log(np.where(var > 0.0, var, 1.0)) + (lam - 1.0) * log_sums[live]
-        ll[~(var > 0.0)] = -math.inf  # NaN too: a strict `>` scan never keeps it
+        ll = -(n / 2.0) * np.log(np.where(var > 0.0, var, 1.0)) + (lam - 1.0) * log_sums
+        ll[~(var > 0.0)] = -math.inf  # NaN too, as boxcox_loglik
         return ll
 
     return loglik
@@ -248,14 +196,26 @@ def fit_feature_transformer(X: np.ndarray) -> FeatureTransformer:
 
     Training rows only; values below the sensor floor are clipped up to it.
     """
+    return fit_and_transform(X)[0]
+
+
+def fit_and_transform(X: np.ndarray) -> tuple[FeatureTransformer, np.ndarray]:
+    """`fit_feature_transformer(X)`, and X through it: bit for bit the
+    transformer's `transform_matrix(X)`, standardised in place from the
+    fit's own Box-Cox matrix."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != NUM_BEAMS:
         raise DimensionError(f"expected an (n, {NUM_BEAMS}) feature matrix")
     if X.shape[0] < 3:
         raise InsufficientDataError("need at least 3 training rows")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature values must be finite")
     X = np.clip(X, MIN_RANGE_M, None)
     lambdas = _fit_lambdas(X)
     transformed = _boxcox_columns(X, lambdas)
+    del X  # the clipped copy: the statistics' temporaries may take its place
     means = transformed.mean(axis=0)
     stds = np.maximum(transformed.std(axis=0), STD_FLOOR)
-    return FeatureTransformer(lambdas=lambdas, means=means, stds=stds)
+    transformed -= means
+    transformed /= stds
+    return FeatureTransformer(lambdas=lambdas, means=means, stds=stds), transformed

@@ -338,8 +338,10 @@ class TestTrainPredict:
             ("parameters", with_args(cnn, filters=[10**8, 10**8])),
         ]
         # networks built for narrower rows, with a theta to match; a cnn
-        # of length 270 pools to the dense width of 271, so 269 is used
-        for net, (key, width) in ((mlp, ("n_in", 270)), (cnn, ("length", 269))):
+        # of length 270 pools to the dense width of 271, so its first conv
+        # layer is what refuses 271-beam rows
+        for net, (key, width) in ((mlp, ("n_in", 270)), (cnn, ("length", 269)),
+                                  (cnn, ("length", 270))):
             args = {**net["payload"]["args"], key: width}
             size = nets.Network(net["spec"]["variant"], args).theta.size
             corruptions.append(("payload does not take 271 features", with_payload(

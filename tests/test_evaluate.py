@@ -24,7 +24,7 @@ from placescan.evaluate import (
     stratified_folds,
     summarize_folds,
 )
-from placescan.features import fit_feature_transformer
+from placescan.features import fit_and_transform
 from placescan.reporting import accuracy_csv, pr_curves_svg, render_report
 
 
@@ -279,9 +279,9 @@ class TestFoldMajor:
 
         def spy(X):
             fitted.append(X.shape[0])
-            return fit_feature_transformer(X)
+            return fit_and_transform(X)
 
-        monkeypatch.setattr(classifiers, "fit_feature_transformer", spy)
+        monkeypatch.setattr(classifiers, "fit_and_transform", spy)
         report = self.run(list(VARIANTS), synth_small)
         assert fitted == [40, 40, 40]
         monkeypatch.undo()

@@ -15,8 +15,8 @@ from placescan.features import (
     LAMBDA_TOL,
     FeatureTransformer,
     boxcox_apply,
-    boxcox_inverse,
     boxcox_loglik,
+    fit_and_transform,
     fit_boxcox_lambda,
     fit_feature_transformer,
 )
@@ -48,13 +48,17 @@ def grid_search_lambda(samples, step=1e-3):
 
 
 def golden_section(f, lo, hi, tol):
-    """The scalar golden-section maximum of f over [lo, hi]."""
+    """The scalar golden-section maximum of f over [lo, hi], in the fixed
+    number of steps that narrows hi - lo, by 0.618 per step, below tol."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    steps, width = 0, hi - lo
+    while width > tol:
+        steps, width = steps + 1, width * inv_phi
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    for _ in range(steps):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -67,18 +71,13 @@ def golden_section(f, lo, hi, tol):
 
 
 def per_column_lambdas(X, tol=LAMBDA_TOL):
-    """Oracle for the matrix fit: the scalar search on each column alone.
-    The first maximum of `boxcox_loglik` over the coarse grid brackets the
-    column's optimum; one scalar golden section per non-constant column
-    then calls `boxcox_loglik` on that column alone."""
-    grid = np.arange(-5.0, 5.0 + 0.1 / 2, 0.1)
+    """Oracle for the matrix fit: the scalar search on each column alone,
+    one golden section over [-5, 5] per non-constant column, calling
+    `boxcox_loglik` on that column alone."""
     lambdas = np.ones(X.shape[1])
     for j in np.flatnonzero(np.ptp(X, axis=0) >= 1e-12):
         col = X[:, j]
-        best = int(np.argmax([boxcox_loglik(col, lam) for lam in grid]))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        lambdas[j] = golden_section(lambda lam: boxcox_loglik(col, lam), lo, hi, tol)
+        lambdas[j] = golden_section(lambda lam: boxcox_loglik(col, lam), -5.0, 5.0, tol)
     return lambdas
 
 
@@ -87,7 +86,7 @@ COLUMN_KINDS = {
     "spread": lambda n, rng: rng.uniform(MIN_RANGE_M, MAX_RANGE_M, n),
     "lognormal": lambda n, rng: np.exp(rng.normal(0.0, rng.uniform(0.1, 2.0), n)),
     # a narrow skewed spread, which no exponent in [-5, 5] can straighten:
-    # the optimum mostly sits at a grid end, in a bracket of width 0.1
+    # the optimum mostly sits at an end of [-5, 5]
     "low_end": lambda n, rng: rng.uniform(0.2, 5.0) * (1.0 + 1e-3 * rng.exponential(1.0, n)),
     "high_end": lambda n, rng: rng.uniform(0.2, 5.0) * (
         1.0 - 1e-3 * np.minimum(rng.exponential(1.0, n), 5.0)),
@@ -117,18 +116,18 @@ TOLERANCES = st.sampled_from([LAMBDA_TOL, 1e-8, 1e-12])
 class TestLockstepSearch:
     @settings(max_examples=150, deadline=None)
     @given(positive_matrices(), TOLERANCES, st.integers(1, 2000))
-    @example(_mixed(3, seed=3), LAMBDA_TOL, 1 << 17)  # optima at both grid ends
+    @example(_mixed(3, seed=3), LAMBDA_TOL, 1 << 17)  # optima at both range ends
     @example(_mixed(3, seed=3), 1e-12, 1)
     @example(_mixed(120, seed=1), 1e-12, 4 * 120)
-    # near-constant columns, on which (x^lam - 1)/lam cancels at the grid
-    # point nearest zero (about -1.8e-14) and its log-likelihood spikes
-    # above or dips below the curve; expm1(lam ln x)/lam keeps it on the
-    # curve. Here the log-likelihood rises all the way to lam = 5,
+    # near-constant columns, on which (x^lam - 1)/lam cancels near lam = 0
+    # (at -1.8e-14, say) and its log-likelihood spikes above or dips below
+    # the curve; expm1(lam ln x)/lam keeps it on the curve. Here the
+    # log-likelihood rises all the way to lam = 5,
     @example(np.array([[0.39667201, 0.39645461, 0.39602636]]).T, LAMBDA_TOL, 1 << 17)
-    # here its maximum is the point nearest zero itself,
+    # here its maximum lies next to zero,
     @example(np.array([[0.41918197, 0.4471018, 0.41475459, 0.40018287, 0.44407324]]).T,
              LAMBDA_TOL, 1 << 17)
-    # and here it is lam = 1.5, five points from the best coarse point, 2
+    # and here it is about 1.52
     @example(np.array([[1.54384474, 1.70184039, 1.83984796]]).T, LAMBDA_TOL, 1 << 17)
     def test_equals_the_per_column_search(self, X, tol, block_elements):
         # block widths from one column up to the whole matrix
@@ -148,49 +147,47 @@ class TestLockstepSearch:
             fitted = fit_boxcox_lambda(col)
         assert fitted == per_column_lambdas(X[:, :1], tol)[0]
 
-    def test_grid_maximum_takes_at_most_29_kernel_calls(self):
-        # a 96-row matrix is one block; a scan of all 101 grid points
-        # would call the kernel 101 times before the golden section
+    def test_a_96_row_fit_takes_26_kernel_calls(self):
+        # a 96-row matrix is one block; every column takes the 24 steps that
+        # narrow [-5, 5] below 1e-4, after the first two points
         X = np.clip(generate_dataset(SimConfig.uniform(24, seed=3)).X, MIN_RANGE_M, None)
-        grid = np.arange(-5.0, 5.0 + 0.1 / 2, 0.1)
-        on_grid = []
+        calls = []
         kernel = features._loglik_kernel
 
         def counting_kernel(rows):
             loglik = kernel(rows)
 
-            def counted(lam, live):
-                on_grid.append(bool(np.isin(lam, grid).all()))
-                return loglik(lam, live)
+            def counted(lam):
+                calls.append(lam.shape)
+                return loglik(lam)
 
             return counted
 
         with mock.patch.object(features, "_loglik_kernel", counting_kernel):
             lambdas = features._fit_lambdas(X)
         assert X.shape == (96, NUM_BEAMS)
-        assert sum(on_grid) <= 29
+        columns = int(np.count_nonzero(np.ptp(X, axis=0) >= 1e-12))
+        assert calls == [(columns,)] * 26
         assert lambdas.tolist() == per_column_lambdas(X).tolist()
 
     def test_kernel_is_boxcox_loglik_at_zero_and_every_grid_point(self):
-        # the grid never evaluates exactly 0 (its middle point is about
-        # -1.8e-14), but a golden-section point may
+        # exactly 0, and the 101 points -5, -4.9, ..., 5, whose middle one
+        # is about -1.8e-14
         X = _mixed(40, seed=1)
         rows = np.ascontiguousarray(X.T)
         loglik = features._loglik_kernel(rows)
-        every = np.arange(rows.shape[0])
+        every = range(rows.shape[0])
         for lam in [0.0, *np.arange(-5.0, 5.0 + 0.1 / 2, 0.1)]:
             scalar = [boxcox_loglik(X[:, j], lam) for j in every]
-            assert loglik(np.full(every.size, lam), every).tolist() == scalar, lam
-        # and on a subset of rows, each with its own exponent
-        live = np.array([4, 0, 2])
-        lams = np.array([0.0, -1.25, 3.5])
-        scalar = [boxcox_loglik(X[:, j], lam) for j, lam in zip(live, lams)]
-        assert loglik(lams, live).tolist() == scalar
+            assert loglik(np.full(len(every), lam)).tolist() == scalar, lam
+        # and each row at its own exponent
+        lams = np.array([0.0, -1.25, 3.5, 0.0, 1e-300, -5.0])
+        assert loglik(lams).tolist() == [boxcox_loglik(X[:, j], lams[j]) for j in every]
 
     def test_matrix_fit_is_the_scalar_fit_on_a_grid_near_tie(self):
-        # two grid points' log-likelihoods nearly tie here, so an axis-0
-        # grid, rounding differently from the 1-D column sums, picks the
-        # other bracket
+        # two exponents' log-likelihoods nearly tie here, so sums over
+        # axis 0, rounding differently from the 1-D column sums, would move
+        # the search to the other side
         z = np.random.default_rng(0).standard_normal(96)
         x = np.exp(0.2803290429080087 * z) + 0.3
         lambdas = fit_feature_transformer(np.tile(x[:, None], (1, NUM_BEAMS))).lambdas
@@ -225,6 +222,9 @@ class TestLockstepSearch:
 
         assert peak(features._fit_lambdas, X) <= 1.0 * X.nbytes
         assert peak(features._boxcox_columns, X, lambdas) <= 1.1 * X.nbytes
+        # the clipped copy and the Box-Cox matrix, then that matrix and the
+        # temporary of its standard deviation
+        assert peak(fit_and_transform, X) <= 2.1 * X.nbytes
 
 
 class TestBoxcoxApply:
@@ -254,7 +254,7 @@ class TestBoxcoxApply:
         eps = np.finfo(np.float64).eps
         x = np.geomspace(0.001, 30.0, 401)
         lnx = np.log(x)
-        for lam in (-1e-6, -1e-9, features._GRID[50], -1e-300, 1e-300, 1e-12, 1e-6):
+        for lam in (-1e-6, -1e-9, -1.7763568394002505e-14, -1e-300, 1e-300, 1e-12, 1e-6):
             z = lam * lnx
             series = lnx * (1.0 + z / 2.0 + z * z / 6.0)
             assert np.all(np.abs(boxcox_apply(x, lam) - series) <= 4 * eps * np.abs(lnx)), lam
@@ -267,66 +267,6 @@ class TestBoxcoxApply:
             if a == b:
                 continue
             assert boxcox_apply(a, lam) < boxcox_apply(b, lam)
-
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(8)
-        for _ in range(500):
-            lam = rng.uniform(-5.0, 5.0)
-            x = rng.uniform(0.001, 30.0)
-            y = boxcox_apply(x, lam)
-            assert boxcox_inverse(y, lam) == pytest.approx(x, rel=1e-9)
-
-    @settings(max_examples=500, deadline=None)
-    @given(
-        st.floats(MIN_RANGE_M, MAX_RANGE_M),
-        st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
-    )
-    def test_inverse_round_trip_within_its_conditioning(self, x, lam):
-        # Error model, one rounding of at most eps/2 per operation. With
-        # z = lam ln x and u = x**lam = e**z, the forward pass rounds ln x
-        # and z (relative eps to z, which expm1 passes on scaled by
-        # z u/(u - 1)), then expm1 and the quotient by lam; the inverse
-        # rounds lam*y. So w = lam*y, the exact u - 1, carries a relative
-        # error of at most (|z u/(u - 1)| + 3/2) eps. log1p(w) = z moves by
-        # w/(1 + w) times that, and dividing by lam moves ln x by
-        # g = |u - 1|/(u |lam|) = |expm1(-z)/lam| times it: (|ln x| + 3g/2)
-        # eps. g tends to |ln x| as lam -> 0, so the bound stays finite
-        # there; it is large only at u << 1 (lam = 5, x = 0.001), where w
-        # is -1 plus the few digits of u that survive. Rounding log1p, the
-        # quotient and exp, and the test's two logs, add (2|ln x| + 1/2) eps.
-        # Below the normal range lam*ln x and lam*y are subnormal, with an
-        # absolute rounding of 2**-1075 each that the quotients by lam scale
-        # up; that adds 2**-1074 (1 + |ln x|)/|lam|, at most 1 + |ln x|.
-        # Twice the sum is eps (6|ln x| + 3g + 1) + 2**-1073 (1 + |ln x|)/|lam|.
-        # The check allows the smaller of that and the bound it held for the
-        # power form (lam*y + 1)**(1/lam), 2 eps (c/|lam| + 1 + |ln x|) with
-        # c = 2 + 3|u - 1|/u, which grows as 1/|lam| near 0 but is the
-        # smaller one at large |lam| and lam ln x > 0 (lam = 5, x = 30). At
-        # lam = 0, exp(log x), it is 2 eps (1 + |ln x|), as before.
-        eps = np.finfo(np.float64).eps
-        ln_x = abs(math.log(x))
-        u = math.pow(x, lam)
-        cancel = 0.0 if lam == 0.0 else (2.0 + 3.0 * abs(u - 1.0) / u) / abs(lam)
-        bound = 2.0 * eps * (cancel + 1.0 + ln_x)
-        if lam != 0.0:
-            g = abs(math.expm1(-lam * math.log(x)) / lam)
-            subnormal = 2.0**-1073 * (1.0 + ln_x) / abs(lam)
-            bound = min(bound, eps * (6.0 * ln_x + 3.0 * g + 1.0) + subnormal)
-        back = boxcox_inverse(boxcox_apply(x, lam), lam)
-        assert abs(math.log(back) - math.log(x)) <= bound
-
-    @pytest.mark.parametrize("lam", [1e-17, features._GRID[50]])
-    @pytest.mark.parametrize("x", [0.5, 7.0, 25.0])
-    def test_inverse_near_zero_exponent(self, x, lam):
-        # (lam*y + 1)**(1/lam) rounded lam*y away: 1.0 at lam = 1e-17, and
-        # 0.50283, 6.98490, 24.99685 at the grid point nearest zero
-        assert boxcox_inverse(boxcox_apply(x, lam), lam) == pytest.approx(x, rel=1e-14)
-
-    def test_inverse_domain_violation_raises(self):
-        # lam=2 maps (0, inf) to (-0.5, inf); -1 and its bound -0.5 are outside the image
-        for y in (-1.0, -0.5):
-            with pytest.raises(ValueError):
-                boxcox_inverse(y, 2.0)
 
 
 class TestFitLambda:
@@ -369,6 +309,12 @@ class TestFitLambda:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
             fit_boxcox_lambda(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_raise(self, bad):
+        # a NaN fitted 1.0 and an inf -5 before they were refused
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_boxcox_lambda([1.0, 2.0, bad, 4.0])
 
 
 class TestFeatureTransformer:
@@ -445,6 +391,23 @@ class TestFeatureTransformer:
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             fit_feature_transformer(self._training_matrix(n=2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_raise(self, bad):
+        X = self._training_matrix(seed=8)
+        X[3, 100] = bad
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            fit_feature_transformer(X)
+
+    def test_fit_and_transform_is_fit_then_transform_matrix(self):
+        X = self._training_matrix(seed=9)
+        X[:, 13] = 7.0
+        X[:5, 20] = 1e-6  # below the sensor floor, so clipped
+        t, Xt = fit_and_transform(X)
+        alone = fit_feature_transformer(X)
+        for name in ("lambdas", "means", "stds"):
+            assert np.array_equal(getattr(t, name), getattr(alone, name)), name
+        assert Xt.tobytes() == alone.transform_matrix(X).tobytes()
 
     def test_json_round_trip(self):
         t = fit_feature_transformer(self._training_matrix(seed=7))

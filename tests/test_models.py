@@ -154,10 +154,10 @@ class TestHyperparameterContract:
 @pytest.fixture(scope="module")
 def shared_fit_models(synth_small):
     """Every variant trained on one fresh Dataset at FAST_PARAMS budgets: the
-    Dataset, the model files, and the Box-Cox fits and transforms made."""
+    Dataset, the model files, and the Box-Cox fits and further transforms made."""
     data = synth_small.subset(np.arange(len(synth_small)))
     fits, transforms = [], []
-    fit, transform = classifiers.fit_feature_transformer, FeatureTransformer.transform_matrix
+    fit, transform = classifiers.fit_and_transform, FeatureTransformer.transform_matrix
 
     def spy_fit(X):
         fits.append(X.shape)
@@ -168,7 +168,7 @@ def shared_fit_models(synth_small):
         return transform(self, X)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classifiers, "fit_feature_transformer", spy_fit)
+        patch.setattr(classifiers, "fit_and_transform", spy_fit)
         patch.setattr(FeatureTransformer, "transform_matrix", spy_transform)
         files = {v: model_to_json(train(ModelSpec(variant=v, seed=3, params=FAST_PARAMS[v]), data))
                  for v in VARIANTS}
@@ -211,7 +211,8 @@ class TestTrain:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_variants_on_one_dataset_share_one_box_cox_fit(self, shared_fit_models, variant):
         data, files, fits, transforms = shared_fit_models
-        assert fits == transforms == [(len(data), NUM_BEAMS)]
+        # the fit's own Box-Cox matrix is standardised: no second transform
+        assert fits == [(len(data), NUM_BEAMS)] and transforms == []
         # the model is the one a Dataset of its own gives
         alone = data.subset(np.arange(len(data)))
         spec = ModelSpec(variant=variant, seed=3, params=FAST_PARAMS[variant])
@@ -220,14 +221,14 @@ class TestTrain:
     def test_concurrent_callers_share_one_fit(self, synth_small, monkeypatch):
         data = synth_small.subset(np.arange(len(synth_small)))
         fits = []
-        fit = classifiers.fit_feature_transformer
+        fit = classifiers.fit_and_transform
 
         def slow_fit(X):
             fits.append(X.shape)
             time.sleep(0.05)  # long enough for every other thread to ask
             return fit(X)
 
-        monkeypatch.setattr(classifiers, "fit_feature_transformer", slow_fit)
+        monkeypatch.setattr(classifiers, "fit_and_transform", slow_fit)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -228,6 +228,18 @@ class TestLayers:
         with pytest.raises(DimensionError):
             net.layers[0].forward(np.ones((2, 2)), train=False, rng=None)
 
+    def test_cnn_refuses_rows_not_of_its_length(self):
+        # 270's conv output of 262 samples pools to the 131 of 271's 263, so
+        # nothing but the length check tells those rows apart
+        net = build_cnn(np.random.default_rng(0), length=270, filters=(2, 2),
+                        dense_widths=(4,))
+        assert net.predict_proba(np.ones((2, 270))).shape == (2, 4)
+        for rows in (np.ones((2, 271)), np.ones((0, 271)), np.ones((2, 1, 271))):
+            with pytest.raises(DimensionError, match="length 270, got 271"):
+                net.predict_proba(rows)
+        with pytest.raises(DimensionError, match="length 270, got 271"):
+            net.loss_and_grads(np.ones((2, 271)), np.eye(4)[:2])
+
     def test_dropout_off_is_identity(self):
         drop = Dropout(0.5)
         x = np.random.default_rng(1).normal(size=(4, 6))
