@@ -170,6 +170,23 @@ class TestLockstepSearch:
         assert calls == [(columns,)] * 26
         assert lambdas.tolist() == per_column_lambdas(X).tolist()
 
+    @pytest.mark.parametrize("tol, steps", [(1e-2, 15), (LAMBDA_TOL, 24), (1e-6, 34)])
+    def test_steps_are_the_fewest_that_narrow_the_range_below_the_tolerance(self, tol, steps):
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        assert 10.0 * inv_phi**steps < tol <= 10.0 * inv_phi ** (steps - 1)
+        calls = []
+        kernel = features._loglik_kernel
+
+        def counting_kernel(rows):
+            loglik = kernel(rows)
+            return lambda lam: calls.append(lam.size) or loglik(lam)
+
+        with (mock.patch.object(features, "_loglik_kernel", counting_kernel),
+              mock.patch.object(features, "LAMBDA_TOL", tol)):
+            features._fit_lambdas(_mixed(40, seed=2))
+        # the first two points, then one per step
+        assert len(calls) == steps + 2
+
     def test_kernel_is_boxcox_loglik_at_zero_and_every_grid_point(self):
         # exactly 0, and the 101 points -5, -4.9, ..., 5, whose middle one
         # is about -1.8e-14
@@ -310,9 +327,10 @@ class TestFitLambda:
         with pytest.raises(InsufficientDataError):
             fit_boxcox_lambda(np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_raise(self, bad):
-        # a NaN fitted 1.0 and an inf -5 before they were refused
+        # a NaN fitted 1.0 and an inf -5 before they were refused; -inf is
+        # refused as non-finite before the positivity check sees it
         with pytest.raises(ValueError, match="must be finite"):
             fit_boxcox_lambda([1.0, 2.0, bad, 4.0])
 
