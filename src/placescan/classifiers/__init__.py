@@ -26,14 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import blas
-from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, impute_ranges, pack, restore, stored
+from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, pack, restore, stored
 from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_and_transform
 from . import boosting, linear, nets, svm, trees
 from ..hyperparams import SEED, check_params
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 # variant -> (trainer module, trainer name, payload class). The trainer is
 # looked up on its module at call time, so a wrapper installed on the module
@@ -102,17 +102,10 @@ class TrainedModel:
     payload: object
     metadata: dict = field(default_factory=dict)
 
-    def predict_proba_matrix(self, X_raw: np.ndarray) -> np.ndarray:
-        """Class probabilities for raw (untransformed) feature rows.
-
-        `X_raw` is one row or a matrix of rows. Beams are imputed by the
-        same rule as `validate_scan` first.
-        """
-        X_raw = np.atleast_2d(np.asarray(X_raw, dtype=np.float64))
-        if X_raw.ndim != 2 or X_raw.shape[1] != NUM_BEAMS:
-            raise DimensionError(f"expected rows of {NUM_BEAMS} features, got shape {X_raw.shape}")
-        Xt = self.transformer.transform_matrix(impute_ranges(X_raw))
-        return self.payload.predict_proba(Xt)
+    def predict_proba_matrix(self, X_raw) -> np.ndarray:
+        """(n, 4) class probabilities for one raw scan or a matrix of raw
+        scans, imputed as `FeatureTransformer.transform_matrix` does."""
+        return self.payload.predict_proba(self.transformer.transform_matrix(X_raw))
 
 
 @blas.one_thread()
@@ -149,7 +142,7 @@ def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
 
 def predict_proba(model: TrainedModel, scan: Scan) -> np.ndarray:
     """4-vector of class probabilities for one scan (canonical class order)."""
-    return model.predict_proba_matrix(np.array(scan.ranges)[None, :])[0]
+    return model.predict_proba_matrix(scan.ranges)[0]
 
 
 def predict_label(model: TrainedModel, scan: Scan) -> ClassLabel:

@@ -93,39 +93,40 @@ class Scan:
         )
 
 
-def impute_ranges(ranges: np.ndarray) -> np.ndarray:
-    """Map beam distances into the sensor envelope, elementwise.
-
-    Non-finite readings become 30.0 (no-return); everything else is clipped
-    to [0.001, 30.0].
-    """
-    return _impute_in_place(np.array(ranges, dtype=np.float64))
-
-
-def _impute_in_place(X: np.ndarray) -> np.ndarray:
-    """impute_ranges, written over the writable float64 array X."""
+def beam_rows(raw, ndim: int, copy: bool = True) -> np.ndarray:
+    """Raw beam distances as an `ndim`-D (1: one scan, 2: rows of scans)
+    float64 array of 271-beam rows, imputed into the sensor envelope:
+    non-finite readings and those above 30 m become 30.0 (no-return), those
+    below 0.001 m become 0.001. A new array, or a float64 `raw` imputed in
+    place if not `copy`. A dtype other than integer or float raises
+    ValueError, any other shape DimensionError."""
+    X = np.asarray(raw)
+    if X.dtype.kind not in "iuf":
+        raise ValueError(f"beam distances must be real numbers, not dtype {X.dtype}")
+    if X.ndim != ndim or X.shape[-1] != NUM_BEAMS:
+        raise DimensionError(f"expected {ndim}-D rows of {NUM_BEAMS} beams, got shape {X.shape}")
+    X = X.astype(np.float64, copy=copy)
     np.copyto(X, MAX_RANGE_M, where=~np.isfinite(X))
     return np.clip(X, MIN_RANGE_M, MAX_RANGE_M, out=X)
 
 
-def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Scan:
-    """Build a valid Scan from raw beam distances.
+def class_indices(labels) -> np.ndarray:
+    """`labels` as a new int64 array of class indices; UnknownLabelError
+    unless they are integers in 0..3."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iu" or np.any((y < 0) | (y >= NUM_CLASSES)):
+        raise UnknownLabelError(f"labels must be class indices 0..{NUM_CLASSES - 1}")
+    return y.astype(np.int64)
 
-    Out-of-range and non-finite readings are imputed rather than dropped so
-    the feature dimension stays fixed: values above 30 m or non-finite
-    become 30.0 (no-return), values at or below the lower clip become
-    0.001 m. A wrong beam count raises DimensionError.
-    """
-    ranges = np.asarray(raw, dtype=np.float64)
-    if ranges.ndim != 1 or ranges.shape[0] != NUM_BEAMS:
-        raise DimensionError(
-            f"expected {NUM_BEAMS} beam distances, got {ranges.size}"
-        )
+
+def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Scan:
+    """Build a valid Scan from one row of raw beam distances (`beam_rows`)."""
+    ranges = beam_rows(raw, 1)
     if height_m is not None:
         height_m = float(height_m)
         if height_m < 0 or not math.isfinite(height_m):
             raise ValueError(f"height_m must be finite and non-negative, got {height_m}")
-    return Scan._adopt(impute_ranges(ranges), height_m)
+    return Scan._adopt(ranges, height_m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +143,7 @@ class Dataset:
 
     def __post_init__(self):
         # a copy, so the caller's array is neither imputed nor frozen
-        self._take(np.array(self.X, dtype=np.float64))
+        self._take(beam_rows(self.X, 2))
 
     @classmethod
     def _adopt(cls, X: np.ndarray, y, heights) -> "Dataset":
@@ -152,27 +153,24 @@ class Dataset:
         dataset = cls.__new__(cls)
         object.__setattr__(dataset, "y", y)
         object.__setattr__(dataset, "heights", heights)
-        dataset._take(X)
+        dataset._take(beam_rows(X, 2, copy=False))
         return dataset
 
     def _take(self, X: np.ndarray) -> None:
-        """Check the columns, then impute X in place and freeze every column."""
-        if X.shape[:1] == (0,):
-            raise EmptyDatasetError("a dataset must contain at least one row")
-        if X.ndim != 2 or X.shape[1] != NUM_BEAMS:
-            raise DimensionError(f"expected an (n, {NUM_BEAMS}) distance matrix, got {X.shape}")
+        """Check the other columns against the imputed beam matrix X, then
+        freeze every column."""
         n = X.shape[0]
+        if n == 0:
+            raise EmptyDatasetError("a dataset must contain at least one row")
         y = np.asarray(self.y)
         heights = np.array(
             np.full(n, np.nan) if self.heights is None else self.heights, dtype=np.float64
         )
         if y.shape != (n,) or heights.shape != (n,):
             raise DimensionError(f"labels and heights must have shape ({n},)")
-        if y.dtype.kind not in "iu" or np.any((y < 0) | (y >= NUM_CLASSES)):
-            raise UnknownLabelError(f"labels must be class indices 0..{NUM_CLASSES - 1}")
+        y = class_indices(y)
         if np.any((heights < 0) | np.isinf(heights)):
             raise ValueError("heights must be finite and non-negative, or NaN for none")
-        X, y = _impute_in_place(X), y.astype(np.int64)
         for name, value in (("X", X), ("y", y), ("heights", heights)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

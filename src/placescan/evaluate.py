@@ -21,7 +21,7 @@ import numpy as np
 
 from . import blas
 from .classifiers import ModelSpec, dataset_fingerprint, train
-from .core import NUM_CLASSES, ClassLabel, Dataset
+from .core import NUM_CLASSES, ClassLabel, Dataset, class_indices
 from .errors import StratificationError, UndefinedCurveError
 
 
@@ -43,19 +43,19 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
     """Per class: seeded shuffle, then deal round-robin into k folds.
 
     Guarantees per-fold class counts within one row of perfect
-    proportionality. A class with fewer than k rows is an error.
+    proportionality. Labels must be class indices 0..3 (UnknownLabelError),
+    and a class with fewer than k rows is an error.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = class_indices(labels)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer of at least 2, got {k!r}")
     rng = np.random.default_rng([seed, 101])
     fold_of_row = np.full(labels.shape[0], -1, dtype=np.int64)
-    for c in sorted(np.unique(labels)):
+    for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         if idx.shape[0] < k:
-            name = ClassLabel(int(c)).name if 0 <= c < NUM_CLASSES else str(c)
             raise StratificationError(
-                f"class {name} has {idx.shape[0]} rows, fewer than k={k}"
+                f"class {ClassLabel(c).name} has {idx.shape[0]} rows, fewer than k={k}"
             )
         fold_of_row[rng.permutation(idx)] = np.arange(idx.shape[0]) % k
     fold_of_row.setflags(write=False)
@@ -73,10 +73,17 @@ def accuracy(predicted, truth) -> float:
 def pr_curve(scores, truths) -> list[tuple[float, float]]:
     """(recall, precision) at each distinct score threshold, descending.
 
-    A (0, 1) anchor is prepended. Requires at least one positive row.
+    A (0, 1) anchor is prepended. Scores and truths must be 1-D of equal
+    length, and the scores free of NaN (ValueError); at least one truth
+    must be positive.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truths = np.asarray(truths, dtype=bool)
+    if scores.ndim != 1 or truths.shape != scores.shape:
+        raise ValueError(f"scores and truths must be 1-D of equal length, "
+                         f"got shapes {scores.shape} and {truths.shape}")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     positives = int(truths.sum())
     if positives == 0:
         raise UndefinedCurveError("no positive rows; the curve is undefined")
@@ -85,8 +92,8 @@ def pr_curve(scores, truths) -> list[tuple[float, float]]:
     sorted_scores = scores[order]
     tp = np.cumsum(sorted_truths)
     fp = np.cumsum(~sorted_truths)
-    # last index of each distinct-score block = one threshold
-    last_in_block = np.flatnonzero(np.diff(sorted_scores, append=-np.inf) != 0)
+    # last index of each block of equal scores = one threshold
+    last_in_block = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
     points = [(0.0, 1.0)]
     for i in last_in_block:
         recall = tp[i] / positives

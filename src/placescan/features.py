@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_RANGE_M, NUM_BEAMS, Float64s, stored
+from .core import NUM_BEAMS, Float64s, beam_rows, stored
 from .errors import DegenerateFeatureError, DimensionError, InsufficientDataError
-from .hyperparams import POSITIVE
 
 LAMBDA_MIN = -5.0
 LAMBDA_MAX = 5.0
@@ -154,7 +153,6 @@ class FeatureTransformer:
     lambdas: Float64s
     means: Float64s
     stds: Float64s
-    epsilon: float = MIN_RANGE_M
 
     def __post_init__(self):
         for arr in (self.lambdas, self.means, self.stds):
@@ -165,14 +163,12 @@ class FeatureTransformer:
             arr.setflags(write=False)
         if not np.all(self.stds > 0.0):
             raise ValueError("transformer stds must be positive")
-        POSITIVE.check("transformer epsilon", self.epsilon)
 
-    def transform_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = np.clip(np.asarray(X, dtype=np.float64), self.epsilon, None)
+    def transform_matrix(self, X) -> np.ndarray:
+        """The (n, 271) standardised features of one raw scan or a matrix of
+        raw scans, imputed first as `validate_scan` does (`core.beam_rows`)."""
+        X = beam_rows(np.atleast_2d(X), 2)
         return (_boxcox_columns(X, self.lambdas) - self.means) / self.stds
-
-    def transform(self, v: np.ndarray) -> np.ndarray:
-        return self.transform_matrix(np.asarray(v, dtype=np.float64)[None, :])[0]
 
     def to_dict(self) -> dict:
         """The model-file section: `core.stored`."""
@@ -194,7 +190,8 @@ def _boxcox_columns(X: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
 def fit_feature_transformer(X: np.ndarray) -> FeatureTransformer:
     """Fit exponents and standardization statistics column by column.
 
-    Training rows only; values below the sensor floor are clipped up to it.
+    Training rows only, which must be finite; they are clipped into the
+    sensor envelope.
     """
     return fit_and_transform(X)[0]
 
@@ -203,17 +200,14 @@ def fit_and_transform(X: np.ndarray) -> tuple[FeatureTransformer, np.ndarray]:
     """`fit_feature_transformer(X)`, and X through it: bit for bit the
     transformer's `transform_matrix(X)`, standardised in place from the
     fit's own Box-Cox matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != NUM_BEAMS:
-        raise DimensionError(f"expected an (n, {NUM_BEAMS}) feature matrix")
-    if X.shape[0] < 3:
+    rows = beam_rows(X, 2)
+    if rows.shape[0] < 3:
         raise InsufficientDataError("need at least 3 training rows")
     if not np.all(np.isfinite(X)):
         raise ValueError("feature values must be finite")
-    X = np.clip(X, MIN_RANGE_M, None)
-    lambdas = _fit_lambdas(X)
-    transformed = _boxcox_columns(X, lambdas)
-    del X  # the clipped copy: the statistics' temporaries may take its place
+    lambdas = _fit_lambdas(rows)
+    transformed = _boxcox_columns(rows, lambdas)
+    del rows  # the clipped copy: the statistics' temporaries may take its place
     means = transformed.mean(axis=0)
     stds = np.maximum(transformed.std(axis=0), STD_FLOOR)
     transformed -= means

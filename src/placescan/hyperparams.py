@@ -4,7 +4,7 @@ A trainer declares the domain of each keyword-only argument in its own
 signature, as in `rounds: Count = 200`. `check_params` reads those
 declarations back, so `ModelSpec` and a direct call through `checked` hold
 a value to the same contract. Model files hold their other scalars
-(`converged` flags, the transformer's `epsilon`) to the same domains.
+(`converged` flags) to the same domains.
 """
 from __future__ import annotations
 

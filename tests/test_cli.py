@@ -164,6 +164,8 @@ class TestTrainPredict:
             ("payload", {**document, "payload": list(document["payload"])}),
             ("'W'", {**document, "payload": without_w}),
             ("retrain", {**document, "format_version": 3}),
+            # version 5 transformers held an `epsilon` that is no longer applied
+            ("retrain", {**document, "format_version": 5}),
             # the spec holds its seed and hyperparameters to the trainer's domains
             *(("logreg seed must be an integer >= 0",
                {**document, "spec": {**document["spec"], "seed": bad_seed}})
@@ -257,7 +259,7 @@ class TestTrainPredict:
         lambdas, stds = stored(transformer["lambdas"]), stored(transformer["stds"])
 
         def with_transformer(**fields):
-            packed = {k: packed_array(v) if k != "epsilon" else v for k, v in fields.items()}
+            packed = {k: packed_array(v) for k, v in fields.items()}
             return {**document, "transformer": {**transformer, **packed}}
 
         corruptions += [
@@ -265,8 +267,6 @@ class TestTrainPredict:
             ("'lambdas' must be finite", with_transformer(
                 lambdas=[float("inf"), *lambdas[1:]])),
             ("stds", with_transformer(stds=[0.0, *stds[1:]])),
-            ("epsilon", with_transformer(epsilon=float("nan"))),
-            ("transformer epsilon", with_transformer(epsilon="0.5")),
         ]
         corruptions += [
             ("equal length", with_nodes(forest, threshold=nodes["threshold"][:-1])),

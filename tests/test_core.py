@@ -51,6 +51,21 @@ class TestValidateScan:
     def test_wrong_length_raises(self):
         with pytest.raises(DimensionError, match="271"):
             validate_scan([5.0] * 270)
+        with pytest.raises(DimensionError, match=r"got shape \(1, 271\)"):
+            validate_scan([[5.0] * NUM_BEAMS])
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            np.full(NUM_BEAMS, 5.0 + 1.0j),
+            ["5.0"] * NUM_BEAMS,
+            [None] * NUM_BEAMS,
+            [True] * NUM_BEAMS,
+        ],
+    )
+    def test_values_that_are_not_real_numbers_raise(self, raw):
+        with pytest.raises(ValueError, match="beam distances must be real numbers"):
+            validate_scan(raw)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -192,6 +207,8 @@ class TestDataset:
             (np.ones((2, NUM_BEAMS)), [0.0, 1.0], None, UnknownLabelError),
             (np.ones((2, NUM_BEAMS)), [0, 1], [1.0, -1.0], ValueError),
             (np.ones((2, NUM_BEAMS)), [0, 1], [np.inf, 1.0], ValueError),
+            (np.full((2, NUM_BEAMS), 1.0 + 1.0j), [0, 1], None, ValueError),
+            (np.full((2, NUM_BEAMS), "1.0"), [0, 1], None, ValueError),
         ],
     )
     def test_invalid_columns_rejected(self, X, y, heights, error):

@@ -4,6 +4,7 @@ import io
 import json
 import threading
 import time
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,7 +16,7 @@ from placescan import blas, classifiers, evaluate
 from placescan.classifiers import VARIANTS, nets, trees
 from placescan.core import ClassLabel
 from placescan.dataset_io import write_dataset
-from placescan.errors import StratificationError, UndefinedCurveError
+from placescan.errors import StratificationError, UndefinedCurveError, UnknownLabelError
 from placescan.evaluate import (
     accuracy,
     average_precision,
@@ -86,6 +87,19 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="at least 2"):
             stratified_folds(labels, k=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.repeat([0.5, 1.5, 2.5, 3.5], 5),
+            np.repeat([0, 1, 2, 7], 5),
+            np.repeat([-1, 0, 1, 2], 5),
+            np.repeat([True, False], 10),
+        ],
+    )
+    def test_labels_must_be_class_indices(self, labels):
+        with pytest.raises(UnknownLabelError, match=r"class indices 0\.\.3"):
+            stratified_folds(labels, k=5, seed=0)
+
     @pytest.mark.parametrize("k", [2.5, 3.0, True, "3"])
     def test_k_must_be_an_integer(self, k):
         labels = np.repeat([0, 1, 2, 3], 5)
@@ -137,9 +151,21 @@ class TestPrCurve:
             0.5 * 1.0 + 0.5 * (2 / 3)
         )
 
-    def test_tied_scores_collapse_to_one_threshold(self):
-        points = pr_curve([0.5, 0.5, 0.5, 0.5], [True, False, True, False])
-        assert points == [(0.0, 1.0), (1.0, 0.5)]
+    @pytest.mark.parametrize(
+        "scores, truths, points, ap",
+        [
+            ([0.5] * 4, [True, False] * 2, [(1.0, 0.5)], 0.5),
+            ([np.inf] * 4, [True, False] * 2, [(1.0, 0.5)], 0.5),
+            ([np.inf, np.inf, 0.1], [True, False, True], [(0.5, 0.5), (1.0, 2 / 3)], 7 / 12),
+            ([0.2, -np.inf, -np.inf], [False, True, True], [(0.0, 0.0), (1.0, 2 / 3)], 2 / 3),
+        ],
+    )
+    def test_tied_scores_collapse_to_one_threshold(self, scores, truths, points, ap):
+        # equal infinite scores are one threshold too, and warn of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pr_curve(scores, truths) == [(0.0, 1.0), *points]
+            assert average_precision(scores, truths) == pytest.approx(ap)
 
     def test_perfect_ranking_has_ap_one(self):
         scores = [0.9, 0.8, 0.2, 0.1]
@@ -165,6 +191,21 @@ class TestPrCurve:
     def test_no_positives_is_undefined(self):
         with pytest.raises(UndefinedCurveError):
             pr_curve([0.3, 0.2], [False, False])
+
+    @pytest.mark.parametrize(
+        "scores, truths, message",
+        [
+            ([0.9, np.nan, 0.1], [True, False, True], "NaN"),
+            ([0.9, 0.5], [True, False, True], "equal length"),
+            ([0.9, 0.5, 0.1], [True, False], "equal length"),
+            ([[0.9, 0.5], [0.1, 0.2]], [[True, False], [True, False]], "1-D"),
+            (0.9, True, "1-D"),
+        ],
+    )
+    def test_malformed_scores_raise(self, scores, truths, message):
+        for curve in (pr_curve, average_precision):
+            with pytest.raises(ValueError, match=message):
+                curve(scores, truths)
 
 
 class TestSummarizeFolds:

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from placescan import features
-from placescan.core import MAX_RANGE_M, MIN_RANGE_M, NUM_BEAMS, pack, restore, stored
-from placescan.errors import DegenerateFeatureError, InsufficientDataError
+from placescan.core import (
+    MAX_RANGE_M, MIN_RANGE_M, NUM_BEAMS, pack, restore, stored, validate_scan,
+)
+from placescan.errors import DegenerateFeatureError, DimensionError, InsufficientDataError
 from placescan.features import (
     LAMBDA_TOL,
     FeatureTransformer,
@@ -404,7 +406,41 @@ class TestFeatureTransformer:
         X = self._training_matrix(seed=6)
         t = fit_feature_transformer(X)
         v = X[0]
-        assert np.array_equal(t.transform(v), t.transform(v))
+        first = t.transform_matrix(v)
+        assert first.shape == (1, NUM_BEAMS)
+        assert np.array_equal(first, t.transform_matrix(v))
+        assert np.array_equal(first, t.transform_matrix(X)[:1])
+
+    def test_imputes_raw_rows_as_validate_scan_does(self):
+        X = self._training_matrix(seed=10)
+        t = fit_feature_transformer(X)
+        raw = X[:5].copy()
+        for row, value in enumerate([math.nan, math.inf, -math.inf, -1.0, 45.0]):
+            raw[row, [0, 100, 270]] = value
+        before = raw.copy()
+        imputed = np.stack([validate_scan(row).ranges for row in raw])
+        Xt = t.transform_matrix(raw)
+        assert Xt.tobytes() == t.transform_matrix(imputed).tobytes()
+        assert np.all(np.isfinite(Xt))
+        assert raw.flags.writeable and raw.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            (np.full((2, NUM_BEAMS), 5.0 + 1.0j), ValueError),
+            (np.full((2, NUM_BEAMS), "5.0"), ValueError),
+            (np.full((2, NUM_BEAMS), 5.0, dtype=object), ValueError),
+            (np.full((2, NUM_BEAMS), True), ValueError),
+            (np.full((2, NUM_BEAMS - 1), 5.0), DimensionError),
+            (np.full(NUM_BEAMS + 1, 5.0), DimensionError),
+            (np.full((2, 2, NUM_BEAMS), 5.0), DimensionError),
+            (5.0, DimensionError),
+        ],
+    )
+    def test_rows_that_are_not_real_271_beam_rows_raise(self, rows, error):
+        t = fit_feature_transformer(self._training_matrix(seed=11))
+        with pytest.raises(error):
+            t.transform_matrix(rows)
 
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
@@ -421,10 +457,13 @@ class TestFeatureTransformer:
         X = self._training_matrix(seed=9)
         X[:, 13] = 7.0
         X[:5, 20] = 1e-6  # below the sensor floor, so clipped
+        X[5:9, 21] = 45.0  # beyond the sensor's range, so clipped to it
         t, Xt = fit_and_transform(X)
         alone = fit_feature_transformer(X)
+        clipped = fit_feature_transformer(np.clip(X, MIN_RANGE_M, MAX_RANGE_M))
         for name in ("lambdas", "means", "stds"):
             assert np.array_equal(getattr(t, name), getattr(alone, name)), name
+            assert np.array_equal(getattr(t, name), getattr(clipped, name)), name
         assert Xt.tobytes() == alone.transform_matrix(X).tobytes()
 
     def test_json_round_trip(self):
@@ -433,4 +472,3 @@ class TestFeatureTransformer:
         for name in ("lambdas", "means", "stds"):
             a, b = getattr(t, name), getattr(back, name)
             assert (b.dtype, b.shape) == (a.dtype, a.shape) and np.array_equal(b, a), name
-        assert back.epsilon == t.epsilon

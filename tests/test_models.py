@@ -291,10 +291,20 @@ class TestPredict:
         proba = predict_proba(model, scan)
         assert predict_label(model, scan) == ClassLabel(int(np.argmax(proba)))
 
-    def test_wrong_feature_width_raises(self, synth_small):
-        model = train(ModelSpec(variant="logreg", seed=6), synth_small)
-        with pytest.raises(DimensionError):
-            model.predict_proba_matrix(np.ones((1, 100)))
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            (np.ones((1, 100)), DimensionError),
+            (np.ones(NUM_BEAMS - 1), DimensionError),
+            (np.full((2, NUM_BEAMS), 5.0 + 0.5j), ValueError),
+            (np.full((2, NUM_BEAMS), "5.0"), ValueError),
+            ([["5.0"] * NUM_BEAMS], ValueError),
+        ],
+    )
+    def test_rows_that_are_not_real_271_beam_rows_raise(self, fast_models, rows, error):
+        for model in fast_models.values():
+            with pytest.raises(error):
+                model.predict_proba_matrix(rows)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_more_than_two_dimensions_raise(self, fast_models, variant):
@@ -307,8 +317,8 @@ class TestPredict:
             ModelSpec(variant=variant, seed=4, params=FAST_PARAMS[variant]),
             synth_small,
         )
-        raw = synth_small.feature_matrix()[:4].copy()
-        for row, value in enumerate([np.nan, np.inf, -np.inf, -1.0]):
+        raw = synth_small.feature_matrix()[:5].copy()
+        for row, value in enumerate([np.nan, np.inf, -np.inf, -1.0, 45.0]):
             raw[row, [0, 100, 270]] = value
         scans = [validate_scan(row) for row in raw]
         batch = model.predict_proba_matrix(raw)
@@ -385,7 +395,7 @@ class TestSerialization:
         document = json.loads(model_to_json(fast_models[variant]))
         assert set(document) == {"format_version", "spec", "transformer", "payload", "metadata"}
         assert set(document["spec"]) == {"variant", "seed", "params"}
-        assert set(document["transformer"]) == {"lambdas", "means", "stds", "epsilon"}
+        assert set(document["transformer"]) == {"lambdas", "means", "stds"}
         assert set(document["metadata"]) == {"seed", "converged", "params", "train_fingerprint"}
         payload = document["payload"]
         assert set(payload) == set(_PAYLOAD_KEYS[variant])

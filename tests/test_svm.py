@@ -20,7 +20,7 @@ from placescan.simulate import SimConfig, generate_dataset
 
 def project_box_hyperplane(alpha, y, C):
     """Euclidean projection onto {0 <= a <= C, y.a = 0} by bisection on the
-    hyperplane multiplier."""
+    hyperplane multiplier: the oracle of `project_by_breakpoints`."""
     lo, hi = -(np.max(np.abs(alpha)) + C + 1.0), np.max(np.abs(alpha)) + C + 1.0
     for _ in range(200):
         nu = (lo + hi) / 2.0
@@ -32,15 +32,33 @@ def project_box_hyperplane(alpha, y, C):
     return np.clip(alpha - (lo + hi) / 2.0 * y, 0.0, C)
 
 
+def project_by_breakpoints(alpha, y, C):
+    """Euclidean projection onto {0 <= a <= C, y.a = 0}, labels y of +-1.
+
+    The projection is clip(alpha - nu y, 0, C) at the root nu of
+    g(nu) = y.clip(alpha - nu y, 0, C), which is continuous, non-increasing
+    and linear between its 2n breakpoints alpha_i y_i and (alpha_i - C) y_i.
+    g is evaluated at the sorted breakpoints, and its root interpolated
+    between the two that bracket it (Kiwiel, "Breakpoint searching
+    algorithms for the continuous quadratic knapsack problem", 2008)."""
+    nus = np.sort(np.concatenate([alpha * y, (alpha - C) * y]))
+    g = np.clip(alpha - nus[:, None] * y, 0.0, C) @ y
+    j = np.flatnonzero(g >= 0.0)[-1]  # g is C * (positives) >= 0 at nus[0]
+    nu = nus[j]
+    if g[j] > 0.0 and j + 1 < nus.size:
+        nu += g[j] * (nus[j + 1] - nus[j]) / (g[j] - g[j + 1])
+    return np.clip(alpha - nu * y, 0.0, C)
+
+
 def projected_gradient_qp(K, y, C, iters=40_000):
     """Independent dense QP oracle for the SVM dual."""
     Q = (y[:, None] * y[None, :]) * K
     lipschitz = float(np.linalg.eigvalsh(Q).max())
     step = 1.0 / max(lipschitz, 1e-12)
-    alpha = project_box_hyperplane(np.zeros_like(y, dtype=float), y, C)
+    alpha = project_by_breakpoints(np.zeros_like(y, dtype=float), y, C)
     for _ in range(iters):
         grad = 1.0 - Q @ alpha
-        new = project_box_hyperplane(alpha + step * grad, y, C)
+        new = project_by_breakpoints(alpha + step * grad, y, C)
         if np.max(np.abs(new - alpha)) < 1e-12:
             alpha = new
             break
@@ -78,6 +96,20 @@ def oracle_alpha(seed):
     alpha = projected_gradient_qp(*_toy_problem(seed), C=1.0)
     alpha.setflags(write=False)
     return alpha
+
+
+class TestQpOracle:
+    def test_breakpoint_projection_matches_bisection(self):
+        rng = np.random.default_rng(19)
+        for n in (2, 3, 8, 20):
+            for _ in range(40):
+                y = rng.permutation(np.r_[1.0, -1.0, rng.choice([-1.0, 1.0], n - 2)])
+                C = float(rng.uniform(0.1, 3.0))
+                # box points, some on its faces, and points far outside it
+                alpha = rng.choice([0.0, C, *rng.uniform(-3.0 * C, 4.0 * C, 3)], size=n)
+                exact = project_by_breakpoints(alpha, y, C)
+                assert np.max(np.abs(exact - project_box_hyperplane(alpha, y, C))) <= 1e-12
+                assert exact.min() >= 0.0 and exact.max() <= C and abs(y @ exact) <= 1e-12
 
 
 class TestPolyKernel:
