@@ -80,8 +80,6 @@ def train_adaboost(
     *,
     rounds: Count = 200,
 ) -> AdaBoostModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     weights = np.full(X.shape[0], 1.0 / X.shape[0])
     presorted = _sort_columns(X, y)
     stumps: list[TreeArrays] = []

@@ -61,8 +61,6 @@ def train_logreg(
     max_iter: Count = 2000,
     grad_tol: Positive = 1e-6,
 ) -> LogRegModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     Y = np.eye(NUM_CLASSES)[y]
     W = np.zeros((d, NUM_CLASSES))

@@ -329,9 +329,8 @@ def build_cnn(rng: np.random.Generator, length: int = 271, filters=(16, 32), ker
 def train_network(net: Network, X: np.ndarray, y: np.ndarray, *, epochs: Count = 30,
                   batch_size: Count = 32, lr: Positive = 0.01, seed: Seed = 42) -> list[float]:
     """Seeded mini-batch Adam training; returns per-epoch mean losses."""
-    X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    Y = np.eye(NUM_CLASSES)[np.asarray(y, dtype=np.int64)]
+    Y = np.eye(NUM_CLASSES)[y]
     rng = np.random.default_rng([seed, 910])
     optimizer = Adam(net.theta, lr=lr)
     history = []

@@ -44,7 +44,6 @@ def poly_kernel(
 
 def default_gamma(X: np.ndarray) -> float:
     """1 / (n_features * overall variance), the 'scale' convention."""
-    X = np.asarray(X, dtype=np.float64)
     var = float(X.var())
     if var <= 0:
         var = 1.0
@@ -61,9 +60,12 @@ def smo_solve(
 
     `y` holds both labels, +1 and -1. Returns (alphas, bias, converged):
     `converged` is True once the maximal violating pair's gap m - M is
-    below `tol`, and False if the iteration cap stops the loop first.
+    below `tol`, and False if the iteration cap stops the loop first. A
+    `K` that is not finite (an overflowed kernel) raises ValueError.
     """
     K = np.asarray(K, dtype=np.float64)
+    if not np.isfinite(K).all():
+        raise ValueError("the svm kernel matrix is not finite: the kernel overflows float64")
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     # signed multipliers v = alpha * y live in [lo, hi]; a step moves
@@ -149,8 +151,6 @@ def train_svm(
     gamma: PositiveOrNone = None,
     tol: Positive = DEFAULT_TOL,
 ) -> SvmModel:
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if gamma is None:
         gamma = default_gamma(X)
     K = poly_kernel(X, X, gamma, coef0, degree)

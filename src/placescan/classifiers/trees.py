@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..core import NUM_BEAMS, NUM_CLASSES, Float64s, Int64s, declared
+from ..core import NUM_BEAMS, NUM_CLASSES, Float64s, Int64s, declared, training_rows
 from ..hyperparams import COUNT, Count, CountOrNone, Flag, Seed, checked
 
 _GAIN_EPS = 1e-12
@@ -219,19 +219,14 @@ def fit_tree(
     node is impure and splittable, the first splittable feature is forced
     at its median midpoint so conflict-free data can always be separated.
     `sample_weight` must be 1-D of one weight per row, finite and
-    non-negative, with a positive sum. `y` holds one label in
-    0..NUM_CLASSES-1 per row, and a `features_per_split` below the feature
+    non-negative, with a positive sum. `X` and `y` must pass
+    `core.training_rows`, and a `features_per_split` below the feature
     count draws from `rng`. `presorted`, the `_sort_columns(X, y)` of these
     rows, spares a root that searches all features its sort: boosting fits
     every round's tree on the same rows.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = training_rows("fit_tree", X, y)
     n, n_features = X.shape
-    if n == 0:
-        raise ValueError("cannot fit a tree on zero rows")
-    if y.shape != (n,) or np.any((y < 0) | (y >= NUM_CLASSES)):
-        raise ValueError(f"y must hold one class label in 0..{NUM_CLASSES - 1} per row")
     COUNT.or_none().check("features_per_split", features_per_split)
     all_features = features_per_split is None or features_per_split >= n_features
     if not all_features and rng is None:
@@ -337,8 +332,6 @@ def train_random_forest(
     The default `features_per_split` is floor(sqrt(271)) for 271-beam scans;
     None applies the same square-root rule to any feature count.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
     if features_per_split is None:
         features_per_split = max(1, int(np.sqrt(X.shape[1])))

@@ -64,25 +64,21 @@ def label_codec(value) -> ClassLabel:
 
 @dataclass(frozen=True, eq=False)
 class Scan:
-    """One 271-beam range slice. `height_m` is capture-height metadata only."""
+    """One 271-beam range slice, imputed and checked by `beam_rows`.
+    `height_m` is capture-height metadata only: None, or finite and >= 0."""
 
     ranges: np.ndarray
     height_m: Optional[float] = None
 
     def __post_init__(self):
-        # a float64 copy, so the caller's array is neither frozen nor shared
-        object.__setattr__(self, "ranges", np.array(self.ranges, dtype=np.float64))
-        self.ranges.setflags(write=False)
-
-    @classmethod
-    def _adopt(cls, ranges: np.ndarray, height_m: Optional[float]) -> "Scan":
-        """Scan(ranges, height_m) without the copy, for a caller that built
-        the float64 array itself and keeps no other reference to it."""
-        scan = cls.__new__(cls)
-        object.__setattr__(scan, "ranges", ranges)
-        object.__setattr__(scan, "height_m", height_m)
+        # a copy, so the caller's array is neither imputed nor frozen
+        ranges = beam_rows(self.ranges, 1)
         ranges.setflags(write=False)
-        return scan
+        object.__setattr__(self, "ranges", ranges)
+        height_m = None if self.height_m is None else float(self.height_m)
+        if height_m is not None and not 0 <= height_m < math.inf:
+            raise ValueError(f"height_m must be finite and non-negative, got {height_m}")
+        object.__setattr__(self, "height_m", height_m)
 
     def __eq__(self, other):
         if not isinstance(other, Scan):
@@ -119,14 +115,28 @@ def class_indices(labels) -> np.ndarray:
     return y.astype(np.int64)
 
 
+def training_rows(owner: str, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as float64 (not copied if it is) and y as `class_indices`. Raises,
+    naming `owner`, DimensionError if X is not 2-D, and ValueError if X has
+    no rows or a value that is not a finite real, or y is not one per row."""
+    X, y = np.asarray(X), np.asarray(y)
+    if X.dtype.kind not in "iuf":
+        raise ValueError(f"{owner} needs real-valued features, not dtype {X.dtype}")
+    if X.ndim != 2:
+        raise DimensionError(f"{owner} needs a 2-D training matrix, got shape {X.shape}")
+    if X.shape[0] == 0:
+        raise ValueError(f"{owner} needs at least one training row")
+    if y.shape != X.shape[:1]:
+        raise ValueError(f"{owner} needs one label per row: y {y.shape}, {X.shape[0]} rows")
+    X = X.astype(np.float64, copy=False)
+    if not np.isfinite(X).all():
+        raise ValueError(f"{owner} needs finite features")
+    return X, class_indices(y)
+
+
 def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Scan:
     """Build a valid Scan from one row of raw beam distances (`beam_rows`)."""
-    ranges = beam_rows(raw, 1)
-    if height_m is not None:
-        height_m = float(height_m)
-        if height_m < 0 or not math.isfinite(height_m):
-            raise ValueError(f"height_m must be finite and non-negative, got {height_m}")
-    return Scan._adopt(ranges, height_m)
+    return Scan(raw, height_m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import inspect
 import sys
 from typing import Annotated, Callable, NamedTuple, Optional
 
-import numpy as np
+from .core import training_rows
 
 
 class Domain(NamedTuple):
@@ -65,19 +65,14 @@ def check_params(owner: str, fit, params: dict) -> None:
 
 def checked(fit):
     """`fit`, with `check_params` run on its keyword arguments first, then
-    a ValueError naming it if its training matrix `X` has no rows or `y` is
-    not one label per row."""
+    its `X` and `y` checked and cast by `core.training_rows`."""
     signature = inspect.signature(fit)
 
     @functools.wraps(fit)
     def checked_fit(*args, **kwargs):
         check_params(fit.__name__, fit, kwargs)
         arguments = signature.bind(*args, **kwargs).arguments
-        n, y_shape = len(arguments["X"]), np.shape(arguments["y"])
-        if n == 0:
-            raise ValueError(f"{fit.__name__} needs at least one training row")
-        if y_shape != (n,):
-            raise ValueError(f"{fit.__name__} needs one label per row: y {y_shape}, {n} rows")
-        return fit(*args, **kwargs)
+        arguments["X"], arguments["y"] = training_rows(fit.__name__, arguments["X"], arguments["y"])
+        return fit(**arguments)
 
     return checked_fit

@@ -15,7 +15,7 @@ bits as `simulate_scan` would give it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from .core import (
     Scan,
     validate_scan,
 )
-from .errors import InvalidPoseError
+from .errors import DimensionError, InvalidPoseError
 from .hyperparams import NATURAL, NON_NEGATIVE, SEED
 
 HEIGHT_STEPS_M = (0.0, 1.0, 2.0, 3.0)
@@ -59,7 +59,11 @@ class Scene:
     spawn_region: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        self.segments.setflags(write=False)
+        segments = np.array(self.segments, dtype=np.float64)  # the caller's stays writable
+        if segments.shape[1:] != (4,):
+            raise DimensionError(f"scene segments must be shaped (S, 4), got {segments.shape}")
+        segments.setflags(write=False)
+        object.__setattr__(self, "segments", segments)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,36 @@ class TestValidateScan:
         assert listed == Scan(np.ones(NUM_BEAMS), height_m=0.5)
 
 
+class TestScan:
+    def test_five_beams_raise(self):
+        with pytest.raises(DimensionError, match="271"):
+            Scan([1.0] * 5)
+
+    @pytest.mark.parametrize("height_m", [-3.0, math.nan, math.inf])
+    def test_height_that_is_not_finite_and_non_negative_raises(self, height_m):
+        with pytest.raises(ValueError, match="height_m must be finite and non-negative"):
+            Scan([1.0] * NUM_BEAMS, height_m=height_m)
+
+    def test_nan_beam_imputed_to_max_range(self):
+        raw = [5.0] * NUM_BEAMS
+        raw[7] = math.nan
+        scan = Scan(raw, height_m=2)
+        assert scan.ranges[7] == MAX_RANGE_M and scan == validate_scan(raw, 2.0)
+        assert type(scan.height_m) is float
+
+    def test_complex_row_raises(self):
+        with pytest.raises(ValueError, match="beam distances must be real numbers"):
+            Scan(np.full(NUM_BEAMS, 5.0 + 0.0j))
+
+    def test_leaves_the_callers_array_writable_and_unchanged(self):
+        raw = np.full(NUM_BEAMS, 5.0)
+        raw[[0, 1]] = math.nan, -2.0
+        scan = Scan(raw)
+        assert raw.flags.writeable and math.isnan(raw[0]) and raw[1] == -2.0
+        assert not np.shares_memory(scan.ranges, raw) and not scan.ranges.flags.writeable
+        assert scan.ranges[0] == MAX_RANGE_M and scan.ranges[1] == MIN_RANGE_M
+
+
 class TestLabelCodec:
     def test_string_decoding(self):
         assert label_codec("corridor") is ClassLabel.corridor

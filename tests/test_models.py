@@ -31,10 +31,12 @@ from placescan.classifiers import (
     save_model,
     train,
 )
+from placescan.classifiers import svm
 from placescan.classifiers.nets import build_mlp, train_network
+from placescan.classifiers.trees import fit_tree
 from placescan.core import NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset, validate_scan
 from placescan.dataset_io import write_dataset
-from placescan.errors import DegenerateTrainingError, DimensionError
+from placescan.errors import DegenerateTrainingError, DimensionError, UnknownLabelError
 from placescan.features import FeatureTransformer
 from placescan.hyperparams import Domain
 from placescan.simulate import SimConfig, generate_dataset
@@ -151,6 +153,23 @@ class TestHyperparameterContract:
                 fit(np.empty((0, NUM_BEAMS)), np.empty(0, dtype=np.int64), **{name: value})
 
 
+# every trainer that takes a training set: the six variants', the network
+# loop the neural variants share, and the tree fit the forest and boosting share
+_REFUSERS = [*VARIANTS, "train_network", "fit_tree"]
+
+
+def _refuser(variant: str, X, y):
+    """The name of the trainer `variant` names, and a call of it on the
+    training set X, y at budgets small enough that a missing check fails fast."""
+    if variant == "train_network":
+        net = build_mlp(np.random.default_rng(0), widths=(4,))
+        return "train_network", lambda: train_network(net, X, y, epochs=2)
+    if variant == "fit_tree":
+        return "fit_tree", lambda: fit_tree(X, y)
+    fit = _trainer(variant)
+    return fit.__name__, lambda: fit(X, y, **FAST_PARAMS[variant])
+
+
 @pytest.fixture(scope="module")
 def shared_fit_models(synth_small):
     """Every variant trained on one fresh Dataset at FAST_PARAMS budgets: the
@@ -181,23 +200,56 @@ class TestTrain:
         with pytest.raises(DegenerateTrainingError):
             train(ModelSpec(variant="logreg"), corridors)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", _REFUSERS)
     def test_trainer_refuses_zero_rows(self, variant):
-        fit = _trainer(variant)
-        with pytest.raises(ValueError, match=rf"^{fit.__name__} needs at least one training row"):
-            fit(np.empty((0, NUM_BEAMS)), np.empty(0, dtype=np.int64))
+        name, fit = _refuser(variant, np.empty((0, NUM_BEAMS)), np.empty(0, dtype=np.int64))
+        with pytest.raises(ValueError, match=rf"^{name} needs at least one training row"):
+            fit()
 
     @pytest.mark.parametrize("labels", [(24,), (20, 1)])
-    @pytest.mark.parametrize("variant", [*VARIANTS, "train_network"])
+    @pytest.mark.parametrize("variant", _REFUSERS)
     def test_trainer_refuses_labels_that_are_not_one_per_row(self, variant, labels):
         X = np.random.default_rng(0).normal(size=(20, NUM_BEAMS))
         y = np.arange(math.prod(labels)).reshape(labels) % NUM_CLASSES
-        if variant == "train_network":
-            fit, args = train_network, (build_mlp(np.random.default_rng(0), widths=(4,)), X, y)
-        else:
-            fit, args = _trainer(variant), (X, y)
-        with pytest.raises(ValueError, match=rf"^{fit.__name__} needs one label per row"):
-            fit(*args)
+        name, fit = _refuser(variant, X, y)
+        with pytest.raises(ValueError, match=rf"^{name} needs one label per row"):
+            fit()
+
+    @pytest.mark.parametrize(
+        "features, error, message",
+        [
+            (lambda X: np.where(X > 1, np.nan, X), ValueError, "finite features"),
+            (lambda X: np.where(X > 1, np.inf, X), ValueError, "finite features"),
+            (lambda X: X + 1j, ValueError, "real-valued features"),
+            (lambda X: X > 0, ValueError, "real-valued features"),
+            (lambda X: X[:, 0], DimensionError, "a 2-D training matrix"),
+            (lambda X: X[:, None, :], DimensionError, "a 2-D training matrix"),
+        ],
+        ids=["nan", "inf", "complex", "bool", "1-D", "3-D"],
+    )
+    @pytest.mark.parametrize("variant", _REFUSERS)
+    def test_trainer_refuses_features_that_are_not_a_finite_real_matrix(
+        self, variant, features, error, message, monkeypatch
+    ):
+        monkeypatch.setattr(svm, "MAX_ITER", 100)  # a missing check fails fast
+        X = np.random.default_rng(0).normal(size=(20, NUM_BEAMS))
+        name, fit = _refuser(variant, features(X), np.arange(20) % NUM_CLASSES)
+        with pytest.raises(error, match=rf"^{name} needs {message}"):
+            fit()
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1, 2, 7], [0, 1, 2, -1], [0.0, 1.0, 2.0, 0.5], ["0", "1", "2", "3"],
+         [True, False, True, False]],
+        ids=["seven", "negative", "half", "digit-strings", "bools"],
+    )
+    @pytest.mark.parametrize("variant", _REFUSERS)
+    def test_trainer_refuses_labels_that_are_not_class_indices(self, variant, labels, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_ITER", 100)  # a missing check fails fast
+        X = np.random.default_rng(0).normal(size=(20, NUM_BEAMS))
+        _, fit = _refuser(variant, X, np.array(labels * 5))
+        with pytest.raises(UnknownLabelError, match="class indices"):
+            fit()
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_each_variant_beats_chance_on_train(self, synth_small, variant):

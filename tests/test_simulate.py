@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from placescan import simulate
 from placescan.core import ClassLabel, NUM_BEAMS
 from placescan.dataset_io import summarize, write_dataset
-from placescan.errors import InvalidPoseError
+from placescan.errors import DimensionError, InvalidPoseError
 from placescan.simulate import (
     CAST_BLOCK_ELEMENTS,
     Scene,
@@ -203,6 +203,19 @@ class TestGenerateScene:
                 ys = np.concatenate([scene.segments[:, 1], scene.segments[:, 3]])
                 assert xs.min() >= x0 and xs.max() <= x1
                 assert ys.min() >= y0 and ys.max() <= y1
+
+    def test_scene_freezes_a_float64_copy_and_takes_a_list(self):
+        segs = np.array([[0, 0, 1, 0], [1, 0, 1, 1]])
+        scene = Scene(segments=segs, label=ClassLabel.corridor, extent=(0.0, 0.0, 1.0, 1.0))
+        assert segs.flags.writeable and not np.shares_memory(scene.segments, segs)
+        assert scene.segments.dtype == np.float64 and not scene.segments.flags.writeable
+        listed = Scene(segments=segs.tolist(), label=ClassLabel.corridor, extent=scene.extent)
+        assert np.array_equal(listed.segments, segs) and not listed.segments.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 4)])
+    def test_segments_not_shaped_s_by_4_raise(self, shape):
+        with pytest.raises(DimensionError, match=r"\(S, 4\)"):
+            Scene(segments=np.zeros(shape), label=ClassLabel.corridor, extent=(0.0, 0.0, 1.0, 1.0))
 
 
 class TestSimulateScan:

@@ -210,6 +210,26 @@ class TestSmo:
         assert not converged
         assert np.count_nonzero(alpha) == 2
 
+    def test_kernel_that_is_not_finite_is_refused_before_the_loop(self, monkeypatch):
+        import placescan.classifiers.svm as svm
+
+        monkeypatch.setattr(svm, "MAX_ITER", 10)  # a missing check fails fast
+        K, y = _toy_problem(0)
+        K[2, 3] = K[3, 2] = np.inf
+        with pytest.raises(ValueError, match="kernel matrix is not finite"):
+            smo_solve(K, y, C=1.0)
+
+    @pytest.mark.parametrize(
+        "params", [{"gamma": 1e300}, {"gamma": 1.0, "degree": 400}], ids=["gamma", "degree"]
+    )
+    def test_hyperparameters_that_overflow_the_kernel_are_refused(self, params, monkeypatch):
+        import placescan.classifiers.svm as svm
+
+        monkeypatch.setattr(svm, "MAX_ITER", 10)  # a missing check fails fast
+        X = np.random.default_rng(0).normal(size=(40, NUM_BEAMS))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="kernel matrix is not finite"):
+            train_svm(X, np.arange(40) % NUM_CLASSES, **params)
+
 
 class TestTrainSvm:
     def test_one_vs_rest_fits_simple_clusters(self):

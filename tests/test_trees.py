@@ -16,6 +16,7 @@ from placescan.classifiers.trees import (
     train_random_forest,
 )
 from placescan.core import NUM_CLASSES, pack, restore, stored
+from placescan.errors import UnknownLabelError
 
 
 def walk(trees, root, x):
@@ -218,12 +219,18 @@ class TestFitTree:
 
 
     @pytest.mark.parametrize(
-        "labels", [[0, 1, 0, 4], [0, -1, 0, 1], [0, 1, 0], [0, 1, 0, 1, 1]],
+        "labels, error, message",
+        [
+            ([0, 1, 0, 4], UnknownLabelError, "class indices"),
+            ([0, -1, 0, 1], UnknownLabelError, "class indices"),
+            ([0, 1, 0], ValueError, "^fit_tree needs one label per row"),
+            ([0, 1, 0, 1, 1], ValueError, "^fit_tree needs one label per row"),
+        ],
         ids=["high", "negative", "short", "long"],
     )
-    def test_label_outside_the_classes_rejected(self, labels):
+    def test_label_outside_the_classes_rejected(self, labels, error, message):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        with pytest.raises(ValueError, match="^y "):
+        with pytest.raises(error, match=message):
             fit_tree(X, np.array(labels))
 
     def test_zero_features_per_split_rejected(self):
