@@ -1,8 +1,16 @@
 """Feed-forward and 1-D convolutional networks with exact backpropagation.
 
-Everything is double precision numpy. A `Network` keeps its parameters in
-one flat vector `theta`: each weighted layer's `W` (C order), then its `b`,
-in layer order. `W` and `b` are views of `theta`, and `gW` and `gb` the
+Training is single precision, everything else double. `train_network`
+casts the rows and one-hot targets to float32 once and rebinds the network
+to a float32 copy of `theta` for the whole loop, so its GEMMs, Adam's
+moments and the layers' buffers and dropout masks (each layer allocates in
+its input's dtype) are float32. When training ends it rebinds to that
+`theta` widened to float64, which is exact; so inference, the model file's
+`<f8` `theta` and the gradient oracles, which call the builders and
+`loss_and_grads` directly, all run in float64.
+
+A `Network` keeps its parameters in one flat vector `theta`: each weighted
+layer's `W` (C order), then its `b`, in layer order. `W` and `b` are views of `theta`, and `gW` and `gb` the
 matching views of `grad`, which backward passes write in place
 (`self.gW[...] = ...`); so one `Adam.step(theta, grad)` updates every layer.
 Layers keep no state: `forward(x, train, rng)` returns the output and a
@@ -59,7 +67,7 @@ class Dropout:
         if not train or self.rate == 0.0:
             return x, lambda dy: dy
         keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) < keep) / keep
+        mask = ((rng.random(x.shape) < keep) / keep).astype(x.dtype)
         return x * mask, lambda dy: dy * mask
 
 
@@ -105,7 +113,7 @@ class Conv1D:
                                  f"got {x.shape[1]}")
         B, L, _ = x.shape
         x = x.reshape(B * L, C)
-        out = np.empty((B * L, O))
+        out = np.empty((B * L, O), x.dtype)
         if C == 1 and B:  # an empty batch has no windows to view
             windows = np.lib.stride_tricks.sliding_window_view(x[:, 0], k)
             np.matmul(windows, self.W[:, 0].T, out=out[: len(windows)])
@@ -114,7 +122,7 @@ class Conv1D:
         out[: B * L - k + 1] += self.b
 
         def backward(dy, input_grad=True):
-            padded = np.zeros((k - 1 + len(x), O))
+            padded = np.zeros((k - 1 + len(x), O), x.dtype)
             padded[k - 1 :].reshape(B, L, O)[:, : L - k + 1] = dy
             d = padded[k - 1 : len(padded) - k + 1]
             for j in range(k):
@@ -122,7 +130,7 @@ class Conv1D:
             self.gb[...] = dy.sum(axis=(0, 1))
             if input_grad:
                 taps = np.ascontiguousarray(self.W.transpose(2, 0, 1)[::-1])
-                return _correlate(padded, taps, np.empty(x.shape)).reshape(in_shape)
+                return _correlate(padded, taps, np.empty(x.shape, x.dtype)).reshape(in_shape)
 
         return out.reshape(B, L, O)[:, : L - k + 1], backward
 
@@ -142,7 +150,7 @@ class MaxPool1D:
             out = np.maximum(out, x[:, i:end:p])
 
         def backward(dy):
-            dx = np.zeros(x.shape)
+            dx = np.zeros(x.shape, x.dtype)
             unrouted = np.ones(out.shape, dtype=bool)
             for i in range(p):
                 hit = unrouted & (x[:, i:end:p] == out)
@@ -234,9 +242,14 @@ class Network:
         elif theta.shape != (size,):
             raise ValueError(f"network theta holds {theta.size} values; "
                              f"the {builder} architecture has {size} parameters")
-        self.theta, self.grad = theta, np.zeros(size)
         # loss_and_grads' closures, replaced slot by slot (freeing a step at once re-faults it)
         self._backward: list = [None] * len(self.layers)
+        self._bind(theta)
+
+    def _bind(self, theta: np.ndarray) -> None:
+        """Make `theta`, and a zeroed `grad` of its dtype, the vectors whose
+        views every weighted layer's `W`, `b`, `gW` and `gb` are."""
+        self.theta, self.grad = theta, np.zeros_like(theta)
         offset = 0
         for layer in self._weighted:
             for name, shape in zip(("W", "b"), layer.shapes):
@@ -328,21 +341,27 @@ def build_cnn(rng: np.random.Generator, length: int = 271, filters=(16, 32), ker
 @checked
 def train_network(net: Network, X: np.ndarray, y: np.ndarray, *, epochs: Count = 30,
                   batch_size: Count = 32, lr: Positive = 0.01, seed: Seed = 42) -> list[float]:
-    """Seeded mini-batch Adam training; returns per-epoch mean losses."""
+    """Seeded mini-batch Adam training in float32; returns per-epoch mean
+    losses. `net` ends with its float64 `theta` rebound to the trained
+    values, widened exactly, even if training raises."""
     n = X.shape[0]
-    Y = np.eye(NUM_CLASSES)[y]
+    X, Y = X.astype(np.float32), np.eye(NUM_CLASSES, dtype=np.float32)[y]
     rng = np.random.default_rng([seed, 910])
-    optimizer = Adam(net.theta, lr=lr)
-    history = []
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            loss, _ = net.loss_and_grads(X[idx], Y[idx], train=True, rng=rng)
-            optimizer.step(net.theta, net.grad)
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
+    net._bind(net.theta.astype(np.float32))
+    try:
+        optimizer = Adam(net.theta, lr=lr)
+        history = []
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            losses = []
+            for start in range(0, n, batch_size):
+                idx = perm[start : start + batch_size]
+                loss, _ = net.loss_and_grads(X[idx], Y[idx], train=True, rng=rng)
+                optimizer.step(net.theta, net.grad)
+                losses.append(loss)
+            history.append(float(np.mean(losses)))
+    finally:
+        net._bind(net.theta.astype(np.float64))
     return history
 
 

@@ -117,13 +117,16 @@ def class_indices(labels) -> np.ndarray:
 
 def training_rows(owner: str, X, y) -> tuple[np.ndarray, np.ndarray]:
     """X as float64 (not copied if it is) and y as `class_indices`. Raises,
-    naming `owner`, DimensionError if X is not 2-D, and ValueError if X has
-    no rows or a value that is not a finite real, or y is not one per row."""
+    naming `owner`, DimensionError if X is not 2-D or has no columns, and
+    ValueError if X has no rows or a value that is not a finite real, or y
+    is not one per row."""
     X, y = np.asarray(X), np.asarray(y)
     if X.dtype.kind not in "iuf":
         raise ValueError(f"{owner} needs real-valued features, not dtype {X.dtype}")
     if X.ndim != 2:
         raise DimensionError(f"{owner} needs a 2-D training matrix, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise DimensionError(f"{owner} needs at least one feature column")
     if X.shape[0] == 0:
         raise ValueError(f"{owner} needs at least one training row")
     if y.shape != X.shape[:1]:

@@ -224,8 +224,9 @@ class TestTrain:
             (lambda X: X > 0, ValueError, "real-valued features"),
             (lambda X: X[:, 0], DimensionError, "a 2-D training matrix"),
             (lambda X: X[:, None, :], DimensionError, "a 2-D training matrix"),
+            (lambda X: X[:, :0], DimensionError, "at least one feature column"),
         ],
-        ids=["nan", "inf", "complex", "bool", "1-D", "3-D"],
+        ids=["nan", "inf", "complex", "bool", "1-D", "3-D", "no-columns"],
     )
     @pytest.mark.parametrize("variant", _REFUSERS)
     def test_trainer_refuses_features_that_are_not_a_finite_real_matrix(

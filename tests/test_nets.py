@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from placescan.blas import one_thread
-from placescan.classifiers import ModelSpec, train
+from placescan.classifiers import ModelSpec, model_from_json, model_to_json, train
 from placescan.classifiers.linear import softmax
 from placescan.classifiers.nets import (
     Adam,
@@ -399,6 +399,84 @@ class TestNetworkBehaviour:
             net = build_mlp(np.random.default_rng([10, 1]), n_in=5, widths=(8, 4))
             histories.append(train_network(net, X, y, epochs=3, seed=10))
         assert histories[0] == histories[1]
+
+
+# float32 gradients against float64 ones: 256 float32 units of roundoff
+# (2**-15) relative to each gradient block's largest entry
+_F32_REL = 256 * float(np.finfo(np.float32).eps)
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("build", [build_mlp, build_cnn])
+    def test_float32_backward_matches_float64(self, build):
+        """One training step's gradients (dropout on, masks from the same
+        stream) at float32 and at float64, on the same float32-exact theta
+        and batch."""
+        net = build(np.random.default_rng([20, 1]))
+        net._bind(net.theta.astype(np.float32).astype(np.float64))
+        rng = np.random.default_rng(20)
+        x, onehot = rng.normal(size=(32, 271)), np.eye(4)[rng.integers(0, 4, size=32)]
+        loss64, grads = net.loss_and_grads(x, onehot, rng=np.random.default_rng(21))
+        grads64 = [g.copy() for g in grads]
+        net._bind(net.theta.astype(np.float32))
+        loss32, grads32 = net.loss_and_grads(x.astype(np.float32), onehot.astype(np.float32),
+                                             rng=np.random.default_rng(21))
+        assert abs(loss32 - loss64) <= _F32_REL * loss64
+        for got, want in zip(grads32, grads64):
+            assert got.dtype == np.float32
+            assert_close(got, want, rel=_F32_REL)
+
+    @pytest.mark.parametrize("build", [build_mlp, build_cnn])
+    def test_no_float64_slips_into_training(self, build, monkeypatch):
+        """Every layer's output and input gradient, `theta`, `grad` and Adam's
+        moments are float32 throughout `train_network`: a float64 anywhere
+        (a dropout mask, say) widens every later GEMM and fails nothing else."""
+        net = build(np.random.default_rng([20, 2]))
+        seen = set()
+
+        def recording(layer):
+            forward, name = layer.forward, type(layer).__name__
+
+            def recorded_forward(x, train, rng):
+                out, backward = forward(x, train, rng)
+                seen.add((name, "output", out.dtype))
+
+                def recorded_backward(dy, *args, **kwargs):
+                    dx = backward(dy, *args, **kwargs)
+                    if dx is not None:
+                        seen.add((name, "input gradient", dx.dtype))
+                    return dx
+
+                return out, recorded_backward
+
+            return recorded_forward
+
+        for layer in net.layers:
+            layer.forward = recording(layer)
+        step = Adam.step
+
+        def recorded_step(self, theta, grad):
+            seen.update({("Adam", "theta", theta.dtype), ("Adam", "grad", grad.dtype),
+                         ("Adam", "m", self.m.dtype), ("Adam", "v", self.v.dtype)})
+            step(self, theta, grad)
+
+        monkeypatch.setattr(Adam, "step", recorded_step)
+        rng = np.random.default_rng(20)
+        train_network(net, rng.normal(size=(40, 271)), rng.integers(0, 4, size=40), epochs=1,
+                      batch_size=16)
+        assert {"Dropout", "Dense", "Adam"} <= {name for name, _, _ in seen}
+        assert [entry for entry in seen if entry[2] != np.float32] == []
+        assert net.theta.dtype == net.grad.dtype == np.float64
+
+    @pytest.mark.parametrize("variant", ["mlp", "cnn"])
+    def test_trained_theta_is_exact_float64_and_round_trips(self, variant):
+        data = generate_dataset(SimConfig.uniform(2, seed=1))
+        model = train(ModelSpec(variant, params={"epochs": 2}), data)
+        theta = model.payload.theta
+        assert theta.dtype == np.float64
+        assert np.array_equal(theta, theta.astype(np.float32))
+        back = model_from_json(model_to_json(model))
+        assert np.array_equal(back.predict_proba_matrix(data.X), model.predict_proba_matrix(data.X))
 
 
 class TestStatelessLayers:
