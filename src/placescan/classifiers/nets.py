@@ -10,18 +10,18 @@ its input's dtype) are float32. When training ends it rebinds to that
 `loss_and_grads` directly, all run in float64.
 
 A `Network` keeps its parameters in one flat vector `theta`: each weighted
-layer's `W` (C order), then its `b`, in layer order. `W` and `b` are views of `theta`, and `gW` and `gb` the
-matching views of `grad`, which backward passes write in place
-(`self.gW[...] = ...`); so one `Adam.step(theta, grad)` updates every layer.
-Layers keep no state: `forward(x, train, rng)` returns the output and a
-closure `backward(dy)` that returns the input gradient; `loss_and_grads`
-skips the first layer's, which nothing uses, and inference drops them all,
-so one model may serve several threads. Conv activations are channels-last,
-(batch, length, channels), but `theta` keeps conv `W` as (out, in, kernel)
-and the dense rows behind `Flatten` in (channels, length) order. Dropout is
-inverted (masks scaled by 1/(1-rate)) and drawn from the rng passed to the
-forward call, so training is fully seeded. A model file holds the builder
-name, its arguments and `theta`.
+layer's `W` (C order), then its `b`, in layer order. `W` and `b` are views
+of `theta`, and `gW` and `gb` the matching views of `grad`, which backward
+passes write in place (`self.gW[...] = ...`); so one `Adam.step(theta,
+grad)` updates every layer. Layers keep no state: `forward(x, train, rng)`
+returns the output and a closure `backward(dy)` that returns the input
+gradient; `loss_and_grads` skips the first layer's, which nothing uses, and
+inference drops them all, so one model may serve several threads. Conv
+activations are channels-last, (batch, length, channels), but `theta` keeps
+conv `W` as (out, in, kernel) and the dense rows behind `Flatten` in
+(channels, length) order. Dropout is inverted (masks scaled by 1/(1-rate))
+and drawn from the rng passed to the forward call, so training is fully
+seeded. A model file holds the builder name, its arguments and `theta`.
 """
 from __future__ import annotations
 
