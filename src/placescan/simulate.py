@@ -2,15 +2,20 @@
 
 Each place category gets a parametric scene grammar: a closed rectangular
 shell plus class-specific clutter segments. Scenes are immutable segment
-soups; scans are produced by intersecting 271 beams with every segment and
+soups; scans are produced by intersecting 271 beams with the segments and
 keeping the nearest hit, clipped to the sensor envelope.
 
 `cast_rays` takes segments (..., S, 4), origins (..., 2) and directions
 (..., R, 2) and returns ranges (..., R), over any shared leading batch axes;
 a plain scene is the case with none. A segment row of NaN hits nothing, so
 scenes with fewer segments are NaN-padded to share a block.
-`generate_dataset` casts its rows in such blocks, and each row gets the same
-bits as `simulate_scan` would give it.
+`cast_rays` culls conservatively: it tests a segment only against the beams
+inside the arc the segment spans seen from the origin, widened by
+`CULL_MARGIN_RAD` at each end; a segment nearly in line with the origin, or
+of zero length, is tested against every beam. Every culled pair is a miss
+of the exact test, so the ranges keep the bits of testing every pair.
+`generate_dataset` casts its rows in blocks of consecutive rows, and each
+row gets the same bits as `simulate_scan` would give it.
 """
 from __future__ import annotations
 
@@ -36,10 +41,15 @@ from .hyperparams import NATURAL, NON_NEGATIVE, SEED
 
 HEIGHT_STEPS_M = (0.0, 1.0, 2.0, 3.0)
 _BEAM_ANGLES_RAD = np.radians(np.asarray(BEAM_ANGLES_DEG))
-# generate_dataset casts rows in blocks of at most this many (row, beam,
-# segment) elements, so each of cast_rays' few full-size temporaries stays
-# at 512 KiB whatever the dataset's size
-CAST_BLOCK_ELEMENTS = 2**16
+# cast_rays tests at most this many (beam, segment) pairs at once, and
+# generate_dataset casts blocks of at most this many (row, beam) elements,
+# so each of their temporaries stays at 256 KiB whatever the dataset's size
+CAST_BLOCK_ELEMENTS = 2**15
+# Where a segment's triangle with the origin is not flat (see _arcs), the
+# rounding of arctan2 and of the exact test's u moves the end of an arc by
+# at most about 5 eps / FLAT_TRIANGLE, 1e-10 rad: a thousandth of the margin
+CULL_MARGIN_RAD = 1e-7
+FLAT_TRIANGLE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -253,17 +263,94 @@ def cast_rays(
 
     Shapes (..., S, 4), (..., 2) and (..., R, 2) give (..., R); a NaN
     segment row is a miss for every beam.
+
+    A beam can only hit a segment inside the arc of angles the segment spans
+    seen from the origin, so only the beams in that arc, widened by
+    `CULL_MARGIN_RAD` at each end, are tested against it: see `_arcs`. The
+    test itself is the exact one for every pair, at most
+    `CAST_BLOCK_ELEMENTS` pairs at a time, and the nearest hit is a `min`,
+    so the result has the bits a test of every pair would give.
     """
-    if segments.shape[-2] == 0:
-        return np.full(directions.shape[:-1], MAX_RANGE_M)
+    batch = np.broadcast_shapes(segments.shape[:-2], origin.shape[:-1], directions.shape[:-2])
+    rows, n_segments, n_beams = math.prod(batch), segments.shape[-2], directions.shape[-2]
+    segments = np.broadcast_to(segments, batch + (n_segments, 4)).reshape(rows, n_segments, 4)
+    origin = np.broadcast_to(origin, batch + (2,)).reshape(rows, 2)
+    directions = np.broadcast_to(directions, batch + (n_beams, 2)).reshape(rows, n_beams, 2)
     p = segments[..., 0:2]
     e = segments[..., 2:4] - p
-    rel = p - origin[..., None, :]
-    # cross products; beams on axis -2, segments on axis -1
-    ex, ey = e[..., None, :, 0], e[..., None, :, 1]
-    rx, ry = rel[..., None, :, 0], rel[..., None, :, 1]
-    dx, dy = directions[..., 0:1], directions[..., 1:2]
-    num_t = rx * ey - ry * ex  # (..., 1, S): depends on the segment only
+    rel = p - origin[:, None, :]
+    rx, ry, ex, ey = rel[..., 0], rel[..., 1], e[..., 0], e[..., 1]
+    num_t = rx * ey - ry * ex  # depends on the segment only
+    beam, segment = _candidates(*_arcs(rel, e, num_t), directions)
+    dx, dy = directions[..., 0].ravel(), directions[..., 1].ravel()
+    rx, ry, ex, ey, num_t = (a.ravel() for a in (rx, ry, ex, ey, num_t))
+    nearest = np.full(rows * n_beams, np.inf)
+    for start in range(0, len(beam), CAST_BLOCK_ELEMENTS):
+        b = beam[start : start + CAST_BLOCK_ELEMENTS]
+        s = segment[start : start + CAST_BLOCK_ELEMENTS]
+        _lower_to_hits(nearest, b, dx[b], dy[b], rx[s], ry[s], ex[s], ey[s], num_t[s])
+    nearest = np.where(np.isfinite(nearest), nearest, MAX_RANGE_M)
+    return np.clip(nearest, MIN_RANGE_M, MAX_RANGE_M).reshape(batch + (n_beams,))
+
+
+def _arcs(rel: np.ndarray, e: np.ndarray, num_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's arc [lo, hi] of the beam angles that can hit it,
+    (rows, S) each: lo <= pi and hi <= lo + 2 pi, an arc past pi going on
+    from -pi, and none at all where hi < lo.
+
+    The arc runs between the angles of the segment's two endpoints seen from
+    the origin, the smaller way round, widened by `CULL_MARGIN_RAD` at each
+    end. A segment whose triangle with the origin is flat (|num_t|, twice
+    its area, at most `FLAT_TRIANGLE` times its longest side squared: the
+    origin on or near the segment's line, which also takes in an arc within
+    a hair of pi, or a zero-length segment) gets the whole circle. A segment
+    with a NaN num_t gets no arc: every one of its t is NaN.
+    """
+    far = rel + e
+    longest = np.maximum(np.maximum((rel**2).sum(-1), (e**2).sum(-1)), (far**2).sum(-1))
+    flat = ~(np.abs(num_t) > FLAT_TRIANGLE * longest)
+    start = np.arctan2(rel[..., 1], rel[..., 0])
+    turn = np.arctan2(far[..., 1], far[..., 0]) - start
+    turn = np.remainder(turn + math.pi, 2 * math.pi) - math.pi  # the smaller way round
+    lo = start + np.minimum(turn, 0.0) - CULL_MARGIN_RAD
+    lo = np.where(lo <= -math.pi, lo + 2 * math.pi, lo)
+    hi = lo + (np.abs(turn) + 2 * CULL_MARGIN_RAD)
+    lo[flat], hi[flat] = -math.pi, math.pi
+    empty = np.isnan(num_t)
+    lo[empty], hi[empty] = 4.0, -4.0
+    return lo, hi
+
+
+def _candidates(
+    lo: np.ndarray, hi: np.ndarray, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (beam, segment) indices of every beam whose angle lies in the
+    segment's arc, over (rows, S) arcs and (rows, R, 2) directions."""
+    rows, n_segments = lo.shape
+    # beam angles in [-pi, pi]; a NaN beam hits nothing and is parked at 4,
+    # past every arc; row j's keys lie in 8j + [-pi, 4], so one sort orders
+    # every row, and rounding the sums keeps each arc's beams inside it
+    angle = np.arctan2(directions[..., 1], directions[..., 0])
+    angle[np.isnan(angle)] = 4.0
+    offset = 8.0 * np.arange(rows)[:, None]
+    key = (angle + offset).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # an arc is the run [lo, min(hi, pi)], plus [-pi, hi - 2 pi] once it
+    # wraps past pi; that second run is empty otherwise
+    starts = np.searchsorted(key, (np.stack([lo, np.full_like(lo, -math.pi)]) + offset).ravel())
+    stops = np.searchsorted(
+        key, (np.stack([np.minimum(hi, math.pi), hi - 2 * math.pi]) + offset).ravel(), "right"
+    )
+    counts = np.maximum(stops - starts, 0)
+    ends = np.cumsum(counts)
+    beam = order[np.repeat(starts - (ends - counts), counts) + np.arange(counts.sum())]
+    segment = np.repeat(np.tile(np.arange(rows * n_segments), 2), counts)
+    return beam, segment
+
+
+def _lower_to_hits(nearest, beam, dx, dy, rx, ry, ex, ey, num_t) -> None:
+    """Lower `nearest[beam]` to the hit distance of each pair that hits."""
     denom = dx * ey
     scratch = dy * ex
     np.subtract(denom, scratch, out=denom)
@@ -277,10 +364,7 @@ def cast_rays(
     hit &= t > 1e-9
     hit &= u >= 0.0
     hit &= u <= 1.0
-    np.copyto(t, np.inf, where=~hit)
-    nearest = t.min(axis=-1)
-    nearest = np.where(np.isfinite(nearest), nearest, MAX_RANGE_M)
-    return np.clip(nearest, MIN_RANGE_M, MAX_RANGE_M)
+    np.minimum.at(nearest, beam[hit], t[hit])
 
 
 def cast_ray(scene: Scene, origin, direction) -> float:
@@ -334,22 +418,25 @@ def _check_pose(scene: Scene, pose: SensorPose) -> None:
         )
 
 
-def _beam_directions(heading: float) -> np.ndarray:
-    """(271, 2) unit vectors of a pose's beams."""
-    angles = heading + _BEAM_ANGLES_RAD
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+def _beam_directions(heading: float | np.ndarray) -> np.ndarray:
+    """Unit vectors of the beams of a heading (271, 2), or of an array of
+    headings (..., 271, 2): cos and sin act element by element, so a row's
+    bits do not depend on the array it is cast with."""
+    angles = np.asarray(heading)[..., None] + _BEAM_ANGLES_RAD
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
 def sample_pose(scene: Scene, rng: np.random.Generator) -> SensorPose:
-    """Uniform pose over the spawn region, rejecting occupied spots."""
+    """Uniform pose over the spawn region, rejecting occupied spots; after
+    200 rejected draws, `_fallback_spot`."""
     x0, y0, x1, y1 = scene.spawn_region
-    x, y = (x0 + x1) / 2.0, (y0 + y1) / 2.0
     for _ in range(200):
-        cx = rng.uniform(x0, x1)
-        cy = rng.uniform(y0, y1)
-        if pose_in_free_space(scene, cx, cy, margin=0.2):
-            x, y = cx, cy
+        x = rng.uniform(x0, x1)
+        y = rng.uniform(y0, y1)
+        if pose_in_free_space(scene, x, y, margin=0.2):
             break
+    else:
+        x, y = _fallback_spot(scene)
     # surveying convention: the sensor faces one of the room's cardinal
     # directions, with a small aiming jitter
     heading = rng.integers(0, 4) * (math.pi / 2.0) + rng.uniform(
@@ -359,13 +446,32 @@ def sample_pose(scene: Scene, rng: np.random.Generator) -> SensorPose:
     return SensorPose(x=x, y=y, heading=heading, height_m=height)
 
 
+def _fallback_spot(scene: Scene) -> tuple[float, float]:
+    """The spawn region's centre if it is free, else the point of a 64 x 64
+    grid over the region nearest the centre that is free at sample_pose's
+    margin; InvalidPoseError if no grid point is."""
+    x0, y0, x1, y1 = scene.spawn_region
+    x, y = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    if pose_in_free_space(scene, x, y):
+        return x, y
+    xs, ys = np.meshgrid(np.linspace(x0, x1, 64), np.linspace(y0, y1, 64))
+    nearest_first = np.argsort(np.hypot(xs - x, ys - y), axis=None, kind="stable")
+    for gx, gy in zip(xs.ravel()[nearest_first].tolist(), ys.ravel()[nearest_first].tolist()):
+        if pose_in_free_space(scene, gx, gy, margin=0.2):
+            return gx, gy
+    raise InvalidPoseError(
+        f"the {scene.label.name} scene's spawn region {scene.spawn_region} has no free spot"
+    )
+
+
 def generate_dataset(config: SimConfig) -> Dataset:
     """Synthesize a dataset: fresh scene, pose and height per row.
 
     Every row draws from an independent substream keyed by (seed, row
     index), so the output is reproducible regardless of generation order.
     Row i equals `simulate_scan` of that substream's scene and pose, bit
-    for bit; the rays are cast in blocks of rows of similar segment count.
+    for bit; the rays are cast in blocks of consecutive rows, each scene
+    NaN-padded to the block's largest.
     """
     counts = [config.per_class.get(label, 0) for label in ClassLabel]
     total = sum(counts)
@@ -387,23 +493,13 @@ def generate_dataset(config: SimConfig) -> Dataset:
         poses[i] = pose.x, pose.y, pose.heading
         heights[i] = pose.height_m
 
-    sizes = np.array([len(segments) for segments in segments_of])
-    order = np.argsort(sizes, kind="stable")
-    start = 0
-    while start < total:
-        # rows are in size order, so the block's last row sets its width
-        stop = start + 1
-        while (
-            stop < total
-            and (stop + 1 - start) * NUM_BEAMS * sizes[order[stop]] <= CAST_BLOCK_ELEMENTS
-        ):
-            stop += 1
-        rows = order[start:stop]
-        segments = np.full((len(rows), sizes[rows[-1]], 4), np.nan)
-        directions = np.empty((len(rows), NUM_BEAMS, 2))
-        for j, i in enumerate(rows.tolist()):
-            segments[j, : sizes[i]] = segments_of[i]
-            directions[j] = _beam_directions(poses[i, 2])
-        X[rows] += cast_rays(segments, poses[rows, :2], directions)  # noise + hits == hits + noise
-        start = stop
+    block = max(1, CAST_BLOCK_ELEMENTS // NUM_BEAMS)
+    for start in range(0, total, block):
+        rows = slice(start, start + block)
+        scenes = segments_of[rows]
+        segments = np.full((len(scenes), max(map(len, scenes)), 4), np.nan)
+        for j, scene_segments in enumerate(scenes):
+            segments[j, : len(scene_segments)] = scene_segments
+        hits = cast_rays(segments, poses[rows, :2], _beam_directions(poses[rows, 2]))
+        X[rows] += hits  # noise + hits == hits + noise
     return Dataset._adopt(X, y, heights)

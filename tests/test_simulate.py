@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from placescan import simulate
+from placescan.classifiers import dataset_fingerprint
 from placescan.core import ClassLabel, NUM_BEAMS
 from placescan.dataset_io import summarize, write_dataset
 from placescan.errors import DimensionError, InvalidPoseError
@@ -166,6 +167,67 @@ class TestBatchedCast:
         assert cast_rays(np.empty((0, 4)), origins[0], directions[0]).tolist() == [30.0] * 2
 
 
+_WHOLE = st.integers(-6, 6).map(float)
+_TINY = st.sampled_from([0.0, 1e-9, -1e-9, 1e-12, -1e-15])
+
+
+@st.composite
+def _fan_scenes(draw):
+    """A whole-number origin, a whole-degree heading and 0-8 segments of
+    these kinds: whole-number (beams at multiples of 45 degrees graze their
+    endpoints, and their arcs cross pi and the fan's blind sector), collinear
+    with the origin, passing within 1e-9 of it or ending within 1e-9 of it,
+    zero-length, or NaN."""
+    origin = np.array(draw(st.tuples(_WHOLE, _WHOLE)))
+    heading = math.radians(draw(st.integers(-180, 179)))
+    segments = []
+    for kind in draw(st.lists(st.sampled_from(["whole", "collinear", "through", "ends_at",
+                                               "point", "nan"]), max_size=8)):
+        a = np.array(draw(st.tuples(_WHOLE, _WHOLE)))
+        b = np.array(draw(st.tuples(_WHOLE, _WHOLE)))
+        nudge = np.array(draw(st.tuples(_TINY, _TINY)))
+        if kind == "collinear":
+            b = origin + draw(st.integers(-3, 3)) * (a - origin)
+        elif kind == "through":
+            a, b = a + nudge, origin - (a - origin) / 2 + nudge
+        elif kind == "ends_at":
+            a = origin + nudge
+        elif kind == "point":
+            b = a
+        elif kind == "nan":
+            a = b = np.full(2, np.nan)
+        segments.append(np.concatenate([a, b]))
+    return np.array(segments).reshape(-1, 4), origin, heading
+
+
+class TestAngularCull:
+    @settings(max_examples=300, deadline=None)
+    @given(_fan_scenes())
+    def test_fan_equals_the_oracle_exactly(self, scene):
+        segments, origin, heading = scene
+        directions = simulate._beam_directions(heading)
+        ranges = cast_rays(segments, origin, directions)
+        assert ranges.tolist() == [brute_force_cast(segments, origin, d) for d in directions]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.floats(-8.0, 8.0)] * 4), st.sampled_from([0.0, 0.5, 1.0, 1.5, -0.5]),
+           st.sampled_from([1e-15, -1e-13, 1e-11, -1e-9]), st.booleans(),
+           st.lists(st.floats(-13.0, -5.0), min_size=1, max_size=16))
+    def test_near_parallel_beams_from_near_the_line(self, ends, along, off, back, tilts):
+        # such a beam can cross the segment a hair ahead of the origin, so
+        # a segment this flat with the origin must take every beam
+        segments = np.array([ends])
+        p, e = segments[0, :2], segments[0, 2:] - segments[0, :2]
+        length = math.hypot(*e)
+        assume(length > 0.1)
+        origin = p + along * e + off * np.array([-e[1], e[0]]) / length
+        tilts = 10.0 ** np.array(tilts) * np.resize([1.0, -1.0], len(tilts))
+        angles = math.atan2(e[1], e[0]) + back * math.pi + tilts
+        directions = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        ranges = cast_rays(segments, origin, directions)
+        assert ranges.tolist() == [brute_force_cast(segments, origin, d) for d in directions]
+
+
 class TestGenerateScene:
     def test_corridor_aspect_ratio(self):
         for seed in range(100):
@@ -294,6 +356,53 @@ class TestGenerateDataset:
         config = SimConfig(per_class={ClassLabel.restroom: 2, ClassLabel.corridor: 1}, seed=4)
         assert generate_dataset(config).y.tolist() == [0, 2, 2]
 
+    @pytest.mark.parametrize("fields, digest", [
+        ({"seed": 42}, "a5ac2c580d901df60b3145997df46308c97ccc6335eb5a85d8bc27152781f82e"),
+        ({"seed": 7}, "61e95c82c9815a373251505b3b6aa9d82184fbaf88ee60ee8394d324db260438"),
+        ({"seed": 42, "noise_sigma": 0.0},
+         "81c88ac58d2369375602bc3d9f8a602fa564d364a5a33730277fbe03db77186c"),
+    ], ids=["seed42", "seed7", "seed42-noiseless"])
+    def test_golden_fingerprints(self, fields, digest):
+        assert dataset_fingerprint(generate_dataset(SimConfig.uniform(100, **fields))) == digest
+
+    def test_pose_after_rejected_draws_is_free(self):
+        # row 361 is a shared space whose spawn region is under 1% free at
+        # margin 0.2, with an occupied centre
+        config = SimConfig.uniform(100, seed=1_000_517)
+        assert len(generate_dataset(config)) == 400
+        rng = np.random.default_rng([config.seed, 361])
+        scene = generate_scene(ClassLabel.shared_space, rng)
+        pose = sample_pose(scene, rng)
+        x0, y0, x1, y1 = scene.spawn_region
+        assert not simulate.pose_in_free_space(scene, (x0 + x1) / 2, (y0 + y1) / 2)
+        assert simulate.pose_in_free_space(scene, pose.x, pose.y, margin=0.2)
+
+
+class TestFallbackSpot:
+    @staticmethod
+    def _boxed(obstacles, half=0.1):
+        return Scene(segments=_square_room(10.0).segments, label=ClassLabel.restroom,
+                     extent=(-5.0, -5.0, 5.0, 5.0), obstacles=obstacles,
+                     spawn_region=(-half, -half, half, half))
+
+    def test_free_centre_is_kept(self):
+        # every spot is within 0.2 of a box, but the centre is 0.12 from both
+        scene = self._boxed(((-5.0, -5.0, -0.12, 5.0), (0.12, -5.0, 5.0, 5.0)))
+        pose = sample_pose(scene, np.random.default_rng(0))
+        assert (pose.x, pose.y) == (0.0, 0.0)
+
+    def test_grid_spot_nearest_the_occupied_centre(self):
+        # free at margin 0.2 above y = 0.2; the 64 x 64 grid's step is 2/63
+        scene = self._boxed(((-5.0, -5.0, 5.0, 0.0),), half=1.0)
+        x, y = simulate._fallback_spot(scene)
+        assert simulate.pose_in_free_space(scene, x, y, margin=0.2)
+        assert (x, y) == pytest.approx((-1 / 63, -1 + 38 * 2 / 63))
+
+    def test_no_free_spot_raises(self):
+        scene = self._boxed(((-5.0, -5.0, 5.0, 0.0),))
+        with pytest.raises(InvalidPoseError, match="restroom scene's spawn region .* no free spot"):
+            sample_pose(scene, np.random.default_rng(0))
+
 
 def scalar_dataset(config):
     """The per-row composition generate_dataset must reproduce: substream
@@ -327,22 +436,31 @@ class TestBlockCasting:
 
     @pytest.mark.parametrize("budget", [1, NUM_BEAMS * 60, CAST_BLOCK_ELEMENTS, 2**20])
     def test_blocks_are_bounded_and_do_not_change_bits(self, budget, monkeypatch):
+        # CAST_BLOCK_ELEMENTS bounds the (row, beam) elements of each block
+        # generate_dataset casts and the (beam, segment) pairs of each chunk
+        # cast_rays tests
         config = SimConfig.uniform(7, seed=8)
         expected = scalar_dataset(config)
-        blocks = []
+        blocks, chunks = [], []
 
-        def spy(segments, origin, directions):
-            blocks.append(segments.shape)
+        def spy_cast(segments, origin, directions):
+            blocks.append(len(origin))
             return cast_rays(segments, origin, directions)
 
-        monkeypatch.setattr(simulate, "cast_rays", spy)
+        def spy_chunk(nearest, beam, *pairs):
+            chunks.append(len(beam))
+            return lower_to_hits(nearest, beam, *pairs)
+
+        lower_to_hits = simulate._lower_to_hits
+        monkeypatch.setattr(simulate, "cast_rays", spy_cast)
+        monkeypatch.setattr(simulate, "_lower_to_hits", spy_chunk)
         monkeypatch.setattr(simulate, "CAST_BLOCK_ELEMENTS", budget)
         assert_same_bytes(generate_dataset(config), expected)
-        assert sum(rows for rows, _, _ in blocks) == 28
-        for rows, width, _ in blocks:
-            assert rows == 1 or rows * NUM_BEAMS * width <= budget
+        assert sum(blocks) == 28
+        assert all(rows == 1 or rows * NUM_BEAMS <= budget for rows in blocks)
+        assert max(chunks) <= budget
         if budget == 1:
-            assert len(blocks) == 28
+            assert len(blocks) == 28 and set(chunks) == {1}
         if budget == 2**20:
             assert len(blocks) == 1
 
