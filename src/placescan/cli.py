@@ -1,8 +1,8 @@
 """Command-line entry point: simulate / summarize / train / predict / crossval.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 runtime failure. Diagnostics go to stderr; machine-readable output goes
-to files or stdout only.
+Exit codes: 0 success, 1 usage error, 2 data or validation error, or a
+file the command cannot read or write, 3 runtime failure. Diagnostics go
+to stderr; machine-readable output goes to files or stdout only.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import io
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import classifiers
 from .classifiers import ModelSpec, VARIANTS, load_model, model_to_json, predict_proba
@@ -69,7 +68,7 @@ def build_parser() -> _Parser:
                         "271 comma-separated distances in meters")
 
     p_cv = sub.add_parser("crossval", help="stratified cross-validation and reports")
-    p_cv.add_argument("--model", required=True, metavar="NAME",
+    p_cv.add_argument("--model", required=True, choices=(*VARIANTS, "all"),
                       help="classifier variant or 'all'")
     p_cv.add_argument("--data", required=True, metavar="PATH", help="dataset CSV")
     p_cv.add_argument("--folds", type=int, default=5, metavar="K",
@@ -80,16 +79,11 @@ def build_parser() -> _Parser:
 
 
 def _load_dataset(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"dataset file not found: {p}")
-    with open(p, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_dataset(fh)
 
 
 def _cmd_simulate(args) -> int:
-    if args.per_class < 1:
-        raise PlaceScanError("--per-class must be at least 1")
     config = SimConfig.uniform(
         args.per_class,
         seed=args.seed,
@@ -119,10 +113,7 @@ def _cmd_train(args) -> int:
 
 
 def _read_scan(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"scan file not found: {p}")
-    with open(p, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if first.split(",")[0].strip().lstrip("﻿") == "label":
             # only the header and the first data row are read; blank lines
@@ -138,10 +129,7 @@ def _read_scan(path: str):
 
 
 def _cmd_predict(args) -> int:
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise FileNotFoundError(f"model file not found: {model_path}")
-    model = load_model(model_path)
+    model = load_model(args.model)
     scan = _read_scan(args.scan)
     proba = predict_proba(model, scan)
     if not all(map(math.isfinite, proba)):
@@ -162,10 +150,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
-    if args.model != "all" and args.model not in VARIANTS:
-        raise _UsageError(
-            f"--model must be one of {', '.join(VARIANTS)} or 'all'"
-        )
     dataset = _load_dataset(args.data)
     variants = list(VARIANTS) if args.model == "all" else [args.model]
     report = run_experiment(variants, dataset, k=args.folds, seed=args.seed)
@@ -197,10 +181,7 @@ def run(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PlaceScanError, FileNotFoundError, ValueError) as exc:
+    except (PlaceScanError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -351,19 +351,11 @@ def _candidates(
 
 def _lower_to_hits(nearest, beam, dx, dy, rx, ry, ex, ey, num_t) -> None:
     """Lower `nearest[beam]` to the hit distance of each pair that hits."""
-    denom = dx * ey
-    scratch = dy * ex
-    np.subtract(denom, scratch, out=denom)
-    u = np.multiply(rx, dy)
-    np.multiply(ry, dx, out=scratch)
-    np.subtract(u, scratch, out=u)
-    hit = np.abs(denom, out=scratch) > 1e-12
+    denom = dx * ey - dy * ex
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(u, denom, out=u)
-        t = np.divide(num_t, denom, out=denom)
-    hit &= t > 1e-9
-    hit &= u >= 0.0
-    hit &= u <= 1.0
+        u = (rx * dy - ry * dx) / denom
+        t = num_t / denom
+        hit = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= 0.0) & (u <= 1.0)
     np.minimum.at(nearest, beam[hit], t[hit])
 
 
@@ -400,6 +392,7 @@ def simulate_scan(
 ) -> Scan:
     """Cast all 271 beams from the pose; optional additive Gaussian range
     noise, re-clipped to the sensor envelope."""
+    NON_NEGATIVE.check("noise_sigma", noise_sigma)
     _check_pose(scene, pose)
     ranges = cast_rays(
         scene.segments, np.array([pose.x, pose.y]), _beam_directions(pose.heading)

@@ -438,6 +438,52 @@ class TestCrossval:
                     "--folds", "2", "--out", str(tmp_path / "r")])
         assert code == 1
 
+    def test_unknown_model_name_lists_the_choices(self, tiny_csv, tmp_path, capsys):
+        code = run(["crossval", "--model", "xgboost", "--data", str(tiny_csv),
+                    "--folds", "2", "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'xgboost'" in err
+        assert all(f"'{name}'" in err for name in (*VARIANTS, "all"))
+
+
+class TestPaths:
+    """A path the command cannot read or write is a data error, and the
+    OS message that names it goes to stderr."""
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_out_is_a_directory(self, tiny_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        args = {"simulate": ["--per-class", "1"],
+                "train": ["--model", "logreg", "--data", str(tiny_csv)]}[command]
+        assert run([command, *args, "--out", str(out)]) == 2
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.tmp")) == [] and list(out.iterdir()) == []
+
+    def test_crossval_out_is_a_file(self, tiny_csv, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.write_text("kept\n")
+        assert run(["crossval", "--model", "logreg", "--data", str(tiny_csv),
+                    "--folds", "2", "--out", str(out)]) == 2
+        assert "error: [Errno 17] File exists" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    def test_unreadable_inputs(self, tiny_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run(["train", "--model", "logreg", "--data", str(tiny_csv),
+                    "--out", str(model)]) == 0
+        missing = tmp_path / "missing.json"
+        for argv, path in (
+            (["summarize", "--data", str(tmp_path)], tmp_path),
+            (["predict", "--model", str(model), "--scan", str(tmp_path)], tmp_path),
+            (["predict", "--model", str(missing), "--scan", str(tiny_csv)], missing),
+        ):
+            capsys.readouterr()
+            assert run(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and repr(str(path)) in err
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self):

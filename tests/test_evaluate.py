@@ -243,6 +243,14 @@ class TestCrossValidate:
         json.dumps(payload)  # must be JSON-serializable as-is
         assert payload["k"] == 3
 
+    def test_a_numpy_integer_k_renders(self, synth_small, tmp_path):
+        # stratified_folds takes an np.integer k, and the report holds it as int
+        report = run_experiment(["logreg"], synth_small, k=np.int64(3), seed=13,
+                                variant_params={"logreg": {"max_iter": 20}})
+        render_report(report, tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["k"] == 3 and payload["config"]["k"] == 3
+
     @pytest.mark.parametrize("variant_params, stray", [
         ({"svn": {"C": 2.0}}, "svn"),  # a typo of a variant that is run
         ({"logreg": {"max_iter": 200}, "rf": {"trees": 5}}, "rf"),  # not run

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -317,6 +318,25 @@ class TestSimulateScan:
         scene = _square_room(10.0)
         with pytest.raises(InvalidPoseError):
             simulate_scan(scene, SensorPose(x=25.0, y=0.0, heading=0.0))
+
+    @staticmethod
+    def _scan(noise_sigma):
+        scene = generate_scene(ClassLabel.shared_space, np.random.default_rng(31))
+        x0, y0, x1, y1 = scene.spawn_region
+        pose = SensorPose(x=(x0 + x1) / 2, y=(y0 + y1) / 2, heading=0.4)
+        return simulate_scan(scene, pose, noise_sigma, np.random.default_rng(9))
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf])
+    def test_noise_sigma_outside_its_domain_raises(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            self._scan(sigma)
+
+    @pytest.mark.parametrize("sigma, digest", [
+        (0.0, "00ebbce5efc2131ce0ea3989549c3a075a6d3cca24c91963908922d7077efb36"),
+        (0.01, "7ad0fc00cf6a5effa9cf819a90a7063a4c029b0c424361dbf14e02ae8804a882"),
+    ])
+    def test_noise_sigma_in_its_domain_keeps_the_scan_bits(self, sigma, digest):
+        assert hashlib.sha256(self._scan(sigma).ranges.tobytes()).hexdigest() == digest
 
 
 class TestGenerateDataset:
