@@ -7,10 +7,13 @@ to stderr; machine-readable output goes to files or stdout only.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import sys
+from pathlib import Path
 
 from . import classifiers
 from .classifiers import ModelSpec, VARIANTS, load_model, model_to_json, predict_proba
@@ -83,7 +86,14 @@ def _load_dataset(path: str):
         return parse_dataset(fh)
 
 
+def _refuse_directory(path: str) -> None:
+    """Refuse an output file path that is a directory before any work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _cmd_simulate(args) -> int:
+    _refuse_directory(args.out)
     config = SimConfig.uniform(
         args.per_class,
         seed=args.seed,
@@ -104,6 +114,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _refuse_directory(args.out)
     dataset = _load_dataset(args.data)
     spec = ModelSpec(variant=args.model, seed=args.seed)
     model = classifiers.train(spec, dataset)
@@ -152,6 +163,7 @@ def _cmd_predict(args) -> int:
 def _cmd_crossval(args) -> int:
     dataset = _load_dataset(args.data)
     variants = list(VARIANTS) if args.model == "all" else [args.model]
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # fails before any training
     report = run_experiment(variants, dataset, k=args.folds, seed=args.seed)
     written = render_report(report, args.out)
     for v in report.variants:

@@ -27,16 +27,19 @@ _CLASS_COLORS = {
 
 def atomic_write_text(path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    partial file. An `OSError` names `path`, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -107,51 +107,42 @@ class SimConfig:
         return cls(per_class={label: count for label in ClassLabel}, **kwargs)
 
 
-def _rect(x0: float, y0: float, x1: float, y1: float) -> list[list[float]]:
-    return [
-        [x0, y0, x1, y0],
-        [x1, y0, x1, y1],
-        [x1, y1, x0, y1],
-        [x0, y1, x0, y0],
-    ]
+def _rect(x0: float, y0: float, x1: float, y1: float) -> list[float]:
+    """A box's four edges, counter-clockwise from (x0, y0)."""
+    return [x0, y0, x1, y0, x1, y0, x1, y1, x1, y1, x0, y1, x0, y1, x0, y0]
 
 
-def _wall_with_recesses(x0, x1, y, recesses, depth):
+def _wall_with_recesses(x0, x1, y, starts, width, depth):
     """Horizontal wall from (x0,y) to (x1,y) with rectangular door recesses.
 
-    `recesses` is a list of (start, width) along x; `depth` is signed (the
-    recess pocket opens away from the room interior).
+    `starts` are the recesses' ascending starts along x, each `width` wide;
+    `depth` is signed (the recess pocket opens away from the room interior).
     """
     segs = []
     cursor = x0
-    for start, width in sorted(recesses):
+    for start in starts:
         start = max(start, cursor)
         end = min(start + width, x1)
         if end <= start:
             continue
-        segs.append([cursor, y, start, y])
-        segs.append([start, y, start, y + depth])
-        segs.append([start, y + depth, end, y + depth])
-        segs.append([end, y + depth, end, y])
+        segs += (cursor, y, start, y, start, y, start, y + depth)
+        segs += (start, y + depth, end, y + depth, end, y + depth, end, y)
         cursor = end
-    segs.append([cursor, y, x1, y])
+    segs += (cursor, y, x1, y)
     return segs
 
 
+# Each grammar returns its segments as flat x1,y1,x2,y2 coordinates, then
+# its obstacles and its spawn region.
 def _corridor(rng: np.random.Generator):
     width = rng.uniform(1.5, 3.0)
     length = rng.uniform(10.0, 40.0)
     depth = 0.15
-    segs = [
-        [0.0, 0.0, 0.0, width],
-        [length, 0.0, length, width],
-    ]
+    segs = [0.0, 0.0, 0.0, width, length, 0.0, length, width]
     for y, sign in ((0.0, -1.0), (width, 1.0)):
-        n_doors = rng.integers(1, 4)
-        recesses = [
-            (rng.uniform(0.5, length - 1.5), 0.9) for _ in range(n_doors)
-        ]
-        segs.extend(_wall_with_recesses(0.0, length, y, recesses, sign * depth))
+        # n uniform draws in one call: the doubles of n scalar calls
+        starts = rng.uniform(0.5, length - 1.5, rng.integers(1, 4)).tolist()
+        segs += _wall_with_recesses(0.0, length, y, sorted(starts), 0.9, sign * depth)
     spawn = (length * 0.3, width * 0.35, length * 0.7, width * 0.65)
     return segs, (), spawn
 
@@ -169,16 +160,16 @@ def _staircase(rng: np.random.Generator):
     step = 0
     while y <= landing + run:
         if step % 2 == 0:
-            segs.append([0.0, y, width * 0.55, y])
+            segs += (0.0, y, width * 0.55, y)
         else:
-            segs.append([width * 0.45, y, width, y])
+            segs += (width * 0.45, y, width, y)
         y += tread
         step += 1
     # handrail posts flanking the step run
     for x in (0.12, width - 0.12):
         py = landing
         while py <= landing + run:
-            segs.append([x - 0.02, py, x + 0.02, py])
+            segs += (x - 0.02, py, x + 0.02, py)
             py += 0.6
     obstacles = ((0.0, landing - 0.1, width, length),)
     spawn = (0.25, 0.4, width - 0.25, landing - 0.35)
@@ -193,7 +184,7 @@ def _restroom(rng: np.random.Generator):
     # stall partitions hang from the top wall at ~1.2 m pitch
     x = rng.uniform(0.2, 0.5)
     while x < sx - 0.4:
-        segs.append([x, sy, x, sy - stall_depth])
+        segs += (x, sy, x, sy - stall_depth)
         x += 1.2
     # wall-mounted sink boxes along the bottom wall
     n_sinks = rng.integers(1, 4)
@@ -201,13 +192,8 @@ def _restroom(rng: np.random.Generator):
     for _ in range(n_sinks):
         if sink_x + 0.6 > sx - 0.2:
             break
-        segs.extend(
-            [
-                [sink_x, 0.0, sink_x, 0.45],
-                [sink_x, 0.45, sink_x + 0.6, 0.45],
-                [sink_x + 0.6, 0.45, sink_x + 0.6, 0.0],
-            ]
-        )
+        segs += (sink_x, 0.0, sink_x, 0.45, sink_x, 0.45, sink_x + 0.6, 0.45)
+        segs += (sink_x + 0.6, 0.45, sink_x + 0.6, 0.0)
         sink_x += rng.uniform(0.8, 1.4)
     obstacles = ((0.0, sy - stall_depth - 0.1, sx, sy), (0.0, 0.0, sx, 0.55))
     spawn = (sx * 0.35, max(0.8, (sy - stall_depth) * 0.35), sx * 0.65, (sy - stall_depth) * 0.65)
@@ -219,13 +205,14 @@ def _shared_space(rng: np.random.Generator):
     sy = rng.uniform(10.0, 20.0)
     segs = _rect(0.0, 0.0, sx, sy)
     obstacles = []
-    n_clusters = rng.integers(5, 16)
-    for _ in range(n_clusters):
-        w = rng.uniform(0.5, 2.0)
-        h = rng.uniform(0.5, 2.0)
-        x0 = rng.uniform(0.5, sx - w - 0.5)
-        y0 = rng.uniform(0.5, sy - h - 0.5)
-        segs.extend(_rect(x0, y0, x0 + w, y0 + h))
+    # each cluster's w, h, x0 and y0 in turn, from one array of draws, as
+    # numpy's uniform(a, b) draws them: a + (b - a) * random()
+    for uw, uh, ux, uy in rng.random((rng.integers(5, 16), 4)).tolist():
+        w = 0.5 + 1.5 * uw
+        h = 0.5 + 1.5 * uh
+        x0 = 0.5 + ((sx - w - 0.5) - 0.5) * ux
+        y0 = 0.5 + ((sy - h - 0.5) - 0.5) * uy
+        segs += _rect(x0, y0, x0 + w, y0 + h)
         obstacles.append((x0, y0, x0 + w, y0 + h))
     spawn = (sx * 0.35, sy * 0.35, sx * 0.65, sy * 0.65)
     return segs, tuple(obstacles), spawn
@@ -242,10 +229,9 @@ _GRAMMARS = {
 def generate_scene(label: ClassLabel, rng: np.random.Generator) -> Scene:
     """Draw one scene from the class grammar; all randomness comes from rng."""
     segs, obstacles, spawn = _GRAMMARS[label](rng)
-    segments = np.asarray(segs, dtype=np.float64)
-    xs = np.concatenate([segments[:, 0], segments[:, 2]])
-    ys = np.concatenate([segments[:, 1], segments[:, 3]])
-    extent = (float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+    segments = np.asarray(segs, dtype=np.float64).reshape(-1, 4)
+    lo, hi = segments.min(axis=0).tolist(), segments.max(axis=0).tolist()
+    extent = (min(lo[0], lo[2]), min(lo[1], lo[3]), max(hi[0], hi[2]), max(hi[1], hi[3]))
     return Scene(
         segments=segments,
         label=label,
@@ -435,7 +421,7 @@ def sample_pose(scene: Scene, rng: np.random.Generator) -> SensorPose:
     heading = rng.integers(0, 4) * (math.pi / 2.0) + rng.uniform(
         -math.pi / 90.0, math.pi / 90.0
     )
-    height = float(rng.choice(HEIGHT_STEPS_M))
+    height = HEIGHT_STEPS_M[rng.integers(0, 4)]
     return SensorPose(x=x, y=y, heading=heading, height_m=height)
 
 
@@ -475,8 +461,14 @@ def generate_dataset(config: SimConfig) -> Dataset:
     heights = np.empty(total)
     segments_of: list[np.ndarray] = []
     poses = np.empty((total, 3))  # x, y, heading
+    # the entropy SeedSequence makes of [seed, i]: the seed's little-endian
+    # 32-bit words, then i; each generator mixes it in when it is made, so
+    # one buffer serves every row
+    words = range(0, max(config.seed.bit_length(), 1), 32)
+    entropy = np.array([(config.seed >> b) & 0xFFFFFFFF for b in words] + [0], dtype=np.uint32)
     for i, label in enumerate(y.tolist()):
-        rng = np.random.default_rng([config.seed, i])
+        entropy[-1] = i
+        rng = np.random.default_rng(entropy)
         scene = generate_scene(ClassLabel(label), rng)
         pose = sample_pose(scene, rng)
         _check_pose(scene, pose)

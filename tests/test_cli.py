@@ -469,6 +469,33 @@ class TestPaths:
         assert "error: [Errno 17] File exists" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "crossval"])
+    def test_out_is_refused_before_any_work(self, tiny_csv, tmp_path, capsys, monkeypatch,
+                                            command):
+        def work(*args, **kwargs):
+            pytest.fail(f"{command} did work before refusing its --out")
+
+        monkeypatch.setattr("placescan.cli.generate_dataset", work)
+        monkeypatch.setattr("placescan.classifiers.train", work)
+        monkeypatch.setattr("placescan.cli.run_experiment", work)
+        out = tmp_path / "out"
+        if command == "crossval":
+            out.write_text("kept\n")
+        else:
+            out.mkdir()
+        args = {"simulate": ["--per-class", "1"],
+                "train": ["--model", "cnn", "--data", str(tiny_csv)],
+                "crossval": ["--model", "all", "--data", str(tiny_csv)]}[command]
+        assert run([command, *args, "--out", str(out)]) == 2
+        assert repr(str(out)) in capsys.readouterr().err
+
+    def test_failed_write_names_the_given_path(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.csv"
+        assert run(["simulate", "--per-class", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] ") and repr(str(out)) in err
+        assert ".tmp" not in err and list(tmp_path.rglob("*.tmp")) == []
+
     def test_unreadable_inputs(self, tiny_csv, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert run(["train", "--model", "logreg", "--data", str(tiny_csv),

@@ -26,7 +26,7 @@ from placescan.evaluate import (
     summarize_folds,
 )
 from placescan.features import fit_and_transform
-from placescan.reporting import accuracy_csv, pr_curves_svg, render_report
+from placescan.reporting import accuracy_csv, atomic_write_text, pr_curves_svg, render_report
 
 
 @st.composite
@@ -463,6 +463,15 @@ class TestReporting:
         assert names == ["accuracy.csv", "pr_logreg.svg", "report.json"]
         loaded = json.loads((tmp_path / "report.json").read_text())
         assert loaded == small_report.to_dict()
+
+    @pytest.mark.parametrize("target", ["a_directory", "missing/file.txt"])
+    def test_failed_write_names_the_path_and_leaves_no_temp_file(self, tmp_path, target):
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / target
+        with pytest.raises(OSError) as raised:
+            atomic_write_text(path, "text\n")
+        assert raised.value.filename == str(path) and ".tmp" not in str(raised.value)
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_accuracy_csv_round_trips_floats(self, small_report):
         text = accuracy_csv(small_report)

@@ -424,6 +424,51 @@ class TestFallbackSpot:
             sample_pose(scene, np.random.default_rng(0))
 
 
+def scalar_shared_space(rng):
+    """The shared-space grammar as four scalar uniform draws per cluster."""
+    def rect(x0, y0, x1, y1):
+        return [[x0, y0, x1, y0], [x1, y0, x1, y1], [x1, y1, x0, y1], [x0, y1, x0, y0]]
+
+    sx = rng.uniform(10.0, 20.0)
+    sy = rng.uniform(10.0, 20.0)
+    segs = rect(0.0, 0.0, sx, sy)
+    obstacles = []
+    for _ in range(rng.integers(5, 16)):
+        w = rng.uniform(0.5, 2.0)
+        h = rng.uniform(0.5, 2.0)
+        x0 = rng.uniform(0.5, sx - w - 0.5)
+        y0 = rng.uniform(0.5, sy - h - 0.5)
+        segs.extend(rect(x0, y0, x0 + w, y0 + h))
+        obstacles.append((x0, y0, x0 + w, y0 + h))
+    return np.array(segs), tuple(obstacles), (sx * 0.35, sy * 0.35, sx * 0.65, sy * 0.65)
+
+
+class TestDrawsKept:
+    def test_shared_space_equals_the_scalar_draws(self):
+        for k in range(500):
+            rng, oracle = np.random.default_rng([77, k]), np.random.default_rng([77, k])
+            scene = generate_scene(ClassLabel.shared_space, rng)
+            segments, obstacles, spawn = scalar_shared_space(oracle)
+            assert scene.segments.tobytes() == segments.tobytes()
+            assert (scene.obstacles, scene.spawn_region) == (obstacles, spawn)
+            assert rng.random() == oracle.random()
+
+    def test_height_equals_a_choice_of_the_steps(self):
+        scene = _square_room()  # its whole spawn region is free: one draw of x and y
+        x0, y0, x1, y1 = scene.spawn_region
+        heights = []
+        for k in range(300):
+            rng, oracle = np.random.default_rng([78, k]), np.random.default_rng([78, k])
+            pose = sample_pose(scene, rng)
+            x, y = oracle.uniform(x0, x1), oracle.uniform(y0, y1)
+            heading = oracle.integers(0, 4) * (math.pi / 2.0) + oracle.uniform(
+                -math.pi / 90.0, math.pi / 90.0)
+            expected = SensorPose(x, y, heading, float(oracle.choice(simulate.HEIGHT_STEPS_M)))
+            assert pose == expected and rng.random() == oracle.random()
+            heights.append(pose.height_m)
+        assert set(heights) == set(simulate.HEIGHT_STEPS_M)
+
+
 def scalar_dataset(config):
     """The per-row composition generate_dataset must reproduce: substream
     (seed, i), then generate_scene, sample_pose and simulate_scan."""
@@ -452,6 +497,12 @@ class TestBlockCasting:
     def test_equals_row_by_row_simulation(self, per_class, noise):
         config = SimConfig.uniform(per_class, seed=per_class + 30,
                                    noise_sigma=0.01 if noise else 0.0)
+        assert_same_bytes(generate_dataset(config), scalar_dataset(config))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3])
+    def test_seeds_of_several_words_key_the_same_substreams(self, seed):
+        # a seed of 2**32 or more is more than one 32-bit word of entropy
+        config = SimConfig.uniform(3, seed=seed)
         assert_same_bytes(generate_dataset(config), scalar_dataset(config))
 
     @pytest.mark.parametrize("budget", [1, NUM_BEAMS * 60, CAST_BLOCK_ELEMENTS, 2**20])
