@@ -61,13 +61,12 @@ class AdaBoostModel:
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         classes = self.stumps.leaf_classes(X)
-        # a running sum adds the alphas in stump order, as boosting made
-        # them; the leading zero ballot scores a model without stumps
-        ballots = np.zeros((classes.shape[0], len(self.stumps) + 1, NUM_CLASSES))
-        ballots[:, 1:] = np.where(
-            classes[:, :, None] == np.arange(NUM_CLASSES), self.alphas[:, None], 0.0
-        )
-        return np.cumsum(ballots, axis=1)[:, -1]
+        rows = classes.shape[0]
+        # bincount adds each (row, class) key's alphas one at a time from
+        # +0.0, in stump order as boosting made them; no stumps scores zeros
+        keys = np.arange(0, rows * NUM_CLASSES, NUM_CLASSES)[:, None] + classes
+        votes = np.bincount(keys.ravel(), np.tile(self.alphas, rows), rows * NUM_CLASSES)
+        return votes.reshape(rows, NUM_CLASSES)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.scores(X))

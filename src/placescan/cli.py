@@ -135,8 +135,12 @@ def _read_scan(path: str):
                 if line.rstrip("\r\n"):
                     break
             return validate_scan(parse_dataset(io.StringIO(head)).X[0])
-    values = [float(v) for v in first.strip().split(",") if v != ""]
-    return validate_scan(values)
+    fields = first.strip().split(",")
+    if len(fields) > 1 and fields[-1] == "":
+        fields.pop()  # a trailing comma
+    if "" in fields:
+        raise ValueError(f"scan field {fields.index('') + 1} is empty")
+    return validate_scan([float(v) for v in fields])
 
 
 def _cmd_predict(args) -> int:

@@ -121,6 +121,25 @@ class TestAdaboostModel:
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(proba >= 0)
 
+    @pytest.mark.parametrize("rounds", [0, 1, 25])
+    def test_scores_equal_a_running_sum_of_ballots(self, rounds):
+        rng = np.random.default_rng(rounds)
+        X = rng.normal(size=(60, 4))
+        if rounds:
+            stumps = train_adaboost(X, rng.integers(0, 4, size=60), rounds=rounds).stumps
+        else:
+            stumps = TreeArrays.concatenate([])
+        # alphas spread over magnitudes, so that the order of addition shows
+        alphas = rng.uniform(0.0, 1.0, len(stumps)) * 10.0 ** rng.integers(-8, 8, len(stumps))
+        model = AdaBoostModel(stumps=stumps, alphas=alphas)
+        for rows in (X, X[:1]):
+            classes = stumps.leaf_classes(rows)
+            ballots = np.zeros((len(rows), len(stumps) + 1, NUM_CLASSES))
+            ballots[:, 1:] = np.where(
+                classes[:, :, None] == np.arange(NUM_CLASSES), alphas[:, None], 0.0
+            )
+            assert np.array_equal(model.scores(rows), np.cumsum(ballots, axis=1)[:, -1])
+
     def test_boosting_drives_down_two_class_training_error(self):
         # a single stump tops out well below 0.9 here; boosting must combine
         rng = np.random.default_rng(2)

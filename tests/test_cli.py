@@ -113,6 +113,24 @@ class TestTrainPredict:
                     "--scan", str(scan_path)]) == 0
         json.loads(capsys.readouterr().out)
 
+    def test_bare_scan_line_with_an_empty_field_is_data_error(self, tiny_csv, tmp_path,
+                                                               capsys):
+        # 272 fields with the 4th empty: dropping it would shift beams 4-271
+        model_path = tmp_path / "model.json"
+        run(["train", "--model", "logreg", "--data", str(tiny_csv),
+             "--seed", "21", "--out", str(model_path)])
+        distances = tiny_csv.read_text().splitlines()[1].split(",")[2:]
+        scan_path = tmp_path / "scan.csv"
+        cases = [(distances + [""], 0, ""),  # a trailing comma
+                 (distances[:3] + [""] + distances[3:], 2, "scan field 4 is empty"),
+                 (distances + ["", ""], 2, "scan field 272 is empty")]
+        for fields, code, message in cases:
+            scan_path.write_text(",".join(fields) + "\n")
+            capsys.readouterr()
+            assert run(["predict", "--model", str(model_path),
+                        "--scan", str(scan_path)]) == code
+            assert message in capsys.readouterr().err
+
     def test_predict_reads_only_the_first_row(self, tiny_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         run(["train", "--model", "logreg", "--data", str(tiny_csv),

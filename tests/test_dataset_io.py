@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from hypothesis.extra import numpy as hnp
 
 from placescan import dataset_io
 from placescan.classifiers import dataset_fingerprint
-from placescan.core import LABEL_NAMES, NUM_BEAMS, NUM_CLASSES, ClassLabel, Dataset
+from placescan.core import (
+    LABEL_NAMES,
+    NUM_BEAMS,
+    NUM_CLASSES,
+    ClassLabel,
+    Dataset,
+    beam_rows,
+)
 from placescan.dataset_io import parse_dataset, summarize, write_dataset
 from placescan.errors import EmptyDatasetError, RowError, SchemaError
 from placescan.simulate import SimConfig, generate_dataset
@@ -42,6 +50,23 @@ _distances = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 45.0]),
 )
 _heights = st.integers(0, 100_000).map(lambda k: k / 10_000)
+
+# Distance fields as text that float() reads: grid values, exponent forms
+# and inf/nan spellings, signed and padded with spaces or tabs.
+_distance_tokens = st.builds(
+    lambda pad, sign, body, end: pad + sign + body + end,
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(
+        st.integers(0, 400_000).map(lambda k: "%.4f" % (k / 10_000)),
+        st.tuples(st.integers(0, 99_999), st.sampled_from("eE"), st.integers(-330, 330)).map(
+            lambda t: f"{t[0] / 1000}{t[1]}{t[2]:+d}"
+        ),
+        st.floats(min_value=0.0).map(repr),
+        st.sampled_from(["inf", "Inf", "INFINITY", "infinity", "nan", "NaN", "NAN", ".5", "5."]),
+    ),
+    st.sampled_from(["", " ", "\t", "  "]),
+)
 
 
 @st.composite
@@ -122,6 +147,87 @@ class TestParse:
         text = HEADER + "\n" + "corridor,1.0,5.0\n"
         with pytest.raises(RowError, match="fields"):
             parse_dataset(io.StringIO(text))
+
+
+def _grid_csv(grid):
+    """A CSV, with heights, whose distance fields are the strings of `grid`."""
+    return HEADER + "\n" + "".join("corridor,1.0," + ",".join(row) + "\n" for row in grid)
+
+
+def _float_oracle(grid):
+    """`float()` of every field of `grid`, imputed."""
+    return beam_rows([[float(v) for v in row] for row in grid], 2)
+
+
+@pytest.fixture
+def loadtxt_blocks(monkeypatch):
+    """The number of lines of each block that parse_dataset hands numpy."""
+    sizes = []
+    loadtxt = np.loadtxt
+
+    def counting(texts, *args, **kwargs):
+        sizes.append(len(texts))
+        return loadtxt(texts, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_io.np, "loadtxt", counting)
+    return sizes
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+    def test_matches_float_per_field(self, rows, loadtxt_blocks):
+        rng = np.random.default_rng(rows)
+        grid = [["%.4f" % v for v in row] for row in rng.uniform(-1.0, 40.0, (rows, NUM_BEAMS))]
+        ds = parse_dataset(io.StringIO(_grid_csv(grid)))
+        assert np.array_equal(ds.X, _float_oracle(grid))
+        full, rest = divmod(rows, dataset_io._PARSE_ROWS)
+        assert loadtxt_blocks == [dataset_io._PARSE_ROWS] * full + ([rest] if rest else [])
+
+    # tokens that only float() reads, and others that numpy reads alike
+    @pytest.mark.parametrize("token, value", [
+        ("1_0.5", 10.5), ("\u0665.0", 5.0), (" 5.0", 5.0), ("5.0\t", 5.0),
+        ("Infinity", 30.0), ("-nan", 30.0), ("5.0\r", 5.0), ("\xa05.0", 5.0),
+    ])
+    def test_token_in_row_70_reads_as_float_does(self, token, value):
+        grid = [["12.5"] * NUM_BEAMS for _ in range(130)]
+        grid[69][0] = token
+        ds = parse_dataset(io.StringIO(_grid_csv(grid)))
+        assert np.array_equal(ds.X, _float_oracle(grid))
+        assert ds.X[69, 0] == value
+
+    @pytest.mark.parametrize("token", ["oops", "", "5.0\x1c", "\x1f5.0", "5\r0"])
+    def test_bad_token_in_row_70_names_line_71(self, token):
+        grid = [["12.5"] * NUM_BEAMS for _ in range(130)]
+        grid[69][0] = token
+        with pytest.raises(RowError, match="line 71: unparseable distance"):
+            parse_dataset(io.StringIO(_grid_csv(grid)))
+
+    def test_first_faulty_line_is_reported(self):
+        # a bad distance in a block not yet read, then a bad label
+        text = (HEADER + "\n" + _row() + "\n" + _row(value="oops") + "\n"
+                + _row(label="lobby") + "\n")
+        with pytest.raises(RowError, match="line 3: unparseable distance"):
+            parse_dataset(io.StringIO(text))
+
+    def test_header_only_never_reads_an_empty_block(self, loadtxt_blocks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyDatasetError):
+                parse_dataset(io.StringIO(HEADER + "\n\n"))
+        assert loadtxt_blocks == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_distance_tokens, min_size=1, max_size=12),
+        st.integers(1, 140),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_float_on_drawn_tokens(self, tokens, rows, seed):
+        # the tokens fill the rows in a seeded order, so blocks mix them
+        picks = np.random.default_rng(seed).integers(0, len(tokens), (rows, NUM_BEAMS))
+        grid = [[tokens[k] for k in row] for row in picks.tolist()]
+        ds = parse_dataset(io.StringIO(_grid_csv(grid)))
+        assert np.array_equal(ds.X, _float_oracle(grid))
 
 
 class TestWrite:
