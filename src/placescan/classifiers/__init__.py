@@ -265,5 +265,5 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return model_from_json(fh.read())

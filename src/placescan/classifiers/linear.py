@@ -20,16 +20,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
+    """(mean cross-entropy over the batch, by log-sum-exp, its gradient wrt the logits)."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    loss = -np.sum(onehot * (z - np.log(total))) / n
+    return float(loss), (e / total - onehot) / n
+
+
 def logreg_loss_grad(W, b, X, Y, l2):
     """Mean cross-entropy plus (l2/2)||W||^2 and its exact gradient."""
-    n = X.shape[0]
-    P = softmax(X @ W + b)
-    eps = 1e-300
-    loss = -np.sum(Y * np.log(np.maximum(P, eps))) / n + 0.5 * l2 * np.sum(W * W)
-    D = (P - Y) / n
-    gW = X.T @ D + l2 * W
-    gb = D.sum(axis=0)
-    return float(loss), gW, gb
+    loss, D = softmax_cross_entropy(X @ W + b, Y)
+    return loss + 0.5 * l2 * float(np.sum(W * W)), X.T @ D + l2 * W, D.sum(axis=0)
 
 
 @dataclass

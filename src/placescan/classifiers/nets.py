@@ -33,7 +33,7 @@ import numpy as np
 from ..core import NUM_CLASSES, Float64s
 from ..errors import DimensionError
 from ..hyperparams import COUNT, RATE, Count, Positive, Rate, Seed, checked
-from .linear import softmax
+from .linear import softmax, softmax_cross_entropy
 
 
 class Dense:
@@ -169,16 +169,6 @@ class Flatten:
         B, L, C = x.shape
         return (x.transpose(0, 2, 1).reshape(B, C * L),
                 lambda dy: dy.reshape(B, C, L).transpose(0, 2, 1))
-
-
-def softmax_cross_entropy(logits: np.ndarray, onehot: np.ndarray):
-    """(mean cross-entropy over the batch, its gradient wrt the logits)."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    loss = -np.sum(onehot * (z - np.log(e.sum(axis=1, keepdims=True)))) / n
-    return float(loss), (p - onehot) / n
 
 
 def _dense_stack(n_in: int, name: str, widths, dropout_after, dropout_rate) -> list:

@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
 
 
 def _load_dataset(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_dataset(fh)
 
 
@@ -120,13 +120,16 @@ def _cmd_train(args) -> int:
     model = classifiers.train(spec, dataset)
     atomic_write_text(args.out, model_to_json(model))
     print(f"trained {args.model} on {len(dataset)} rows -> {args.out}", file=sys.stderr)
+    if not model.metadata["converged"]:
+        print(f"note: {args.model} stopped at its iteration cap without converging",
+              file=sys.stderr)
     return EXIT_OK
 
 
 def _read_scan(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline()
-        if first.split(",")[0].strip().lstrip("﻿") == "label":
+        if first.split(",")[0].strip() == "label":
             # only the header and the first data row are read; blank lines
             # before it are kept so that errors name the right line
             head = first

@@ -101,17 +101,32 @@ class TestTrainPredict:
         assert set(proba) == set(LABEL_NAMES)
         assert abs(sum(proba.values()) - 1.0) < 1e-9
 
+    def test_train_notes_an_unconverged_model(self, tmp_path, capsys):
+        data, out = tmp_path / "data.csv", tmp_path / "model.json"
+        assert run(["simulate", "--per-class", "10", "--seed", "1", "--out", str(data)]) == 0
+        for variant, noted in (("logreg", True), ("rf", False)):
+            capsys.readouterr()
+            assert run(["train", "--model", variant, "--data", str(data),
+                        "--out", str(out)]) == 0
+            err = capsys.readouterr().err
+            note = f"note: {variant} stopped at its iteration cap without converging"
+            assert (note in err) is noted
+            assert ("note:" in err) is noted
+
     def test_predict_accepts_bare_scan_line(self, tiny_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         run(["train", "--model", "logreg", "--data", str(tiny_csv),
              "--seed", "21", "--out", str(model_path)])
         line = tiny_csv.read_text().splitlines()[1]
         scan_path = tmp_path / "scan.csv"
-        scan_path.write_text(",".join(line.split(",")[2:]) + "\n")
-        capsys.readouterr()
-        assert run(["predict", "--model", str(model_path),
-                    "--scan", str(scan_path)]) == 0
-        json.loads(capsys.readouterr().out)
+        outputs = []
+        for bom in ("", "\ufeff"):  # a leading byte-order mark reads the same
+            scan_path.write_text(bom + ",".join(line.split(",")[2:]) + "\n")
+            capsys.readouterr()
+            assert run(["predict", "--model", str(model_path),
+                        "--scan", str(scan_path)]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_bare_scan_line_with_an_empty_field_is_data_error(self, tiny_csv, tmp_path,
                                                                capsys):
@@ -130,6 +145,18 @@ class TestTrainPredict:
             assert run(["predict", "--model", str(model_path),
                         "--scan", str(scan_path)]) == code
             assert message in capsys.readouterr().err
+
+    def test_bom_model_file_loads(self, tiny_csv, tmp_path, capsys):
+        plain, bom = tmp_path / "model.json", tmp_path / "bom.json"
+        run(["train", "--model", "logreg", "--data", str(tiny_csv),
+             "--seed", "21", "--out", str(plain)])
+        bom.write_text("\ufeff" + plain.read_text())
+        outputs = []
+        for path in (plain, bom):
+            capsys.readouterr()
+            assert run(["predict", "--model", str(path), "--scan", str(tiny_csv)]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_predict_reads_only_the_first_row(self, tiny_csv, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -151,6 +178,7 @@ class TestTrainPredict:
                     "--scan", str(broken_path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
     def test_non_finite_probabilities_are_data_error(self, tiny_csv, tmp_path, capsys):
         # a finite but huge gamma overflows the svm kernel to inf, and the
         # decision values to NaN
@@ -414,6 +442,7 @@ def replaced(node, path, value):
 
 
 class TestModelFileFuzz:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # odd values overflow kernels
     def test_odd_values_exit_0_or_2(self, tiny_csv, tmp_path, capsys, monkeypatch):
         # narrow networks: their files have the fields of full-width ones,
         # but each predict reads kilobytes instead of megabytes

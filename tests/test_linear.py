@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from placescan.classifiers import nets
 from placescan.classifiers.linear import (
     LogRegModel,
     logreg_loss_grad,
     softmax,
+    softmax_cross_entropy,
     train_logreg,
 )
 from placescan.core import pack, restore, stored
@@ -66,6 +68,23 @@ class TestLossGrad:
         scale = max(np.abs(nW).max(), np.abs(nb).max(), 1.0)
         assert np.abs(gW - nW).max() / scale <= 1e-6
         assert np.abs(gb - nb).max() / scale <= 1e-6
+
+    def test_underflowed_true_class_costs_its_full_log_loss(self):
+        # the true class's logit sits 1000 below class 1's, so its probability
+        # underflows to 0; a clamp at 1e-300 would cap the loss at 690.8
+        X = np.array([[1.0, 2.0]])
+        W = np.array([[0.0, 400.0, 0.0, 1.0], [0.0, 300.0, 0.0, -1.0]])
+        b = np.zeros(4)
+        Y = np.eye(4)[[0]]
+        l2 = 1e-3
+        loss, gW, gb = logreg_loss_grad(W, b, X, Y, l2)
+        assert loss == pytest.approx(1000.0 + 0.5 * l2 * np.sum(W * W), rel=1e-12)
+        D = (softmax(X @ W + b) - Y) / X.shape[0]
+        assert np.array_equal(gW, X.T @ D + l2 * W)
+        assert np.array_equal(gb, D.sum(axis=0))
+
+    def test_networks_share_the_kernel(self):
+        assert nets.softmax_cross_entropy is softmax_cross_entropy
 
 
 class TestTrainLogreg:
