@@ -8,7 +8,6 @@ simulator provides reproducible synthetic datasets and a geometric oracle.
 from .core import (
     ClassLabel,
     Dataset,
-    Scan,
     label_codec,
     validate_scan,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Dataset",
     "FeatureTransformer",
     "ModelSpec",
-    "Scan",
     "SimConfig",
     "TrainedModel",
     "fit_feature_transformer",

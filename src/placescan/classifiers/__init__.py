@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import blas
-from ..core import NUM_BEAMS, ClassLabel, Dataset, Scan, pack, restore, stored
+from ..core import NUM_BEAMS, ClassLabel, Dataset, beam_rows, pack, restore, stored
 from ..dataset_io import write_dataset
 from ..errors import DegenerateTrainingError, DimensionError
 from ..features import FeatureTransformer, fit_and_transform
@@ -140,12 +140,13 @@ def train(spec: ModelSpec, data: Dataset) -> TrainedModel:
     )
 
 
-def predict_proba(model: TrainedModel, scan: Scan) -> np.ndarray:
-    """4-vector of class probabilities for one scan (canonical class order)."""
-    return model.predict_proba_matrix(scan.ranges)[0]
+def predict_proba(model: TrainedModel, scan) -> np.ndarray:
+    """4-vector of class probabilities for one raw 271-beam row (canonical
+    class order), imputed and checked by `core.beam_rows`."""
+    return model.predict_proba_matrix(beam_rows(scan, 1))[0]
 
 
-def predict_label(model: TrainedModel, scan: Scan) -> ClassLabel:
+def predict_label(model: TrainedModel, scan) -> ClassLabel:
     """Argmax of predict_proba; exact ties go to the lowest class index."""
     return ClassLabel(int(np.argmax(predict_proba(model, scan))))
 

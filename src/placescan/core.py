@@ -1,9 +1,9 @@
 """Domain types for labeled 2D range slices.
 
-A scan is a single horizontal slice of an indoor space: 271 beam distances
-covering 270 degrees at 1 degree pitch (beam k points at -135 + k degrees
-relative to the sensor heading). Distances are meters, clipped to the
-sensor envelope [0.001, 30.0].
+A scan is a single horizontal slice of an indoor space, held as a float64
+array of 271 beam distances covering 270 degrees at 1 degree pitch (beam k
+points at -135 + k degrees relative to the sensor heading). Distances are
+meters, clipped to the sensor envelope [0.001, 30.0].
 """
 from __future__ import annotations
 
@@ -62,33 +62,6 @@ def label_codec(value) -> ClassLabel:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Scan:
-    """One 271-beam range slice, imputed and checked by `beam_rows`.
-    `height_m` is capture-height metadata only: None, or finite and >= 0."""
-
-    ranges: np.ndarray
-    height_m: Optional[float] = None
-
-    def __post_init__(self):
-        # a copy, so the caller's array is neither imputed nor frozen
-        ranges = beam_rows(self.ranges, 1)
-        ranges.setflags(write=False)
-        object.__setattr__(self, "ranges", ranges)
-        height_m = None if self.height_m is None else float(self.height_m)
-        if height_m is not None and not 0 <= height_m < math.inf:
-            raise ValueError(f"height_m must be finite and non-negative, got {height_m}")
-        object.__setattr__(self, "height_m", height_m)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scan):
-            return NotImplemented
-        return (
-            np.array_equal(self.ranges, other.ranges)
-            and self.height_m == other.height_m
-        )
-
-
 def beam_rows(raw, ndim: int, copy: bool = True) -> np.ndarray:
     """Raw beam distances as an `ndim`-D (1: one scan, 2: rows of scans)
     float64 array of 271-beam rows, imputed into the sensor envelope:
@@ -137,9 +110,12 @@ def training_rows(owner: str, X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, class_indices(y)
 
 
-def validate_scan(raw: Sequence[float], height_m: Optional[float] = None) -> Scan:
-    """Build a valid Scan from one row of raw beam distances (`beam_rows`)."""
-    return Scan(raw, height_m)
+def validate_scan(raw: Sequence[float]) -> np.ndarray:
+    """One row of raw beam distances as a read-only float64 copy of 271
+    beams, imputed by `beam_rows`; the caller's array is left unchanged."""
+    scan = beam_rows(raw, 1)
+    scan.setflags(write=False)
+    return scan
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ from . import blas
 from .classifiers import ModelSpec, dataset_fingerprint, train
 from .core import NUM_CLASSES, ClassLabel, Dataset, class_indices
 from .errors import StratificationError, UndefinedCurveError
+from .hyperparams import SEED
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
     labels = class_indices(labels)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
         raise ValueError(f"k must be an integer of at least 2, got {k!r}")
+    SEED.check("seed", seed)
     rng = np.random.default_rng([seed, 101])
     fold_of_row = np.full(labels.shape[0], -1, dtype=np.int64)
     for c in np.unique(labels):
@@ -140,6 +142,7 @@ class VariantResult:
     std: float
     per_class: list[ClassCurve]
     confusion: np.ndarray  # rows true, columns predicted, pooled out-of-fold
+    converged: list[bool]  # per fold, the model's metadata["converged"]
 
 
 @dataclass
@@ -160,6 +163,7 @@ class Report:
                 {
                     "name": v.name,
                     "folds": v.fold_accuracies,
+                    "converged": v.converged,
                     "mean": v.mean,
                     "std": v.std,
                     "per_class": [
@@ -198,6 +202,7 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
     X_raw, y = dataset.X, dataset.y
     tests = [folds.test_indices(fold) for fold in range(folds.k)]
     oof = np.zeros((len(specs), len(dataset), NUM_CLASSES))
+    converged = [[] for _ in specs]
     # lane order: caller-lane specs last, and the calling thread owns the tail
     order = sorted(range(len(specs)), key=lambda i: specs[i].variant in _CALLER_LANE)
     owned = max(1, sum(spec.variant in _CALLER_LANE for spec in specs))
@@ -222,9 +227,10 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
                     future.cancel()
             for i in range(len(specs)):
                 oof[i, test_idx] = models[i].predict_proba_matrix(X_raw[test_idx])
+                converged[i].append(models[i].metadata["converged"])
             del models, futures
     results = []
-    for spec, scores in zip(specs, oof):
+    for spec, scores, flags in zip(specs, oof, converged):
         predicted = scores.argmax(axis=1)
         accuracies = [accuracy(predicted[test_idx], y[test_idx]) for test_idx in tests]
         # every row is in exactly one test fold, so one count over the pooled
@@ -235,7 +241,7 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
                      for label, curve in zip(ClassLabel, curves)]
         results.append(VariantResult(
             spec.variant, accuracies, *summarize_folds(accuracies), per_class,
-            confusion.reshape(NUM_CLASSES, NUM_CLASSES),
+            confusion.reshape(NUM_CLASSES, NUM_CLASSES), flags,
         ))
     return results
 
@@ -243,9 +249,13 @@ def _cross_validate(specs: list[ModelSpec], dataset: Dataset,
 def run_experiment(variants, dataset: Dataset, k: int = 5, seed: int = 42,
                    variant_params: dict | None = None) -> Report:
     """Cross-validate distinct variants against one shared fold assignment."""
+    if isinstance(variants, str):
+        raise ValueError(f"variants must be a list of variant names, not the string {variants!r}")
     variants = list(variants)
     if not variants or len(set(variants)) != len(variants):
         raise ValueError(f"variants must be non-empty and distinct, got {variants}")
+    if not isinstance(variant_params, (dict, type(None))):
+        raise ValueError(f"variant_params must be a dict, got {variant_params!r}")
     params = variant_params or {}
     stray = sorted(set(params) - set(variants))
     if stray:

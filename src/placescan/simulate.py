@@ -33,7 +33,6 @@ from .core import (
     NUM_CLASSES,
     ClassLabel,
     Dataset,
-    Scan,
     validate_scan,
 )
 from .errors import DimensionError, InvalidPoseError
@@ -375,9 +374,10 @@ def simulate_scan(
     pose: SensorPose,
     noise_sigma: float = 0.0,
     rng: Optional[np.random.Generator] = None,
-) -> Scan:
-    """Cast all 271 beams from the pose; optional additive Gaussian range
-    noise, re-clipped to the sensor envelope."""
+) -> np.ndarray:
+    """The pose's 271 beam ranges as `validate_scan` returns them: cast from
+    the pose, plus optional additive Gaussian range noise, re-clipped to the
+    sensor envelope."""
     NON_NEGATIVE.check("noise_sigma", noise_sigma)
     _check_pose(scene, pose)
     ranges = cast_rays(
@@ -387,7 +387,7 @@ def simulate_scan(
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
         ranges = ranges + rng.normal(0.0, noise_sigma, size=NUM_BEAMS)
-    return validate_scan(ranges, height_m=pose.height_m)
+    return validate_scan(ranges)
 
 
 def _check_pose(scene: Scene, pose: SensorPose) -> None:

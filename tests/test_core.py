@@ -15,7 +15,6 @@ from placescan.core import (
     NUM_BEAMS,
     ClassLabel,
     Dataset,
-    Scan,
     label_codec,
     pack,
     unpack,
@@ -27,26 +26,25 @@ from placescan.errors import DimensionError, EmptyDatasetError, UnknownLabelErro
 class TestValidateScan:
     def test_identity_case(self):
         scan = validate_scan([5.0] * NUM_BEAMS)
-        assert np.all(scan.ranges == 5.0)
+        assert scan.shape == (NUM_BEAMS,) and np.all(scan == 5.0)
 
     def test_infinite_beam_clipped_to_max_range(self):
         raw = [5.0] * NUM_BEAMS
         raw[17] = math.inf
-        scan = validate_scan(raw)
-        assert scan.ranges[17] == MAX_RANGE_M
+        assert validate_scan(raw)[17] == MAX_RANGE_M
 
     def test_nan_beam_clipped_to_max_range(self):
         raw = [5.0] * NUM_BEAMS
         raw[0] = math.nan
-        assert validate_scan(raw).ranges[0] == MAX_RANGE_M
+        assert validate_scan(raw)[0] == MAX_RANGE_M
 
     def test_low_and_negative_values_clipped_up(self):
         raw = [5.0] * NUM_BEAMS
         raw[3] = 0.0
         raw[4] = -2.0
         scan = validate_scan(raw)
-        assert scan.ranges[3] == MIN_RANGE_M
-        assert scan.ranges[4] == MIN_RANGE_M
+        assert scan[3] == MIN_RANGE_M
+        assert scan[4] == MIN_RANGE_M
 
     def test_wrong_length_raises(self):
         with pytest.raises(DimensionError, match="271"):
@@ -71,67 +69,36 @@ class TestValidateScan:
         rng = np.random.default_rng(3)
         raw = rng.uniform(-1.0, 40.0, NUM_BEAMS)
         once = validate_scan(raw)
-        twice = validate_scan(once.ranges)
-        assert np.array_equal(once.ranges, twice.ranges)
-
-    def test_height_metadata(self):
-        scan = validate_scan([5.0] * NUM_BEAMS, height_m=2.0)
-        assert scan.height_m == 2.0
-        with pytest.raises(ValueError):
-            validate_scan([5.0] * NUM_BEAMS, height_m=-1.0)
+        twice = validate_scan(once)
+        assert np.array_equal(once, twice)
 
     def test_leaves_the_callers_array_writable_and_unchanged(self):
         raw = np.full(NUM_BEAMS, 5.0)
         raw[[0, 1]] = math.nan, -2.0
         scan = validate_scan(raw)
         assert raw.flags.writeable and math.isnan(raw[0]) and raw[1] == -2.0
-        assert not np.shares_memory(scan.ranges, raw) and not scan.ranges.flags.writeable
-        assert scan.ranges[0] == MAX_RANGE_M and scan.ranges[1] == MIN_RANGE_M
+        assert not np.shares_memory(scan, raw) and not scan.flags.writeable
+        assert scan[0] == MAX_RANGE_M and scan[1] == MIN_RANGE_M
 
-    def test_ranges_immutable(self):
+    def test_scan_immutable(self):
         scan = validate_scan([5.0] * NUM_BEAMS)
-        with pytest.raises(ValueError):
-            scan.ranges[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            scan[0] = 1.0
 
     def test_scan_freezes_a_copy_and_takes_a_list(self):
         raw = np.linspace(1.0, 2.0, NUM_BEAMS)
-        scan = Scan(raw)
-        assert raw.flags.writeable
+        scan = validate_scan(raw)
         raw[0] = 5.0
-        assert scan.ranges[0] == 1.0 and not scan.ranges.flags.writeable
-        listed = Scan([1] * NUM_BEAMS, height_m=0.5)
-        assert listed.ranges.dtype == np.float64 and not listed.ranges.flags.writeable
-        assert listed == Scan(np.ones(NUM_BEAMS), height_m=0.5)
+        assert raw.flags.writeable and scan[0] == 1.0 and not scan.flags.writeable
+        listed = validate_scan([1] * NUM_BEAMS)
+        assert listed.dtype == np.float64 and not listed.flags.writeable
+        assert np.array_equal(listed, np.ones(NUM_BEAMS))
 
-
-class TestScan:
-    def test_five_beams_raise(self):
-        with pytest.raises(DimensionError, match="271"):
-            Scan([1.0] * 5)
-
-    @pytest.mark.parametrize("height_m", [-3.0, math.nan, math.inf])
-    def test_height_that_is_not_finite_and_non_negative_raises(self, height_m):
-        with pytest.raises(ValueError, match="height_m must be finite and non-negative"):
-            Scan([1.0] * NUM_BEAMS, height_m=height_m)
-
-    def test_nan_beam_imputed_to_max_range(self):
-        raw = [5.0] * NUM_BEAMS
-        raw[7] = math.nan
-        scan = Scan(raw, height_m=2)
-        assert scan.ranges[7] == MAX_RANGE_M and scan == validate_scan(raw, 2.0)
-        assert type(scan.height_m) is float
-
-    def test_complex_row_raises(self):
-        with pytest.raises(ValueError, match="beam distances must be real numbers"):
-            Scan(np.full(NUM_BEAMS, 5.0 + 0.0j))
-
-    def test_leaves_the_callers_array_writable_and_unchanged(self):
-        raw = np.full(NUM_BEAMS, 5.0)
-        raw[[0, 1]] = math.nan, -2.0
-        scan = Scan(raw)
-        assert raw.flags.writeable and math.isnan(raw[0]) and raw[1] == -2.0
-        assert not np.shares_memory(scan.ranges, raw) and not scan.ranges.flags.writeable
-        assert scan.ranges[0] == MAX_RANGE_M and scan.ranges[1] == MIN_RANGE_M
+    def test_a_read_only_row_stays_the_callers(self):
+        # a row of a Dataset is read-only float64 already: still copied
+        data = Dataset(X=np.full((2, NUM_BEAMS), 5.0), y=[0, 1])
+        scan = validate_scan(data.X[1])
+        assert not np.shares_memory(scan, data.X) and not scan.flags.writeable
 
 
 class TestLabelCodec:
@@ -187,7 +154,7 @@ class TestDataset:
         for row, value in enumerate([np.nan, np.inf, -np.inf, -1.0]):
             X[row, [0, 100, 270]] = value
         ds = Dataset(X=X, y=np.zeros(4, dtype=np.int64))
-        expected = np.stack([validate_scan(row).ranges for row in X])
+        expected = np.stack([validate_scan(row) for row in X])
         assert np.array_equal(ds.X, expected)
 
     def test_columns_read_only_and_matrices_copied(self):

@@ -107,6 +107,12 @@ class TestStratifiedFolds:
             stratified_folds(labels, k=k, seed=0)
         assert stratified_folds(labels, k=np.int64(3), seed=0).k == 3
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5])
+    def test_seed_must_be_an_integer_of_at_least_0(self, seed):
+        labels = np.repeat([0, 1, 2, 3], 5)
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+            stratified_folds(labels, k=2, seed=seed)
+
     def test_train_and_test_partition_rows(self):
         labels = np.random.default_rng(3).integers(0, 4, size=57)
         labels[:20] = np.repeat([0, 1, 2, 3], 5)  # each class has >= k rows
@@ -256,26 +262,48 @@ class TestCrossValidate:
         ({"logreg": {"max_iter": 200}, "rf": {"trees": 5}}, "rf"),  # not run
     ])
     def test_run_experiment_rejects_stray_variant_params(
-        self, synth_small, monkeypatch, variant_params, stray
+        self, synth_small, no_training, variant_params, stray
     ):
-        def no_training(*args, **kwargs):
-            raise AssertionError("a fold was trained")
-
-        monkeypatch.setattr(evaluate, "train", no_training)
         with pytest.raises(ValueError, match=rf"variants not run: \['{stray}'\]"):
             run_experiment(["logreg"], synth_small, k=3, variant_params=variant_params)
 
     @pytest.mark.parametrize("variants", [[], ["logreg", "logreg"], ["rf", "svm", "rf"]])
     def test_run_experiment_rejects_empty_or_repeated_variants(
-        self, synth_small, monkeypatch, variants
+        self, synth_small, no_training, variants
     ):
-        def no_training(*args, **kwargs):
-            raise AssertionError("a fold was trained")
-
-        monkeypatch.setattr(evaluate, "train", no_training)
-        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", no_training)
         with pytest.raises(ValueError, match="variants must be non-empty and distinct"):
             run_experiment(variants, synth_small, k=3)
+
+    def test_run_experiment_rejects_a_string_of_variants(self, synth_small, no_training):
+        # a string is iterable, but "rf" is one variant, not 'r' and 'f'
+        with pytest.raises(ValueError, match="variants must be a list of variant names, "
+                                             "not the string 'rf'"):
+            run_experiment("rf", synth_small, k=3)
+
+    @pytest.mark.parametrize("variant_params", [[{"trees": 5}], ["rf"], "rf", ()])
+    def test_run_experiment_rejects_variant_params_that_are_not_a_dict(
+        self, synth_small, no_training, variant_params
+    ):
+        with pytest.raises(ValueError, match=r"^variant_params must be a dict, got "):
+            run_experiment(["rf"], synth_small, k=3, variant_params=variant_params)
+
+    def test_report_lists_whether_each_fold_converged(self, synth_small, tmp_path):
+        report = run_experiment(["logreg", "rf"], synth_small, k=3, seed=13,
+                                variant_params={"logreg": {"max_iter": 5}, "rf": {"trees": 5}})
+        render_report(report, tmp_path)
+        written = json.loads((tmp_path / "report.json").read_text())
+        converged = {v["name"]: v["converged"] for v in written["variants"]}
+        assert converged == {"logreg": [False] * 3, "rf": [True] * 3}
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail any test that trains a fold or opens its lane."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold was trained")
+
+    monkeypatch.setattr(evaluate, "train", no_training)
+    monkeypatch.setattr(evaluate, "ThreadPoolExecutor", no_training)
 
 
 class _Boom(RuntimeError):

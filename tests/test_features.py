@@ -418,7 +418,7 @@ class TestFeatureTransformer:
         for row, value in enumerate([math.nan, math.inf, -math.inf, -1.0, 45.0]):
             raw[row, [0, 100, 270]] = value
         before = raw.copy()
-        imputed = np.stack([validate_scan(row).ranges for row in raw])
+        imputed = np.stack([validate_scan(row) for row in raw])
         Xt = t.transform_matrix(raw)
         assert Xt.tobytes() == t.transform_matrix(imputed).tobytes()
         assert np.all(np.isfinite(Xt))

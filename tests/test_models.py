@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import re
 import sys
 import time
 import weakref
@@ -376,9 +377,7 @@ class TestPredict:
         scans = [validate_scan(row) for row in raw]
         batch = model.predict_proba_matrix(raw)
         assert np.all(np.isfinite(batch))
-        assert np.array_equal(
-            batch, model.predict_proba_matrix(np.stack([s.ranges for s in scans]))
-        )
+        assert np.array_equal(batch, model.predict_proba_matrix(np.stack(scans)))
         single = np.stack([predict_proba(model, s) for s in scans])
         assert np.allclose(batch, single, rtol=1e-9, atol=1e-12)
 
@@ -386,8 +385,25 @@ class TestPredict:
         model = train(ModelSpec(variant="rf", seed=6, params={"trees": 5}),
                       synth_small)
         scan = validate_scan(synth_small.X[3])
-        direct = model.predict_proba_matrix(np.array(scan.ranges)[None, :])[0]
+        direct = model.predict_proba_matrix(scan[None, :])[0]
         assert np.array_equal(predict_proba(model, scan), direct)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_raw_row_predicts_as_its_validated_scan(self, fast_models, synth_small, variant):
+        model = fast_models[variant]
+        raw = synth_small.feature_matrix()[7]
+        raw[[0, 1, 2, 135, 270]] = np.nan, np.inf, -1.0, np.nan, -1.0
+        expected = predict_proba(model, validate_scan(raw))
+        assert predict_proba(model, raw).tobytes() == expected.tobytes()
+        assert predict_proba(model, raw.tolist()).tobytes() == expected.tobytes()
+        assert predict_label(model, raw) == ClassLabel(int(np.argmax(expected)))
+        assert np.isnan(raw[0]) and raw.flags.writeable  # left as the caller's
+
+    @pytest.mark.parametrize("shape", [(1, NUM_BEAMS), (2, NUM_BEAMS), (NUM_BEAMS - 1,)])
+    def test_single_scan_takes_exactly_one_row(self, fast_models, shape):
+        with pytest.raises(DimensionError, match=r"^expected 1-D rows of 271 beams, got shape "
+                                                 + re.escape(str(shape))):
+            predict_proba(fast_models["rf"], np.full(shape, 5.0))
 
 
 @pytest.fixture(scope="module")

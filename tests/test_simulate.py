@@ -286,10 +286,11 @@ class TestSimulateScan:
         scene = _square_room(10.0)
         pose = SensorPose(x=0.0, y=0.0, heading=0.0)
         scan = simulate_scan(scene, pose)
+        assert scan.shape == (NUM_BEAMS,) and scan.dtype == np.float64 and not scan.flags.writeable
         # beams at -90, 0, +90 relative to heading hit walls perpendicular
-        assert scan.ranges[45] == pytest.approx(5.0, abs=1e-9)
-        assert scan.ranges[135] == pytest.approx(5.0, abs=1e-9)
-        assert scan.ranges[225] == pytest.approx(5.0, abs=1e-9)
+        assert scan[45] == pytest.approx(5.0, abs=1e-9)
+        assert scan[135] == pytest.approx(5.0, abs=1e-9)
+        assert scan[225] == pytest.approx(5.0, abs=1e-9)
 
     def test_zero_noise_matches_cast_ray(self):
         scene = generate_scene(ClassLabel.restroom, np.random.default_rng(11))
@@ -299,7 +300,7 @@ class TestSimulateScan:
         for k in (0, 70, 135, 200, 270):
             angle = pose.heading + math.radians(-135.0 + k)
             d = (math.cos(angle), math.sin(angle))
-            assert scan.ranges[k] == pytest.approx(
+            assert scan[k] == pytest.approx(
                 cast_ray(scene, (pose.x, pose.y), d), abs=1e-9
             )
 
@@ -311,7 +312,7 @@ class TestSimulateScan:
         noisy = simulate_scan(
             scene, pose, noise_sigma=0.01, rng=np.random.default_rng(5)
         )
-        mad = float(np.mean(np.abs(noisy.ranges - clean.ranges)))
+        mad = float(np.mean(np.abs(noisy - clean)))
         assert 0.004 <= mad <= 0.012
 
     def test_pose_outside_free_space(self):
@@ -336,7 +337,7 @@ class TestSimulateScan:
         (0.01, "7ad0fc00cf6a5effa9cf819a90a7063a4c029b0c424361dbf14e02ae8804a882"),
     ])
     def test_noise_sigma_in_its_domain_keeps_the_scan_bits(self, sigma, digest):
-        assert hashlib.sha256(self._scan(sigma).ranges.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(self._scan(sigma).tobytes()).hexdigest() == digest
 
 
 class TestGenerateDataset:
@@ -472,7 +473,7 @@ class TestDrawsKept:
 def scalar_dataset(config):
     """The per-row composition generate_dataset must reproduce: substream
     (seed, i), then generate_scene, sample_pose and simulate_scan."""
-    scans, labels = [], []
+    scans, labels, heights = [], [], []
     for label in ClassLabel:
         for _ in range(config.per_class.get(label, 0)):
             rng = np.random.default_rng([config.seed, len(scans)])
@@ -480,8 +481,8 @@ def scalar_dataset(config):
             pose = sample_pose(scene, rng)
             scans.append(simulate_scan(scene, pose, config.noise_sigma, rng))
             labels.append(label)
-    X = np.stack([scan.ranges for scan in scans])
-    return X, np.array(labels, dtype=np.int64), np.array([scan.height_m for scan in scans])
+            heights.append(pose.height_m)
+    return np.stack(scans), np.array(labels, dtype=np.int64), np.array(heights)
 
 
 def assert_same_bytes(dataset, expected):
